@@ -36,6 +36,7 @@ from .errors import (
     InvalidInputError,
     ModelFormatError,
     NumericError,
+    OutputError,
     RefoldError,
     SelectionError,
     ShapeError,

@@ -16,9 +16,9 @@ split plan of task t -> (t, 1); threshold CV of task t repetition r ->
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +29,7 @@ from .core import (
     DEFAULT_FOLD,
     DEFAULT_ITERATIONS,
     DEFAULT_THRESHOLD,
-    _fold_matrix,
+    _replay,
     distance_to_origin,
     score,
     train_ref,
@@ -41,6 +41,8 @@ from .evaluation import (
     DEFAULT_REPETITIONS,
     DEFAULT_THRESHOLD_GRID,
     DEFAULT_TRAIN_FRACTION,
+    OccTask,
+    check_grid,
     confusion_from_scores,
     gmean,
     make_occ_tasks,
@@ -48,6 +50,7 @@ from .evaluation import (
     select_threshold,
 )
 from .rng import GENERATOR_NAME, derive_seed
+from .textio import format_float as _fmt, read_text
 
 REPORT_VERSION = "refold-bench-report-v1"
 CURVE_VERSION = "refold-curve-v1"
@@ -88,10 +91,7 @@ class BenchSpec:
         if self.threshold_mode == "fixed" and not self.threshold > 0:
             raise ConfigError("fixed threshold must be > 0")
         if self.threshold_mode == "grid":
-            if not self.grid or any(t <= 0 for t in self.grid) or any(
-                b <= a for a, b in zip(self.grid, self.grid[1:])
-            ):
-                raise ConfigError("grid must be strictly increasing and positive")
+            check_grid(self.grid)
             if self.cv_folds < 2:
                 raise ConfigError("grid mode needs cv_folds >= 2")
         if not 0.0 < self.train_fraction < 1.0:
@@ -104,10 +104,33 @@ class BenchSpec:
         return ClassifierConfig(self.fold, self.iterations, self.dist)
 
 
-_SPEC_KEYS = (
-    "datasets", "fold", "dist", "iterations", "threshold_mode", "threshold",
-    "grid", "cv_folds", "train_fraction", "repetitions", "seed", "include_base",
-)
+def _list(v: str) -> tuple[str, ...]:
+    return tuple(x for x in v.replace(",", " ").split() if x)
+
+
+def _bool(v: str) -> bool:
+    if v.lower() in ("true", "yes", "1"):
+        return True
+    if v.lower() in ("false", "no", "0"):
+        return False
+    raise ConfigError(f"expected a boolean, got {v!r}")
+
+
+# spec key -> converter from its text value, in BenchSpec field order
+_SPEC_FIELDS = {
+    "datasets": _list,
+    "fold": str,
+    "dist": str,
+    "iterations": int,
+    "threshold_mode": str,
+    "threshold": float,
+    "grid": lambda v: tuple(float(t) for t in _list(v)),
+    "cv_folds": int,
+    "train_fraction": float,
+    "repetitions": int,
+    "seed": int,
+    "include_base": _bool,
+}
 
 
 def parse_bench_spec(text: str) -> BenchSpec:
@@ -121,56 +144,26 @@ def parse_bench_spec(text: str) -> BenchSpec:
             raise ConfigError(f"spec line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _SPEC_KEYS:
+        if key not in _SPEC_FIELDS:
             raise ConfigError(f"spec line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"spec line {lineno}: duplicate key {key!r}")
         values[key] = value.strip()
     if "datasets" not in values:
         raise ConfigError("spec is missing the 'datasets' key")
-
-    def _list(v):
-        return tuple(x for x in v.replace(",", " ").split() if x)
-
-    def _bool(v):
-        if v.lower() in ("true", "yes", "1"):
-            return True
-        if v.lower() in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"expected a boolean, got {v!r}")
-
-    kwargs = {"datasets": _list(values["datasets"])}
     try:
-        if "fold" in values:
-            kwargs["fold"] = values["fold"]
-        if "dist" in values:
-            kwargs["dist"] = values["dist"]
-        if "iterations" in values:
-            kwargs["iterations"] = int(values["iterations"])
-        if "threshold_mode" in values:
-            kwargs["threshold_mode"] = values["threshold_mode"]
-        if "threshold" in values:
-            kwargs["threshold"] = float(values["threshold"])
-        if "grid" in values:
-            kwargs["grid"] = tuple(float(t) for t in _list(values["grid"]))
-        if "cv_folds" in values:
-            kwargs["cv_folds"] = int(values["cv_folds"])
-        if "train_fraction" in values:
-            kwargs["train_fraction"] = float(values["train_fraction"])
-        if "repetitions" in values:
-            kwargs["repetitions"] = int(values["repetitions"])
-        if "seed" in values:
-            kwargs["seed"] = int(values["seed"])
-        if "include_base" in values:
-            kwargs["include_base"] = _bool(values["include_base"])
+        kwargs = {
+            key: convert(values[key])
+            for key, convert in _SPEC_FIELDS.items()
+            if key in values
+        }
     except ValueError as exc:
         raise ConfigError(f"bad spec value: {exc}") from None
     return BenchSpec(**kwargs)
 
 
 def read_bench_spec(path) -> BenchSpec:
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        return parse_bench_spec(fh.read())
+    return parse_bench_spec(read_text(path, ConfigError))
 
 
 def serialize_bench_spec(spec: BenchSpec) -> str:
@@ -194,10 +187,6 @@ def serialize_bench_spec(spec: BenchSpec) -> str:
 
 def spec_hash(spec: BenchSpec) -> str:
     return hashlib.sha256(serialize_bench_spec(spec).encode("utf-8")).hexdigest()[:16]
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 @dataclass(frozen=True)
@@ -261,10 +250,6 @@ class BenchReport:
             lines.append(f"timing,{r.model},{r.task},{r.repetition},{r.seconds:.6f}\n")
         return "".join(lines)
 
-    def write(self, path) -> None:
-        with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.text())
-
     def summary_for(self, model: str, task: str) -> TaskSummary:
         for s in self.summaries:
             if s.model == model and s.task == task:
@@ -312,8 +297,20 @@ def _resolve_tasks(spec: BenchSpec, data_dir):
     return resolved
 
 
-def _run_cell(spec: BenchSpec, ds: Dataset, task, ordinal: int, rep: int):
-    """Evaluate one task repetition; returns RunRecords (ref, maybe base)."""
+@dataclass(frozen=True)
+class _Split:
+    """One repetition of a task's split plan, as arrays."""
+
+    seed: int
+    train_X: np.ndarray
+    train_flags: np.ndarray  # True on target-class rows
+    fit_X: np.ndarray  # the training targets, the only rows a model is fit on
+    test_X: np.ndarray
+    test_flags: np.ndarray
+
+
+def _task_splits(spec: BenchSpec, ds: Dataset, task: OccTask, ordinal: int):
+    """Yield the task's repetitions in order, all from one split plan."""
     plan = make_split_plan(
         ds.labels,
         task.target_class,
@@ -321,104 +318,89 @@ def _run_cell(spec: BenchSpec, ds: Dataset, task, ordinal: int, rep: int):
         spec.repetitions,
         seed=derive_seed(spec.seed, ordinal, _SPLIT_STREAM),
     )
-    train_idx, test_idx = plan.splits[rep]
-    split_seed = derive_seed(plan.seed, rep)
     flags = np.array([lab == task.target_class for lab in ds.labels])
-    fit_rows = [i for i in train_idx if flags[i]]
-    test_rows = list(test_idx)
-    test_flags = flags[test_rows]
-    test_X = ds.features[test_rows]
-
-    records = []
-    variants = [("ref", spec.config, _REF_CV_STREAM)]
-    if spec.include_base:
-        variants.append(("base", replace(spec.config, iterations=1), _BASE_CV_STREAM))
-    for model_name, config, cv_stream in variants:
-        started = time.perf_counter()
-        if spec.threshold_mode == "grid":
-            threshold = select_threshold(
-                ds.features[list(train_idx)],
-                flags[list(train_idx)],
-                config,
-                spec.grid,
-                k=spec.cv_folds,
-                seed=derive_seed(spec.seed, ordinal, cv_stream, rep),
-            )
-        else:
-            threshold = spec.threshold
-        model = train_ref(ds.features[fit_rows], config.iterations, config.fold)
-        scores = score(test_X, model, config.dist)
-        result = gmean(confusion_from_scores(scores, test_flags, threshold))
-        elapsed = time.perf_counter() - started
-        records.append(
-            RunRecord(
-                model=model_name,
-                task=task.name,
-                repetition=rep + 1,
-                split_seed=split_seed,
-                threshold=threshold,
-                tp=result.counts.tp,
-                fn=result.counts.fn,
-                tn=result.counts.tn,
-                fp=result.counts.fp,
-                gmean=result.gmean,
-                seconds=elapsed,
-            )
+    for rep, (train_idx, test_idx) in enumerate(plan.splits):
+        train, test = list(train_idx), list(test_idx)
+        train_X, train_flags = ds.features[train], flags[train]
+        yield _Split(
+            seed=derive_seed(plan.seed, rep),
+            train_X=train_X,
+            train_flags=train_flags,
+            fit_X=train_X[train_flags],
+            test_X=ds.features[test],
+            test_flags=flags[test],
         )
-    return records
 
 
-def run_benchmark(spec: BenchSpec, data_dir: str | None = None, jobs: int = 1) -> BenchReport:
-    """Execute the spec; deterministic given (spec, seed) regardless of jobs."""
-    resolved = _resolve_tasks(spec, data_dir)
-    cells = [
-        (ordinal, ds, task, rep)
-        for ordinal, ds, task in resolved
-        for rep in range(spec.repetitions)
-    ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda c: _run_cell(spec, c[1], c[2], c[0], c[3]), cells)
-            )
-    else:
-        results = [_run_cell(spec, ds, task, ordinal, rep) for ordinal, ds, task, rep in cells]
+def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
+    """Execute the spec; the report above its timing section depends only on
+    (spec, seed).
 
-    by_model: dict[str, dict[str, list[RunRecord]]] = {}
-    runs = []
-    for cell_records in results:
-        for rec in cell_records:
-            runs.append(rec)
-            by_model.setdefault(rec.model, {}).setdefault(rec.task, []).append(rec)
-    # fixed emission order: all ref rows in task/rep order, then base rows
-    task_order = [task.name for _, _, task in resolved]
-    ordered_runs = []
-    summaries = []
-    for model_name in ("ref", "base"):
-        if model_name not in by_model:
-            continue
-        per_task = by_model[model_name]
-        task_means = []
-        task_stds = []
-        for task_name in task_order:
-            recs = sorted(per_task[task_name], key=lambda r: r.repetition)
-            ordered_runs.extend(recs)
-            m, s = mean_std([100.0 * r.gmean for r in recs])
-            task_means.append(m)
-            task_stds.append(s)
-            summaries.append(TaskSummary(model_name, task_name, m, s))
+    Each repetition trains one model. The baseline is its first step, which
+    is bit-identical to a model trained with one iteration, because step i
+    depends only on the steps before it.
+    """
+    # (model name, depth scored, threshold CV stream)
+    variants = [("ref", spec.iterations, _REF_CV_STREAM)]
+    if spec.include_base:
+        variants.append(("base", 1, _BASE_CV_STREAM))
+    runs: dict[str, list[RunRecord]] = {name: [] for name, _, _ in variants}
+    summaries: dict[str, list[TaskSummary]] = {name: [] for name, _, _ in variants}
+    for ordinal, ds, task in _resolve_tasks(spec, data_dir):
+        for rep, split in enumerate(_task_splits(spec, ds, task, ordinal)):
+            started = time.perf_counter()
+            model = train_ref(split.fit_X, spec.iterations, spec.fold)
+            for name, depth, cv_stream in variants:
+                if spec.threshold_mode == "grid":
+                    threshold = select_threshold(
+                        split.train_X,
+                        split.train_flags,
+                        replace(spec.config, iterations=depth),
+                        spec.grid,
+                        k=spec.cv_folds,
+                        seed=derive_seed(spec.seed, ordinal, cv_stream, rep),
+                    )
+                else:
+                    threshold = spec.threshold
+                scores = score(split.test_X, model.truncated(depth), spec.dist)
+                result = gmean(confusion_from_scores(scores, split.test_flags, threshold))
+                ended = time.perf_counter()
+                runs[name].append(
+                    RunRecord(
+                        model=name,
+                        task=task.name,
+                        repetition=rep + 1,
+                        split_seed=split.seed,
+                        threshold=threshold,
+                        tp=result.counts.tp,
+                        fn=result.counts.fn,
+                        tn=result.counts.tn,
+                        fp=result.counts.fp,
+                        gmean=result.gmean,
+                        seconds=ended - started,
+                    )
+                )
+                started = ended
+        for name, records in runs.items():
+            gmeans = [100.0 * r.gmean for r in records[-spec.repetitions:]]
+            summaries[name].append(TaskSummary(name, task.name, *mean_std(gmeans)))
+    for name, per_task in summaries.items():
         # overall row: unweighted mean over tasks, in both columns
-        overall_mean = sum(task_means) / len(task_means)
-        overall_std = sum(task_stds) / len(task_stds)
-        summaries.append(TaskSummary(model_name, "Aver.", overall_mean, overall_std))
+        overall_mean = sum(s.mean_pct for s in per_task) / len(per_task)
+        overall_std = sum(s.std_pct for s in per_task) / len(per_task)
+        per_task.append(TaskSummary(name, "Aver.", overall_mean, overall_std))
 
     notes = []
     reg = registry()
     for name in spec.datasets:
         if name in reg and reg[name].note:
             notes.append((name, reg[name].note))
+    # all ref rows in task/repetition order, then the base rows
     return BenchReport(
-        spec=spec, runs=tuple(ordered_runs), summaries=tuple(summaries), notes=tuple(notes)
+        spec=spec,
+        runs=tuple(r for records in runs.values() for r in records),
+        summaries=tuple(s for per_task in summaries.values() for s in per_task),
+        notes=tuple(notes),
     )
 
 
@@ -447,10 +429,6 @@ class LearningCurve:
             lines.append(f"{i},{_fmt(g)}")
         return "\n".join(lines) + "\n"
 
-    def write(self, path) -> None:
-        with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.text())
-
 
 def learning_curve(
     spec: BenchSpec, task_name: str, repetition: int, data_dir: str | None = None
@@ -470,44 +448,26 @@ def learning_curve(
         )
     for ordinal, ds, task in _resolve_tasks(spec, data_dir):
         if task.name == task_name:
-            return _curve_for(spec, ds, task, ordinal, repetition - 1)
-    raise ConfigError(f"task {task_name!r} not produced by this spec's datasets")
-
-
-def _curve_for(spec, ds, task, ordinal, rep) -> LearningCurve:
-    plan = make_split_plan(
-        ds.labels,
-        task.target_class,
-        spec.train_fraction,
-        spec.repetitions,
-        seed=derive_seed(spec.seed, ordinal, _SPLIT_STREAM),
-    )
-    train_idx, test_idx = plan.splits[rep]
-    flags = np.array([lab == task.target_class for lab in ds.labels])
-    fit_rows = [i for i in train_idx if flags[i]]
-    model = train_ref(ds.features[fit_rows], spec.iterations, spec.fold)
-
-    test_rows = list(test_idx)
-    test_flags = flags[test_rows]
-    z = ds.features[test_rows]
-    gmeans = []
-    # same replay arithmetic as the scoring path, recorded at every depth;
-    # overflow to inf for far-out samples is legitimate there too
+            break
+    else:
+        raise ConfigError(f"task {task_name!r} not produced by this spec's datasets")
+    splits = _task_splits(spec, ds, task, ordinal)
+    split = next(itertools.islice(splits, repetition - 1, None))
+    model = train_ref(split.fit_X, spec.iterations, spec.fold)
+    # the scoring path's replay, scored at every depth; overflow to inf for
+    # far-out samples is legitimate here too
     with np.errstate(over="ignore"):
-        for i, step in enumerate(model.steps):
-            if i > 0:
-                z = _fold_matrix(model.fold, z)
-            z = (z - step.mu) / step.sigma
-            scores = distance_to_origin(z, spec.dist)
-            gmeans.append(
-                gmean(confusion_from_scores(scores, test_flags, spec.threshold)).gmean
-            )
+        scores = [distance_to_origin(z, spec.dist) for z in _replay(split.test_X, model)]
+    gmeans = tuple(
+        gmean(confusion_from_scores(s, split.test_flags, spec.threshold)).gmean
+        for s in scores
+    )
     return LearningCurve(
         task=task.name,
-        repetition=rep + 1,
+        repetition=repetition,
         threshold=spec.threshold,
         dist=spec.dist,
-        gmeans=tuple(gmeans),
+        gmeans=gmeans,
     )
 
 
@@ -537,10 +497,6 @@ class ProbeReport:
                 f"{r.n},{r.dim},{r.iterations},{r.median_seconds:.6f},{times}"
             )
         return "\n".join(lines) + "\n"
-
-    def write(self, path) -> None:
-        with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.text())
 
 
 def timing_probe(

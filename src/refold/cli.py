@@ -37,6 +37,7 @@ from .datasets import (
 from .errors import ConfigError, RefoldError
 from .evaluation import confusion_from_scores, gmean
 from .model_io import load_model, save_model
+from .textio import write_text
 
 
 def _add_schema_flags(parser, label_default: str):
@@ -167,9 +168,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     spec = read_bench_spec(args.spec)
-    report = run_benchmark(spec, data_dir=args.data_dir, jobs=args.jobs)
+    report = run_benchmark(spec, data_dir=args.data_dir)
     out = args.out or args.spec + ".report.csv"
-    report.write(out)
+    write_text(out, report.text())
     print(out)
     return 0
 
@@ -178,7 +179,7 @@ def _cmd_curve(args) -> int:
     spec = read_bench_spec(args.spec)
     curve = learning_curve(spec, args.task, args.rep, data_dir=args.data_dir)
     out = args.out or f"{args.spec}.{args.task}.rep{args.rep}.curve.csv"
-    curve.write(out)
+    write_text(out, curve.text())
     print(out)
     return 0
 
@@ -189,7 +190,7 @@ def _cmd_probe(args) -> int:
         sizes, dim=args.dim, iterations=args.iters, seed=args.seed,
         repeats=args.repeats,
     )
-    report.write(args.out)
+    write_text(args.out, report.text())
     print(args.out)
     return 0
 
@@ -245,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"dataset directory (or set ${DATA_DIR_ENV})")
     p.add_argument("--out", default=None,
                    help="report path (default: <spec>.report.csv)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel task cells; output is identical for any value")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("curve", help="per-iteration Gmean curve for one task",

@@ -310,11 +310,19 @@ def transform_ref(y, model: RefModel) -> np.ndarray:
     # training data (tiny stds amplify them every iteration); inf scores
     # simply classify as outliers
     with np.errstate(over="ignore"):
-        z = (a - model.steps[0].mu) / model.steps[0].sigma
-        for step in model.steps[1:]:
-            z = _fold_matrix(model.fold, z)
-            z = (z - step.mu) / step.sigma
+        for z in _replay(a, model):
+            pass
     return z[0] if single else z
+
+
+def _replay(a: np.ndarray, model: RefModel):
+    """Yield a new working matrix after each model step; callers set errstate."""
+    z = a
+    for i, step in enumerate(model.steps):
+        if i > 0:
+            z = _fold_matrix(model.fold, z)
+        z = (z - step.mu) / step.sigma
+        yield z
 
 
 def distance_to_origin(z, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:

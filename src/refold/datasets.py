@@ -20,6 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
+from .textio import read_text
 
 DATA_DIR_ENV = "REFOLD_DATA_DIR"
 DEFAULT_DATA_DIR = "data"
@@ -79,10 +80,7 @@ def load_dataset(
     """Parse one delimited file under the schema; errors name row and column."""
     schema = schema or DatasetSchema()
     path = os.fspath(path)
-    if not os.path.isfile(path):
-        raise DataFormatError(f"dataset file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path, DataFormatError).split("\n")
     # allow trailing blank lines only
     while lines and lines[-1] == "":
         lines.pop()
@@ -192,10 +190,7 @@ def load_feature_matrix(
 ) -> np.ndarray:
     """Parse a label-free delimited file: every kept column is a feature."""
     path = os.fspath(path)
-    if not os.path.isfile(path):
-        raise DataFormatError(f"data file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path, DataFormatError).split("\n")
     while lines and lines[-1] == "":
         lines.pop()
     offset = 1 if header else 0

@@ -39,3 +39,7 @@ class DataFormatError(RefoldError):
 
 class ModelFormatError(RefoldError):
     """A model file is malformed, truncated, or has an unknown version."""
+
+
+class OutputError(RefoldError):
+    """An output file (model, report, curve, probe table) cannot be written."""

@@ -184,6 +184,15 @@ def kfold(
     return out
 
 
+def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
+    """Thresholds as floats; non-empty, positive, strictly increasing, no NaN."""
+    grid = tuple(float(t) for t in grid)
+    # all(t > 0), not any(t <= 0): every comparison with NaN is false
+    if not (grid and all(t > 0 for t in grid) and all(b > a for a, b in zip(grid, grid[1:]))):
+        raise ConfigError("threshold grid must be strictly increasing and positive")
+    return grid
+
+
 def select_threshold(
     features: np.ndarray,
     is_target: Sequence[bool],
@@ -200,11 +209,7 @@ def select_threshold(
     outliers; without them there is nothing to validate against and the
     caller should fall back to the default threshold 1.
     """
-    grid = tuple(float(t) for t in grid)
-    if not grid or any(t <= 0 for t in grid) or any(
-        b <= a for a, b in zip(grid, grid[1:])
-    ):
-        raise ConfigError("threshold grid must be strictly increasing and positive")
+    grid = check_grid(grid)
     features = np.asarray(features, dtype=np.float64)
     flags = np.asarray(is_target, dtype=bool)
     if features.ndim != 2 or len(flags) != len(features):

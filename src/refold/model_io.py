@@ -16,16 +16,11 @@ Layout:
 
 from __future__ import annotations
 
-import os
-
 from .core import RefModel, StandardizerStep
 from .errors import ModelFormatError, RefoldError
+from .textio import format_float, read_text, write_text
 
 FORMAT_VERSION = "refold-model-v1"
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def serialize_model(model: RefModel) -> str:
@@ -36,7 +31,7 @@ def serialize_model(model: RefModel) -> str:
         f"dim={model.dim}",
     ]
     for step in model.steps:
-        values = [_fmt(v) for v in step.mu] + [_fmt(v) for v in step.sigma]
+        values = [format_float(v) for v in step.mu] + [format_float(v) for v in step.sigma]
         lines.append(" ".join(values))
     return "\n".join(lines) + "\n"
 
@@ -98,13 +93,8 @@ def _int_header(line: str, key: str) -> int:
 
 
 def save_model(model: RefModel, path) -> None:
-    with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_model(model))
+    write_text(path, serialize_model(model))
 
 
 def load_model(path) -> RefModel:
-    path = os.fspath(path)
-    if not os.path.isfile(path):
-        raise ModelFormatError(f"model file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    return parse_model(read_text(path, ModelFormatError))

@@ -230,7 +230,7 @@ def test_criterion_6_default_gap_over_base():
     spec = BenchSpec(
         datasets=ALL_BENCH_DATASETS, seed=MASTER_SEED, include_base=True,
     )
-    report = run_benchmark(spec, data_dir=DATA_DIR, jobs=4)
+    report = run_benchmark(spec, data_dir=DATA_DIR)
     ref = report.summary_for("ref", "Aver.").mean_pct
     base = report.summary_for("base", "Aver.").mean_pct
     _report("6 default gap", ref - base >= 4.0,
@@ -247,7 +247,7 @@ def test_criterion_7_optimized_regime_average():
     spec = BenchSpec(
         datasets=ALL_BENCH_DATASETS, seed=MASTER_SEED, threshold_mode="grid",
     )
-    report = run_benchmark(spec, data_dir=DATA_DIR, jobs=4)
+    report = run_benchmark(spec, data_dir=DATA_DIR)
     aver = report.summary_for("ref", "Aver.").mean_pct
     _report("7 optimized average", 72.0 <= aver <= 82.0, f"Aver. {aver:.1f}")
 
@@ -263,7 +263,7 @@ def test_criterion_8_learning_curve_sanity():
     spec = BenchSpec(
         datasets=tuple(available), seed=MASTER_SEED, include_base=True,
     )
-    report = run_benchmark(spec, data_dir=DATA_DIR, jobs=4)
+    report = run_benchmark(spec, data_dir=DATA_DIR)
     base_gmean = {
         (r.task, r.repetition): r.gmean for r in report.runs if r.model == "base"
     }
@@ -325,7 +325,7 @@ def test_criterion_10_persistence_roundtrip(tmp_path):
 
 def test_criterion_11_report_determinism(tmp_path):
     """Two full benchmark runs with one spec and seed produce byte-identical
-    deterministic report sections (including under parallel execution)."""
+    deterministic report sections."""
     from conftest import write_synthetic_dataset
 
     datasets = [str(write_synthetic_dataset(tmp_path / "blob.csv"))]
@@ -337,6 +337,6 @@ def test_criterion_11_report_determinism(tmp_path):
     )
     first = run_benchmark(spec, data_dir=DATA_DIR).deterministic_text()
     second = run_benchmark(spec, data_dir=DATA_DIR).deterministic_text()
-    third = run_benchmark(spec, data_dir=DATA_DIR, jobs=4).deterministic_text()
+    third = run_benchmark(spec, data_dir=DATA_DIR).deterministic_text()
     ok = first == second == third
     _report("11 determinism", ok, f"{len(first)} deterministic bytes")

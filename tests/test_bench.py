@@ -1,6 +1,9 @@
 """Tests for the benchmark runner, learning curves, and timing probe."""
 
+import hashlib
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from refold.bench import (
 )
 from refold.errors import ConfigError, DataFormatError
 from refold.evaluation import DEFAULT_THRESHOLD_GRID
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 # ------------------------------------------------------------- spec parsing
@@ -77,6 +82,9 @@ def test_spec_validation():
         BenchSpec(datasets=("iris",), threshold_mode="grid", grid=(0.5, 0.4))
     with pytest.raises(ConfigError):
         BenchSpec(datasets=("iris",), train_fraction=1.5)
+    for grid in ("nan", "0.5, nan, 1.0"):
+        with pytest.raises(ConfigError, match="grid"):
+            parse_bench_spec(f"datasets = iris\nthreshold_mode = grid\ngrid = {grid}\n")
 
 
 def test_spec_roundtrip_and_hash():
@@ -151,14 +159,49 @@ def test_report_determinism_bytes(synthetic_csv):
     assert a != c
 
 
-def test_parallel_execution_identical_output(synthetic_csv):
+# sha256 of deterministic_text() and of a curve's text, pinned at the code
+# that planned splits per cell and retrained the baseline; the single-pass
+# runner must reproduce them byte for byte
+GOLDEN_DEFAULT = "7ca8e399198de5eda578ad2cfd84bce0f2c6a35a7fbd8b5aebbbc0a1ea68d977"
+GOLDEN_GRID = "b6dff14b7d74e290440340dfbff34b2b8073b6ad86e452e283e97756d2a77a8d"
+GOLDEN_CURVE_IRIS2_REP3 = "0787c41e4e48d7d804c8e61f29dd08bd0225dbb92017dc6841641e02facf4d4c"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_report_and_curve_digests(data_dir):
+    spec = read_bench_spec(REPO_ROOT / "specs" / "iris-default.spec")
+    grid_spec = replace(spec, threshold_mode="grid")
+    assert _sha256(run_benchmark(spec, data_dir).deterministic_text()) == GOLDEN_DEFAULT
+    assert _sha256(run_benchmark(grid_spec, data_dir).deterministic_text()) == GOLDEN_GRID
+    curve = learning_curve(spec, "Iris2", 3, data_dir=data_dir)
+    assert _sha256(curve.text()) == GOLDEN_CURVE_IRIS2_REP3
+
+
+def test_no_repeated_work(synthetic_csv, monkeypatch):
+    import refold.bench
+
+    calls = {"plan": 0, "train": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        refold.bench, "make_split_plan", counting("plan", refold.bench.make_split_plan)
+    )
+    monkeypatch.setattr(refold.bench, "train_ref", counting("train", refold.bench.train_ref))
     spec = BenchSpec(
         datasets=(synthetic_csv,), iterations=11, repetitions=4, seed=2,
         include_base=True,
     )
-    serial = run_benchmark(spec, jobs=1).deterministic_text()
-    parallel = run_benchmark(spec, jobs=4).deterministic_text()
-    assert serial == parallel
+    report = run_benchmark(spec)
+    assert len(report.runs) == 2 * 2 * 4  # 2 tasks, ref and base, 4 reps
+    assert calls == {"plan": 2, "train": 2 * 4}
 
 
 def test_grid_mode_records_selected_thresholds(synthetic_csv):

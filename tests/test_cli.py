@@ -199,7 +199,7 @@ def test_bench_deterministic_reports(tmp_path, capsys):
     main(["bench", "--spec", str(spec), "--data-dir", str(tmp_path),
           "--out", str(out1)])
     main(["bench", "--spec", str(spec), "--data-dir", str(tmp_path),
-          "--out", str(out2), "--jobs", "3"])
+          "--out", str(out2)])
     capsys.readouterr()
     det1 = out1.read_text().split("# timing")[0]
     det2 = out2.read_text().split("# timing")[0]
@@ -222,6 +222,69 @@ def test_bench_missing_dataset_nonzero_exit(tmp_path, capsys):
     rc = main(["bench", "--spec", str(spec), "--data-dir", str(tmp_path)])
     assert rc == 1
     assert "DataFormatError" in capsys.readouterr().err
+
+
+def test_bench_help_lists_no_jobs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "--spec" in text
+    assert "--jobs" not in text
+
+
+# ---------------------------------------------------------- boundary errors
+
+def single_error_line(capsys, rc, error_type):
+    """The one stderr line of a failed command; stdout stays empty."""
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"refold: error: {error_type}: ")
+    return lines[0]
+
+
+def test_utf16_data_is_a_format_error(tmp_path, capsys):
+    data = tmp_path / "iris16.csv"
+    data.write_text((REPO_ROOT / "data" / "iris.csv").read_text(), encoding="utf-16")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "m")])
+    line = single_error_line(capsys, rc, "DataFormatError")
+    assert str(data) in line and "UTF-8" in line
+    rc = main(["predict", "--model", str(data), "--data", str(data)])
+    assert "UTF-8" in single_error_line(capsys, rc, "ModelFormatError")
+    model = tmp_path / "m.refold"
+    main(["train", "--data", write_iris_subset(tmp_path), "--out", str(model)])
+    capsys.readouterr()
+    rows = tmp_path / "rows16.csv"
+    rows.write_text("6.1,2.8,4.0,1.3\n", encoding="utf-16")
+    rc = main(["predict", "--model", str(model), "--data", str(rows)])
+    assert "UTF-8" in single_error_line(capsys, rc, "DataFormatError")
+    rc = main(["bench", "--spec", str(data)])
+    assert "UTF-8" in single_error_line(capsys, rc, "ConfigError")
+
+
+def test_missing_spec_is_a_config_error(tmp_path, capsys):
+    spec = tmp_path / "absent.spec"
+    rc = main(["bench", "--spec", str(spec)])
+    assert str(spec) in single_error_line(capsys, rc, "ConfigError")
+
+
+def test_out_in_missing_directory_is_an_output_error(tmp_path, capsys):
+    data = write_iris_subset(tmp_path)
+    out = tmp_path / "no-such-dir" / "m.refold"
+    rc = main(["train", "--data", data, "--target-class", "setosa",
+               "--out", str(out)])
+    assert str(out) in single_error_line(capsys, rc, "OutputError")
+
+    spec = tmp_path / "iris.spec"
+    spec.write_text("datasets = iris\niterations = 3\nrepetitions = 1\n",
+                    encoding="utf-8")
+    out = tmp_path / "no-such-dir" / "r.csv"
+    rc = main(["bench", "--spec", str(spec), "--data-dir", str(tmp_path),
+               "--out", str(out)])
+    assert str(out) in single_error_line(capsys, rc, "OutputError")
 
 
 # -------------------------------------------------------------------- probe

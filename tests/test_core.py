@@ -185,6 +185,18 @@ def test_truncated_model():
         model.truncated(7)
 
 
+@pytest.mark.parametrize("op", FOLD_OPS)
+def test_truncation_equals_shallower_training(op):
+    # the benchmark scores its baseline with truncated(1) instead of
+    # retraining, which relies on this bit-for-bit equality
+    X = np.random.default_rng(12).normal(size=(30, 3))
+    full = train_ref(X, iterations=7, fold=op)
+    for depth in (1, 4):
+        short = train_ref(X, iterations=depth, fold=op)
+        for a, b in zip(full.truncated(depth).steps, short.steps, strict=True):
+            assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
+
+
 # --------------------------------------------------------------- transform
 
 def test_transform_identity_for_trivial_model():

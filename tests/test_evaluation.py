@@ -286,6 +286,9 @@ def test_select_threshold_grid_validation():
         select_threshold(X, flags, cfg, grid=(0.5, 0.4))
     with pytest.raises(ConfigError):
         select_threshold(X, flags, cfg, grid=(-0.1, 0.5))
+    for grid in ((float("nan"),), (0.5, float("nan"), 1.0)):
+        with pytest.raises(ConfigError):
+            select_threshold(X, flags, cfg, grid=grid)
 
 
 def test_select_threshold_deterministic():

@@ -131,7 +131,7 @@ def test_table_layout_target_training_counts(full_data_dir):
 @pytest.fixture(scope="module")
 def default_report(full_data_dir):
     spec = read_bench_spec(REPO_ROOT / "specs" / "default.spec")
-    return spec, run_benchmark(spec, data_dir=full_data_dir, jobs=4)
+    return spec, run_benchmark(spec, data_dir=full_data_dir)
 
 
 def test_default_spec_full_run(default_report):
@@ -151,8 +151,8 @@ def test_default_spec_full_run(default_report):
 
 def test_optimized_spec_full_run_deterministic(full_data_dir):
     spec = read_bench_spec(REPO_ROOT / "specs" / "optimized.spec")
-    first = run_benchmark(spec, data_dir=full_data_dir, jobs=4)
-    second = run_benchmark(spec, data_dir=full_data_dir, jobs=2)
+    first = run_benchmark(spec, data_dir=full_data_dir)
+    second = run_benchmark(spec, data_dir=full_data_dir)
     assert first.deterministic_text() == second.deterministic_text()
     for r in first.runs:
         assert r.threshold in spec.grid
