@@ -88,16 +88,19 @@ class BenchSpec:
             raise ConfigError(
                 f"threshold_mode must be 'fixed' or 'grid', got {self.threshold_mode!r}"
             )
-        if self.threshold_mode == "fixed" and not self.threshold > 0:
-            raise ConfigError("fixed threshold must be > 0")
-        if self.threshold_mode == "grid":
-            check_grid(self.grid)
-            if self.cv_folds < 2:
-                raise ConfigError("grid mode needs cv_folds >= 2")
+        # every field is checked in both modes: all of them go into the spec hash
+        if not self.threshold > 0:
+            raise ConfigError("threshold must be > 0")
+        check_grid(self.grid)
+        if self.cv_folds < 2:
+            raise ConfigError("cv_folds must be >= 2")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        # derive_seed works modulo 2**64; a seed outside would alias another
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must be in 0..2**64-1")
 
     @property
     def config(self) -> ClassifierConfig:

@@ -31,7 +31,6 @@ from .datasets import (
     DATA_DIR_ENV,
     DatasetSchema,
     load_dataset,
-    load_feature_matrix,
     resolve_data_dir,
 )
 from .errors import ConfigError, RefoldError
@@ -57,7 +56,7 @@ def _add_schema_flags(parser, label_default: str):
     )
 
 
-def _parse_label_column(value: str, header: bool):
+def _parse_label_column(value: str):
     v = value.strip()
     if v == "first":
         return 0
@@ -68,55 +67,31 @@ def _parse_label_column(value: str, header: bool):
     try:
         return int(v)
     except ValueError:
-        pass
-    if not header:
-        raise ConfigError(
-            f"label column {v!r} is a name but --header was not given"
-        )
-    return v
+        return v
 
 
-def _parse_drop(value: str) -> tuple[int, ...]:
+def _parse_ints(value: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(c) for c in value.replace(",", " ").split() if c)
+        return tuple(int(c) for c in value.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"--drop-columns must be integers, got {value!r}") from None
+        raise ConfigError(f"{flag} must be integers, got {value!r}") from None
 
 
-def _load_labeled(args):
-    label = _parse_label_column(args.label_column, args.header)
-    if label is None:
+def _load(args, labeled: bool = True):
+    label = _parse_label_column(args.label_column)
+    if labeled and label is None:
         raise ConfigError("this command needs a label column; got --label-column none")
     schema = DatasetSchema(
         delimiter=args.delimiter,
         label_column=label,
-        drop_columns=_parse_drop(args.drop_columns),
+        drop_columns=_parse_ints(args.drop_columns, "--drop-columns"),
         header=args.header,
     )
     return load_dataset(args.data, schema)
 
 
-def _load_features(args) -> np.ndarray:
-    label = _parse_label_column(args.label_column, args.header)
-    drop = set(_parse_drop(args.drop_columns))
-    if label is None:
-        return load_feature_matrix(
-            args.data, args.delimiter, args.header, tuple(sorted(drop))
-        )
-    ds = load_dataset(
-        args.data,
-        DatasetSchema(
-            delimiter=args.delimiter,
-            label_column=label,
-            drop_columns=tuple(sorted(drop)),
-            header=args.header,
-        ),
-    )
-    return ds.features
-
-
 def _cmd_train(args) -> int:
-    ds = _load_labeled(args)
+    ds = _load(args)
     if args.target_class is not None:
         rows = [i for i, lab in enumerate(ds.labels) if lab == args.target_class]
         if not rows:
@@ -135,7 +110,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    X = _load_features(args)
+    X = _load(args, labeled=False).features
     threshold = args.threshold
     if not threshold > 0:
         raise ConfigError(f"threshold must be > 0, got {threshold}")
@@ -148,7 +123,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
-    ds = _load_labeled(args)
+    ds = _load(args)
     if args.target_class not in ds.class_names:
         raise ConfigError(
             f"target class {args.target_class!r} not in dataset classes {ds.class_names}"
@@ -185,7 +160,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    sizes = [int(s) for s in args.sizes.replace(",", " ").split() if s]
+    sizes = _parse_ints(args.sizes, "--sizes")
     report = timing_probe(
         sizes, dim=args.dim, iterations=args.iters, seed=args.seed,
         repeats=args.repeats,

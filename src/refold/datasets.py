@@ -1,7 +1,7 @@
 """Dataset loading from delimited text files, plus the benchmark registry.
 
-Files are plain delimited text (default comma), one sample per row, one
-label column, every other selected column a numeric feature. Parsing is
+Files are plain delimited text (default comma), one sample per row, at most
+one label column, every other kept column a numeric feature. Parsing is
 deliberately strict: the delimiter is taken literally, decimal points only,
 and any malformed cell fails with its row and column named. There is no
 network access anywhere; benchmark files are supplied locally and checked
@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .textio import read_text
+from .textio import parse_float, read_text
 
 DATA_DIR_ENV = "REFOLD_DATA_DIR"
 DEFAULT_DATA_DIR = "data"
@@ -30,15 +30,14 @@ DEFAULT_DATA_DIR = "data"
 class DatasetSchema:
     """How to read one delimited file.
 
-    label_column is a 0-based index (negative counts from the end) or, with
-    header=True, a column name. feature_columns=None means every column
-    except the label and drop_columns. Indices in drop_columns refer to raw
-    file columns.
+    label_column is a 0-based index (negative counts from the end), with
+    header=True a column name, or None for a label-free file. Every column
+    except the label and drop_columns is a feature. Indices in drop_columns
+    refer to raw file columns.
     """
 
     delimiter: str = ","
-    label_column: int | str = -1
-    feature_columns: tuple[int, ...] | None = None
+    label_column: int | str | None = -1
     drop_columns: tuple[int, ...] = ()
     header: bool = False
 
@@ -77,7 +76,10 @@ class Dataset:
 def load_dataset(
     path, schema: DatasetSchema | None = None, name: str = "", task_prefix: str = ""
 ) -> Dataset:
-    """Parse one delimited file under the schema; errors name row and column."""
+    """Parse one delimited file under the schema; errors name row and column.
+
+    Without a label column, labels and class_names are empty.
+    """
     schema = schema or DatasetSchema()
     path = os.fspath(path)
     lines = read_text(path, DataFormatError).split("\n")
@@ -96,35 +98,35 @@ def load_dataset(
     if not lines[row_offset:]:
         raise DataFormatError(f"{path}: no data rows")
 
-    first_width = len(lines[row_offset].split(schema.delimiter))
-    label_idx = _resolve_label(schema, header_names, first_width, path)
-    feature_idx = _resolve_features(schema, label_idx, first_width, path)
+    width = len(lines[row_offset].split(schema.delimiter))
+    label_idx = _resolve_label(schema, header_names, width, path)
+    for c in schema.drop_columns:
+        if not 0 <= c < width:
+            raise DataFormatError(f"{path}: drop column {c} outside 0..{width - 1}")
+    dropped = set(schema.drop_columns)
+    cols = [c for c in range(width) if c != label_idx and c not in dropped]
+    if not cols:
+        raise DataFormatError(f"{path}: no feature columns left after selection")
 
-    features = []
+    rows = []
     labels = []
     for lineno, line in enumerate(lines[row_offset:], start=row_offset + 1):
         cells = line.split(schema.delimiter)
-        if len(cells) != first_width:
+        if len(cells) != width:
             raise DataFormatError(
-                f"{path}: row {lineno} has {len(cells)} fields, expected {first_width}"
+                f"{path}: row {lineno} has {len(cells)} fields, expected {width}"
             )
-        row = []
-        for col in feature_idx:
-            row.append(_parse_cell(cells[col], path, lineno, col))
-        features.append(row)
-        labels.append(cells[label_idx].strip())
+        rows.append([_parse_cell(cells[col], path, lineno, col) for col in cols])
+        if label_idx is not None:
+            labels.append(cells[label_idx].strip())
 
-    class_names = []
-    for lab in labels:
-        if lab not in class_names:
-            class_names.append(lab)
-    matrix = np.array(features, dtype=np.float64)
+    matrix = np.array(rows, dtype=np.float64)
     matrix.setflags(write=False)
     return Dataset(
         name=name or os.path.splitext(os.path.basename(path))[0],
         features=matrix,
         labels=tuple(labels),
-        class_names=tuple(class_names),
+        class_names=tuple(dict.fromkeys(labels)),
         source=path,
         schema=schema,
         task_prefix=task_prefix,
@@ -133,26 +135,22 @@ def load_dataset(
 
 def _parse_cell(cell: str, path, lineno: int, col: int) -> float:
     """Strict numeric cell: decimal point only, finite, no digit separators."""
-    text = cell.strip()
-    # float() would silently accept underscore separators ("1_0" -> 10.0)
-    if not text or "_" in text:
-        raise DataFormatError(
-            f"{path}: row {lineno} column {col}: not a number: {cell!r}"
-        )
     try:
-        value = float(text)
+        value = parse_float(cell.strip())
     except ValueError:
         raise DataFormatError(
             f"{path}: row {lineno} column {col}: not a number: {cell!r}"
         ) from None
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         raise DataFormatError(
             f"{path}: row {lineno} column {col}: non-finite value {cell!r}"
         )
     return value
 
 
-def _resolve_label(schema, header_names, width, path) -> int:
+def _resolve_label(schema, header_names, width, path) -> int | None:
+    if schema.label_column is None:
+        return None
     if isinstance(schema.label_column, str):
         if schema.label_column not in header_names:
             raise DataFormatError(
@@ -167,48 +165,6 @@ def _resolve_label(schema, header_names, width, path) -> int:
             f"{path}: label column {schema.label_column} outside 0..{width - 1}"
         )
     return idx
-
-
-def _resolve_features(schema, label_idx, width, path) -> list[int]:
-    if schema.feature_columns is not None:
-        cols = list(schema.feature_columns)
-        if label_idx in cols:
-            raise ConfigError("label column listed among feature columns")
-    else:
-        dropped = set(schema.drop_columns)
-        cols = [c for c in range(width) if c != label_idx and c not in dropped]
-    if not cols:
-        raise DataFormatError(f"{path}: no feature columns left after selection")
-    for c in cols:
-        if not 0 <= c < width:
-            raise DataFormatError(f"{path}: feature column {c} outside 0..{width - 1}")
-    return cols
-
-
-def load_feature_matrix(
-    path, delimiter: str = ",", header: bool = False, drop_columns: tuple[int, ...] = ()
-) -> np.ndarray:
-    """Parse a label-free delimited file: every kept column is a feature."""
-    path = os.fspath(path)
-    lines = read_text(path, DataFormatError).split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    offset = 1 if header else 0
-    if not lines[offset:]:
-        raise DataFormatError(f"{path}: no data rows")
-    width = len(lines[offset].split(delimiter))
-    cols = [c for c in range(width) if c not in set(drop_columns)]
-    if not cols:
-        raise DataFormatError(f"{path}: no feature columns left after selection")
-    rows = []
-    for lineno, line in enumerate(lines[offset:], start=offset + 1):
-        cells = line.split(delimiter)
-        if len(cells) != width:
-            raise DataFormatError(
-                f"{path}: row {lineno} has {len(cells)} fields, expected {width}"
-            )
-        rows.append([_parse_cell(cells[col], path, lineno, col) for col in cols])
-    return np.array(rows, dtype=np.float64)
 
 
 # ------------------------------------------------------------------ registry
@@ -248,7 +204,7 @@ def parse_manifest(text: str) -> dict[str, RegistryEntry]:
         sec = parser[section]
         try:
             drop = tuple(
-                int(c) for c in sec.get("drop_feature_columns", "").split(",") if c.strip()
+                int(c) for c in sec.get("drop_columns", "").split(",") if c.strip()
             )
             label_raw = sec.get("label_column", "-1").strip()
             schema = DatasetSchema(

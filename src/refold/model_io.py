@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .core import RefModel, StandardizerStep
 from .errors import ModelFormatError, RefoldError
-from .textio import format_float, read_text, write_text
+from .textio import format_float, parse_float, read_text, write_text
 
 FORMAT_VERSION = "refold-model-v1"
 
@@ -64,7 +64,7 @@ def parse_model(text: str) -> RefModel:
                 f"step {i}: expected {2 * dim} values for dim={dim}, got {len(tokens)}"
             )
         try:
-            values = [float(t) for t in tokens]
+            values = [parse_float(t) for t in tokens]
         except ValueError as exc:
             raise ModelFormatError(f"step {i}: {exc}") from None
         try:

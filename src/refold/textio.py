@@ -1,4 +1,5 @@
-"""UTF-8 text files with LF line endings, and floats at 17 significant digits.
+"""UTF-8 text files with LF line endings; floats written at 17 significant
+digits and read back under one strict token rule.
 
 Read and write failures raise RefoldError subclasses that name the path."""
 
@@ -11,6 +12,13 @@ from .errors import OutputError, RefoldError
 
 def format_float(x: float) -> str:
     return "%.17g" % x
+
+
+def parse_float(token: str) -> float:
+    """float() without digit separators: "1_0" raises ValueError, not 10.0."""
+    if "_" in token:
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
 
 
 def read_text(path, error: type[RefoldError]) -> str:

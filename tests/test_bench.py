@@ -87,6 +87,34 @@ def test_spec_validation():
             parse_bench_spec(f"datasets = iris\nthreshold_mode = grid\ngrid = {grid}\n")
 
 
+@pytest.mark.parametrize("mode", ["fixed", "grid"])
+@pytest.mark.parametrize("line, message", [
+    ("grid = nan, -1", "grid"),
+    ("grid = 0.5, 0.4", "grid"),
+    ("cv_folds = 0", "cv_folds"),
+    ("cv_folds = 1", "cv_folds"),
+    ("threshold = 0", "threshold"),
+    ("threshold = nan", "threshold"),
+    ("seed = -1", "seed"),
+    ("seed = 18446744073709551616", "seed"),
+])
+def test_spec_fields_checked_in_both_modes(mode, line, message):
+    # every field goes into the spec hash, so none may hold a value the run
+    # would reject or alias
+    with pytest.raises(ConfigError, match=message):
+        parse_bench_spec(f"datasets = iris\nthreshold_mode = {mode}\n{line}\n")
+
+
+def test_spec_seed_range_ends_accepted():
+    for seed in (0, 2**64 - 1):
+        assert parse_bench_spec(f"datasets = iris\nseed = {seed}\n").seed == seed
+
+
+def test_shipped_specs_parse():
+    for path in sorted((REPO_ROOT / "specs").glob("*.spec")):
+        read_bench_spec(path)
+
+
 def test_spec_roundtrip_and_hash():
     spec = BenchSpec(datasets=("iris",), seed=7, include_base=True)
     text = serialize_bench_spec(spec)

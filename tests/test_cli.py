@@ -265,6 +265,52 @@ def test_utf16_data_is_a_format_error(tmp_path, capsys):
     assert "UTF-8" in single_error_line(capsys, rc, "ConfigError")
 
 
+def test_label_column_none_rejected_by_train_and_eval(trained_model, tmp_path, capsys):
+    model_path, data = trained_model
+    capsys.readouterr()
+    rc = main(["train", "--data", data, "--label-column", "none",
+               "--out", str(tmp_path / "m2")])
+    assert "--label-column none" in single_error_line(capsys, rc, "ConfigError")
+    rc = main(["eval", "--model", model_path, "--data", data,
+               "--label-column", "none", "--target-class", "setosa"])
+    assert "--label-column none" in single_error_line(capsys, rc, "ConfigError")
+
+
+def test_named_label_without_header_rejected(trained_model, capsys):
+    model_path, data = trained_model
+    capsys.readouterr()
+    rc = main(["predict", "--model", model_path, "--data", data,
+               "--label-column", "species"])
+    assert "header" in single_error_line(capsys, rc, "ConfigError")
+
+
+def test_drop_column_outside_file_rejected(trained_model, capsys):
+    model_path, data = trained_model
+    capsys.readouterr()
+    rc = main(["predict", "--model", model_path, "--data", data,
+               "--label-column", "last", "--drop-columns", "99"])
+    line = single_error_line(capsys, rc, "DataFormatError")
+    assert "drop column 99 outside 0..4" in line
+
+
+def test_predict_label_free_with_header_and_drop(trained_model, tmp_path, capsys):
+    model_path, data = trained_model
+    rows = (REPO_ROOT / "data" / "iris.csv").read_text().splitlines()[:3]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows), encoding="utf-8")
+    padded = tmp_path / "padded.csv"
+    padded.write_text("id,a,b,c,d\n" + "".join(f"{i},{r.rsplit(',', 1)[0]}\n"
+                                                for i, r in enumerate(rows)),
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", model_path, "--data", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert len(expected.splitlines()) == 3
+    assert main(["predict", "--model", model_path, "--data", str(padded),
+                 "--header", "--drop-columns", "0"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_missing_spec_is_a_config_error(tmp_path, capsys):
     spec = tmp_path / "absent.spec"
     rc = main(["bench", "--spec", str(spec)])
@@ -297,6 +343,14 @@ def test_probe_writes_table(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "# refold-probe-v1"
     assert len([l for l in lines if l and not l.startswith("#") and l[0].isdigit()]) == 3
+
+
+@pytest.mark.parametrize("sizes", ["abc", "100,2x0", "1.5"])
+def test_probe_bad_sizes_is_a_config_error(tmp_path, capsys, sizes):
+    out = tmp_path / "probe.csv"
+    rc = main(["probe", "--sizes", sizes, "--out", str(out)])
+    assert "--sizes must be integers" in single_error_line(capsys, rc, "ConfigError")
+    assert not out.exists()
 
 
 def test_help_lists_defaults(capsys):

@@ -58,16 +58,65 @@ def test_alternative_delimiter(tmp_path):
     assert ds.n_dims == 2
 
 
-def test_explicit_feature_columns(tmp_path):
-    p = write(tmp_path, "1,2,3,a\n4,5,6,b\n")
-    ds = load_dataset(p, DatasetSchema(feature_columns=(0, 2)))
-    np.testing.assert_array_equal(ds.features, [[1.0, 3.0], [4.0, 6.0]])
-
-
 def test_drop_columns(tmp_path):
     p = write(tmp_path, "9,1,2,a\n9,3,4,b\n")
     ds = load_dataset(p, DatasetSchema(drop_columns=(0,)))
     np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("drop", [(4,), (99,), (-1,), (0, 4)])
+def test_drop_column_outside_file_rejected(tmp_path, drop):
+    p = write(tmp_path, "9,1,2,a\n9,3,4,b\n")
+    bad = next(c for c in drop if not 0 <= c < 4)
+    with pytest.raises(DataFormatError, match=rf"drop column {bad} outside 0\.\.3"):
+        load_dataset(p, DatasetSchema(drop_columns=drop))
+
+
+def test_drop_column_may_name_the_label(tmp_path):
+    p = write(tmp_path, "1,2,a\n3,4,b\n")
+    ds = load_dataset(p, DatasetSchema(drop_columns=(2,)))
+    np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+    assert ds.labels == ("a", "b")
+
+
+# ------------------------------------------------------------- label-free
+
+UNLABELED = DatasetSchema(label_column=None)
+
+
+def test_label_free_file(tmp_path):
+    p = write(tmp_path, "1,2,3\n4,5,6\n")
+    ds = load_dataset(p, UNLABELED)
+    np.testing.assert_array_equal(ds.features, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert ds.labels == ds.class_names == ()
+    assert not ds.features.flags.writeable
+
+
+def test_label_free_header_skipped(tmp_path):
+    p = write(tmp_path, "f1,f2\n1,2\n3,4\n")
+    ds = load_dataset(p, DatasetSchema(label_column=None, header=True))
+    np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+    assert ds.labels == ds.class_names == ()
+
+
+def test_label_free_drop_columns(tmp_path):
+    p = write(tmp_path, "9,1,2\n9,3,4\n")
+    ds = load_dataset(p, DatasetSchema(label_column=None, drop_columns=(0,)))
+    np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(DataFormatError, match="no feature columns left"):
+        load_dataset(p, DatasetSchema(label_column=None, drop_columns=(0, 1, 2)))
+
+
+def test_label_free_ragged_row_names_row(tmp_path):
+    p = write(tmp_path, "f1,f2\n1,2\n3,4\n5\n")
+    with pytest.raises(DataFormatError, match="row 4 has 1 fields, expected 2"):
+        load_dataset(p, DatasetSchema(label_column=None, header=True))
+
+
+def test_label_free_bad_cell_names_row_and_column(tmp_path):
+    p = write(tmp_path, "1,2\n3,1_0\n")
+    with pytest.raises(DataFormatError, match="row 2 column 1: not a number"):
+        load_dataset(p, UNLABELED)
 
 
 def test_non_numeric_cell_names_row_and_column(tmp_path):
@@ -130,12 +179,6 @@ def test_schema_validation():
         DatasetSchema(delimiter=",,")
     with pytest.raises(ConfigError):
         DatasetSchema(label_column="name", header=False)
-
-
-def test_label_among_features_rejected(tmp_path):
-    p = write(tmp_path, "1,2,a\n3,4,b\n")
-    with pytest.raises(ConfigError):
-        load_dataset(p, DatasetSchema(label_column=2, feature_columns=(0, 1, 2)))
 
 
 def test_features_read_only(tmp_path):

@@ -96,6 +96,13 @@ def test_garbage_value_rejected():
         parse_model(text)
 
 
+def test_digit_separator_rejected():
+    # float() would read "1_0" as 10, and the file would not re-serialize as read
+    text = FORMAT_VERSION + "\nfold=abs\niterations=2\ndim=1\n0 1\n1_0 2\n"
+    with pytest.raises(ModelFormatError, match="step 2: .*'1_0'"):
+        parse_model(text)
+
+
 def test_nonpositive_sigma_rejected():
     text = FORMAT_VERSION + "\nfold=abs\niterations=1\ndim=1\n0 0\n"
     with pytest.raises(ModelFormatError, match="step 1"):

@@ -1,5 +1,9 @@
-"""Property tests for the benchmark spec format."""
+"""Property tests for the text formats: bench specs, models and data files."""
 
+import os
+import tempfile
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -7,8 +11,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from refold.bench import BenchSpec, parse_bench_spec, serialize_bench_spec
-from refold.core import DISTANCES, FOLD_OPS
-from refold.errors import ConfigError
+from refold.core import DISTANCES, FOLD_OPS, RefModel, StandardizerStep, score, train_ref
+from refold.datasets import DatasetSchema, load_dataset
+from refold.errors import ConfigError, DataFormatError, ModelFormatError
+from refold.model_io import FORMAT_VERSION, parse_model, serialize_model
+
+import oracle
 
 # derandomized so every run tries the same examples, with no example
 # database to replay from
@@ -67,3 +75,137 @@ def test_spec_parser_raises_only_config_error(text):
         parse_bench_spec(text)
     except ConfigError:
         pass
+
+
+# ------------------------------------------------------------------ models
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+sigma_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def ref_models(draw):
+    dim = draw(st.integers(1, 5))
+    steps = tuple(
+        StandardizerStep(
+            mu=np.array(draw(st.lists(finite_floats, min_size=dim, max_size=dim))),
+            sigma=np.array(draw(st.lists(sigma_floats, min_size=dim, max_size=dim))),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    return RefModel(steps=steps, fold=draw(st.sampled_from(FOLD_OPS)))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+@PROPERTY_SETTINGS
+@given(ref_models())
+def test_model_serialize_parse_roundtrip(model):
+    text = serialize_model(model)
+    parsed = parse_model(text)
+    assert parsed.fold == model.fold
+    assert len(parsed.steps) == len(model.steps)
+    for got, want in zip(parsed.steps, model.steps):
+        assert bits(got.mu) == bits(want.mu)  # -0.0 and subnormals included
+        assert bits(got.sigma) == bits(want.sigma)
+    assert serialize_model(parsed) == text
+
+
+# mostly well-formed model text: a real header with arbitrary step lines
+model_tokens = st.one_of(
+    st.sampled_from(("0", "1", "-0", "1e-320", "1_0", "nan", "inf", "0x10", "", "abc")),
+    finite_floats.map(repr),
+)
+model_texts = st.builds(
+    lambda fold, j, d, steps: "\n".join(
+        [FORMAT_VERSION, f"fold={fold}", f"iterations={j}", f"dim={d}"]
+        + [" ".join(line) for line in steps]
+    ),
+    st.sampled_from(FOLD_OPS + ("bogus",)),
+    st.integers(-1, 3),
+    st.integers(-1, 3),
+    st.lists(st.lists(model_tokens, max_size=6), max_size=4),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(st.text(), model_texts))
+def test_model_parser_raises_only_model_format_error(text):
+    try:
+        parse_model(text)
+    except ModelFormatError:
+        pass
+
+
+# ------------------------------------------------------------- data files
+
+def load_text(text, schema):
+    """load_dataset on a file holding exactly `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return load_dataset(path, schema)
+
+
+data_cells = st.one_of(
+    st.sampled_from(("1", "-2.5", "1e3", " 4 ", "nan", "inf", "", "a", "1_0",
+                     "0x10", "2,5", "\r")),
+    finite_floats.map(repr),
+)
+data_texts = st.lists(
+    st.lists(data_cells, min_size=1, max_size=4).map(",".join), max_size=5,
+).map("\n".join)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(st.text(), data_texts),
+    st.sampled_from((-1, 0, None)),
+    st.booleans(),
+)
+def test_data_reader_raises_only_format_or_config_error(text, label, header):
+    try:
+        ds = load_text(text, DatasetSchema(label_column=label, header=header))
+    except (DataFormatError, ConfigError):
+        return
+    assert np.isfinite(ds.features).all()
+    assert len(ds.labels) == (0 if label is None else ds.n_samples)
+
+
+# ------------------------------------------------------------------ oracle
+
+# values on a 1/8 grid in [-1000, 1000]: a column's std is then 0 (and
+# sanitized to 1) or at least 1/32, so no case overflows before folding
+grid_values = st.integers(-8000, 8000).map(lambda k: k / 8)
+
+
+@st.composite
+def oracle_cases(draw):
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    rows = st.lists(grid_values, min_size=d, max_size=d)
+    X = np.array(draw(st.lists(rows, min_size=n, max_size=n)))
+    y = np.array(draw(rows))
+    return X, y, draw(st.integers(1, 12)), draw(st.sampled_from(FOLD_OPS))
+
+
+@PROPERTY_SETTINGS
+@given(oracle_cases())
+def test_matches_oracle_over_generated_shapes(case):
+    X, y, iterations, fold = case
+    model = train_ref(X, iterations=iterations, fold=fold)
+    mus, sigmas, _ = oracle.train(X.tolist(), iterations, fold)
+    scores = [score(y, model, dist) for dist in DISTANCES]
+    want = [oracle.score(y.tolist(), mus, sigmas, fold, dist) for dist in DISTANCES]
+    if fold == "tanh":
+        # numpy's tanh and math.tanh may differ in the last bit
+        for step, mu, sigma in zip(model.steps, mus, sigmas):
+            np.testing.assert_allclose(step.mu, mu, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(step.sigma, sigma, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(scores, want, rtol=1e-12, atol=1e-12)
+    else:
+        assert [s.mu.tolist() for s in model.steps] == mus
+        assert [s.sigma.tolist() for s in model.steps] == sigmas
+        assert scores == want
