@@ -109,27 +109,28 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = load_model(args.model)
-    X = _load(args, labeled=False).features
     threshold = args.threshold
     if not threshold > 0:
         raise ConfigError(f"threshold must be > 0, got {threshold}")
+    model = load_model(args.model)
+    X = _load(args, labeled=False).features
     scores = score(X, model, args.dist)
-    for i, s in enumerate(scores):
-        label = TARGET if s <= threshold else OUTLIER
-        print("%d %.17g %s" % (i, s, label))
+    sys.stdout.write("".join(
+        "%d %.17g %s\n" % (i, s, TARGET if s <= threshold else OUTLIER)
+        for i, s in enumerate(scores.tolist())
+    ))
     return 0
 
 
 def _cmd_eval(args) -> int:
+    if not args.threshold > 0:
+        raise ConfigError(f"threshold must be > 0, got {args.threshold}")
     model = load_model(args.model)
     ds = _load(args)
     if args.target_class not in ds.class_names:
         raise ConfigError(
             f"target class {args.target_class!r} not in dataset classes {ds.class_names}"
         )
-    if not args.threshold > 0:
-        raise ConfigError(f"threshold must be > 0, got {args.threshold}")
     flags = np.array([lab == args.target_class for lab in ds.labels])
     scores = score(ds.features, model, args.dist)
     result = gmean(confusion_from_scores(scores, flags, args.threshold))

@@ -316,12 +316,20 @@ def transform_ref(y, model: RefModel) -> np.ndarray:
 
 
 def _replay(a: np.ndarray, model: RefModel):
-    """Yield a new working matrix after each model step; callers set errstate."""
-    z = a
+    """Yield the working matrix after each model step; callers set errstate.
+
+    One C-ordered copy of `a` is updated in place (cos_abs alone allocates a
+    new one), so no step allocates (M, D) temporaries and `a` itself is never
+    written. Each step yields the same buffer: a caller must finish with it
+    before advancing the generator, as transform_ref (which keeps the last)
+    and learning_curve (which takes its distance at once) do.
+    """
+    z = np.array(a, dtype=np.float64, order="C")
     for i, step in enumerate(model.steps):
         if i > 0:
-            z = _fold_matrix(model.fold, z)
-        z = (z - step.mu) / step.sigma
+            z = _fold_matrix(model.fold, z, out=z)
+        np.subtract(z, step.mu, out=z)
+        np.divide(z, step.sigma, out=z)
         yield z
 
 

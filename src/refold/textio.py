@@ -15,8 +15,12 @@ def format_float(x: float) -> str:
 
 
 def parse_float(token: str) -> float:
-    """float() without digit separators: "1_0" raises ValueError, not 10.0."""
-    if "_" in token:
+    """float() on ASCII tokens without digit separators: "1_0" and "١٢"
+    raise ValueError, where float() gives 10.0 and 12.0.
+
+    Callers strip surrounding whitespace first, so padding (non-ASCII
+    included) stays accepted."""
+    if "_" in token or not token.isascii():
         raise ValueError(f"could not convert string to float: {token!r}")
     return float(token)
 

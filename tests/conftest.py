@@ -9,6 +9,14 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
 
 
+def pytest_configure(config):
+    # any warning fails the suite, so a numpy deprecation or an np.loadtxt
+    # UserWarning cannot scroll by. Set here, not in pyproject.toml, whose
+    # pytest options the perfbench tests share: they leak a subprocess pipe
+    # and would fail on its ResourceWarning.
+    config.addinivalue_line("filterwarnings", "error")
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> str:
     return str(DATA_DIR)

@@ -1,5 +1,6 @@
 """CLI tests: flag surface, output formats, exit codes."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,34 @@ def test_predict_deterministic_bytes(trained_model, tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+# sha256 of `refold predict` stdout on the seeded file of the test below,
+# pinned at the code that printed one line per row
+GOLDEN_PREDICT = "3d163a22207c0d8ba34f30128df9f73a11f83db7c96b991791504b266476304a"
+
+
+def test_predict_golden_bytes(tmp_path, capsys):
+    rng = np.random.default_rng(2024)
+    X = rng.normal(size=(2000, 5)) * rng.uniform(0.5, 3.0, 5) + rng.uniform(-5, 5, 5)
+    X[1000:] *= 1.5
+    rows = [",".join(["%.17g"] * 5) % tuple(r) for r in X.tolist()]
+    plain, labeled = tmp_path / "plain.csv", tmp_path / "labeled.csv"
+    plain.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+    labeled.write_text(
+        "".join(r + (",t\n" if i < 1000 else ",o\n") for i, r in enumerate(rows)),
+        encoding="utf-8",
+    )
+    model = str(tmp_path / "m.refold")
+    assert main(["train", "--data", str(labeled), "--target-class", "t",
+                 "--out", model]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--model", model, "--data", str(plain)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_PREDICT
+    assert main(["predict", "--model", model, "--data", str(labeled),
+                 "--label-column", "last"]) == 0
+    assert capsys.readouterr().out == out
+
+
 # --------------------------------------------------------------------- eval
 
 def test_eval_reports_counts_and_gmean(trained_model, capsys):
@@ -263,6 +292,16 @@ def test_utf16_data_is_a_format_error(tmp_path, capsys):
     assert "UTF-8" in single_error_line(capsys, rc, "DataFormatError")
     rc = main(["bench", "--spec", str(data)])
     assert "UTF-8" in single_error_line(capsys, rc, "ConfigError")
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_threshold_checked_before_reading_files(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.csv")
+    argv = [command, "--model", missing, "--data", missing, "--threshold", "0"]
+    if command == "eval":
+        argv += ["--target-class", "a"]
+    line = single_error_line(capsys, main(argv), "ConfigError")
+    assert line.endswith("ConfigError: threshold must be > 0, got 0.0")
 
 
 def test_label_column_none_rejected_by_train_and_eval(trained_model, tmp_path, capsys):

@@ -9,6 +9,7 @@ import oracle
 from refold.core import (
     ClassifierConfig,
     _column_totals,
+    _fold_matrix,
     DISTANCES,
     FOLD_OPS,
     Prediction,
@@ -239,6 +240,26 @@ def test_transform_batch_matches_per_row():
     batch = transform_ref(Y, model)
     rows = np.vstack([transform_ref(Y[i], model) for i in range(len(Y))])
     np.testing.assert_array_equal(batch, rows)
+
+
+@pytest.mark.parametrize("op", FOLD_OPS)
+def test_transform_in_place_matches_out_of_place_form(op):
+    # the replay updates one working copy in place; the reference is the
+    # out-of-place (fold(z) - mu) / sigma of every step
+    rng = np.random.default_rng(17)
+    model = train_ref(rng.normal(size=(40, 3)), iterations=9, fold=op)
+    Y = rng.normal(size=(25, 3)) * 3.0
+    for layout in (Y.copy(order="C"), Y.copy(order="F")):
+        layout.setflags(write=False)
+        with np.errstate(over="ignore"):
+            z = layout
+            for i, step in enumerate(model.steps):
+                if i > 0:
+                    z = _fold_matrix(op, z)
+                z = (z - step.mu) / step.sigma
+            got = transform_ref(layout, model)
+        assert got.tobytes() == z.tobytes()
+        assert layout.tobytes() == Y.tobytes()
 
 
 # ----------------------------------------------------------------- scoring

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refold import datasets
 from refold.datasets import (
     Dataset,
     DatasetSchema,
@@ -174,9 +175,45 @@ def test_empty_cell_rejected(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("cell", ["\u0661\u0662", "\uff13"])
+def test_non_ascii_digits_rejected(tmp_path, cell):
+    # float() reads Arabic-Indic "١٢" as 12.0 and fullwidth "３" as 3.0
+    p = write(tmp_path, f"1,2,a\n3,{cell},b\n")
+    with pytest.raises(DataFormatError, match="row 2 column 1: not a number"):
+        load_dataset(p)
+
+
+def test_non_ascii_padding_accepted(tmp_path):
+    p = write(tmp_path, "\xa01\xa0,\u20032,a\n3,4,b\n")
+    np.testing.assert_array_equal(load_dataset(p).features, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_clean_file_parsed_in_one_pass(tmp_path, monkeypatch):
+    def per_row(*args):
+        raise AssertionError("row-by-row parse used on a clean file")
+
+    monkeypatch.setattr(datasets, "_parse_rows", per_row)
+    p = write(tmp_path, "h1,h2,h3\n1.5,-2e3,a\n 3 ,4,b\n")
+    ds = load_dataset(p, DatasetSchema(header=True))
+    np.testing.assert_array_equal(ds.features, [[1.5, -2000.0], [3.0, 4.0]])
+    assert ds.labels == ("a", "b")
+
+
+def test_blank_line_rejected_in_one_column_file(tmp_path):
+    # np.loadtxt skips blank lines; the reader must not
+    p = write(tmp_path, "1\n\n3\n")
+    with pytest.raises(DataFormatError, match="row 2 column 0: not a number: ''"):
+        load_dataset(p, UNLABELED)
+
+
 def test_schema_validation():
     with pytest.raises(ConfigError):
         DatasetSchema(delimiter=",,")
+    # files are read with universal newlines, so "1\r2\n" with delimiter
+    # "\r" would read as two rows of one column
+    for delimiter in ("\n", "\r"):
+        with pytest.raises(ConfigError, match="must not be a line break"):
+            DatasetSchema(delimiter=delimiter)
     with pytest.raises(ConfigError):
         DatasetSchema(label_column="name", header=False)
 

@@ -103,6 +103,13 @@ def test_digit_separator_rejected():
         parse_model(text)
 
 
+def test_non_ascii_digits_rejected():
+    # float() would read Arabic-Indic "١" as 1 and fullwidth "２" as 2
+    text = FORMAT_VERSION + "\nfold=abs\niterations=1\ndim=1\n\u0661 \uff12\n"
+    with pytest.raises(ModelFormatError, match="step 1: .*'\u0661'"):
+        parse_model(text)
+
+
 def test_nonpositive_sigma_rejected():
     text = FORMAT_VERSION + "\nfold=abs\niterations=1\ndim=1\n0 0\n"
     with pytest.raises(ModelFormatError, match="step 1"):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from refold.bench import BenchSpec, parse_bench_spec, serialize_bench_spec
 from refold.core import DISTANCES, FOLD_OPS, RefModel, StandardizerStep, score, train_ref
+from refold import datasets
 from refold.datasets import DatasetSchema, load_dataset
 from refold.errors import ConfigError, DataFormatError, ModelFormatError
 from refold.model_io import FORMAT_VERSION, parse_model, serialize_model
@@ -173,6 +174,80 @@ def test_data_reader_raises_only_format_or_config_error(text, label, header):
         return
     assert np.isfinite(ds.features).all()
     assert len(ds.labels) == (0 if label is None else ds.n_samples)
+
+
+# cells the number-token rule accepts (decimals, 17-digit values, exponents,
+# signed zeros, padding, non-ASCII padding included) and cells it rejects
+# (nan/inf, digit separators, empty cells, non-ASCII digits, other text)
+accepted_cells = st.one_of(
+    st.sampled_from((
+        "1", "-2.5", ".5", "5.", "1e3", "-1.5E-7", "-0", "-0.0", "+0", " 4 ",
+        "\t7", "\xa04\xa0", "\u20035", "\x0c6\x1c", "\u20288\u2029",
+    )),
+    finite_floats.map(lambda v: "%.17g" % v),
+)
+rejected_cells = st.sampled_from((
+    "1e400", "nan", "-inf", "Infinity", "1_0", "0x10", "", " ", "\u0661\u0662",
+    "\uff13", "1\u20282", "a", '"1"', "#1", "1\x00",
+))
+
+
+@st.composite
+def fast_path_files(draw):
+    """(text, schema): full rows of accepted cells, plus up to two faults
+    that the reader must reject: a rejected cell, a row one cell longer or
+    shorter (np.loadtxt reads it when usecols skip that cell) or a blank
+    line (np.loadtxt skips it)."""
+    delimiter = draw(st.sampled_from((",", ";", "\t", " ")))
+    width = draw(st.integers(1, 4))
+    row = st.lists(accepted_cells, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    for fault in draw(st.lists(
+        st.sampled_from(("cell", "longer", "shorter", "blank")), max_size=2,
+    )):
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "cell":
+            at = draw(st.integers(0, width - 1))
+            rows[i] = rows[i][:at] + [draw(rejected_cells)] + rows[i][at + 1:]
+        elif fault == "longer":
+            rows[i] = rows[i] + [draw(accepted_cells)]
+        elif fault == "shorter":
+            rows[i] = rows[i][:-1]
+        else:
+            rows.insert(i, [])
+    header = draw(st.booleans())
+    lines = [delimiter.join(r) for r in rows]
+    if header:
+        lines.insert(0, delimiter.join(f"c{i}" for i in range(width)))
+    label = draw(st.sampled_from((-1, 0, None)))
+    drop = tuple(draw(st.sets(st.integers(0, width - 1), max_size=2)))
+    schema = DatasetSchema(delimiter=delimiter, label_column=label,
+                           drop_columns=drop, header=header)
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n"))), schema
+
+
+def load_outcome(path, schema):
+    """What load_dataset gives: the features' bits and labels, or the error."""
+    try:
+        ds = load_dataset(path, schema)
+    except (DataFormatError, ConfigError) as exc:
+        return type(exc), str(exc)
+    return ds.features.shape, bits(ds.features), ds.labels, ds.class_names
+
+
+@PROPERTY_SETTINGS
+@given(fast_path_files())
+def test_fast_parse_agrees_with_row_parse(case):
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        fast = load_outcome(path, schema)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datasets, "_loadtxt", lambda *args: None)
+            strict = load_outcome(path, schema)
+    assert fast == strict
 
 
 # ------------------------------------------------------------------ oracle
