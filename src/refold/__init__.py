@@ -17,12 +17,8 @@ from .core import (
     ClassifierConfig,
     Prediction,
     RefModel,
-    StandardizerStep,
-    apply_standardizer,
     classify,
     distance_to_origin,
-    fit_standardizer,
-    fold_apply,
     score,
     train_base,
     train_ref,

@@ -517,6 +517,8 @@ def timing_probe(
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
         raise ConfigError("probe sizes must all be >= 2")
+    if dim < 1:
+        raise ConfigError("probe dim must be >= 1")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     rows = []

@@ -43,12 +43,6 @@ TARGET = "target"
 OUTLIER = "outlier"
 
 
-def _running_total(a: np.ndarray, axis: int) -> np.ndarray:
-    # cumsum carries one running total in index order, unlike np.sum's
-    # pairwise blocking; the last slice is the strict left-to-right sum.
-    return np.cumsum(a, axis=axis).take(-1, axis=axis)
-
-
 def _column_totals(a: np.ndarray) -> np.ndarray:
     """Strict left-to-right column sums of an (N, D) matrix."""
     # Over the rows of a C-contiguous matrix with D >= 2, add.reduce adds one
@@ -56,10 +50,11 @@ def _column_totals(a: np.ndarray) -> np.ndarray:
     # materializing an (N, D) cumsum. Starting from -0.0 keeps the first
     # row's bits, signed zeros included. A single column is the contiguous
     # axis, which add.reduce sums pairwise, so it (like any other layout)
-    # keeps the running total.
+    # takes the last row of a cumsum, which carries one running total in
+    # index order.
     if a.shape[1] > 1 and a.flags.c_contiguous:
         return np.add.reduce(a, axis=0, initial=-0.0)
-    return _running_total(a, 0)
+    return np.cumsum(a, axis=0)[-1]
 
 
 def _fold_matrix(op: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -97,77 +92,63 @@ def _check_distance(dist: str) -> None:
         raise ConfigError(f"unknown distance {dist!r}; expected one of {DISTANCES}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
+# eq=False: a generated __eq__ would compare the arrays element-wise and
+# raise on their ambiguous truth value; models compare by identity instead
+@dataclass(frozen=True, eq=False)
+class RefModel:
+    """Trained classifier: the per-step (mean, std) rows plus the fold name.
 
-
-@dataclass(frozen=True)
-class StandardizerStep:
-    """Per-dimension (mean, std) pair; std entries are finite and > 0."""
+    mu[i] and sigma[i] are the vectors of step i + 1, stored as read-only
+    float64 (J, D) copies of the arguments; sigma entries are finite and > 0. iterations == 1
+    encodes the baseline; no folding is ever applied then. Instances are
+    immutable and safe to score from concurrently.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
+    fold: str
 
     def __post_init__(self):
-        mu = _readonly(self.mu)
-        sigma = _readonly(self.sigma)
-        if mu.ndim != 1 or sigma.ndim != 1 or mu.shape != sigma.shape:
-            raise ShapeError("mu and sigma must be 1-D vectors of equal length")
-        if mu.size == 0:
-            raise ShapeError("standardizer needs at least one dimension")
-        if not np.isfinite(mu).all():
-            raise InvalidInputError("mu contains non-finite values")
-        if not (np.isfinite(sigma).all() and (sigma > 0.0).all()):
-            raise InvalidInputError("sigma entries must be finite and > 0")
+        _check_fold(self.fold)
+        mu = np.array(self.mu, dtype=np.float64)
+        sigma = np.array(self.sigma, dtype=np.float64)
+        if mu.ndim != 2 or mu.shape != sigma.shape:
+            raise ShapeError("mu and sigma must be (J, D) matrices of equal shape")
+        if mu.shape[0] == 0:
+            raise ConfigError("model needs at least one step")
+        if mu.shape[1] == 0:
+            raise ShapeError("model needs at least one dimension")
+        bad_mu = ~np.isfinite(mu).all(axis=1)
+        bad_sigma = ~(np.isfinite(sigma) & (sigma > 0.0)).all(axis=1)
+        bad = bad_mu | bad_sigma
+        if bad.any():
+            i = int(bad.argmax())
+            what = ("mu contains non-finite values" if bad_mu[i]
+                    else "sigma entries must be finite and > 0")
+            raise InvalidInputError(f"step {i + 1}: {what}")
+        mu.setflags(write=False)
+        sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
     @property
     def dim(self) -> int:
-        return self.mu.shape[0]
-
-
-@dataclass(frozen=True)
-class RefModel:
-    """Trained classifier: ordered standardizer steps plus the fold name.
-
-    iterations == 1 encodes the baseline; no folding is ever applied then.
-    Instances are immutable and safe to score from concurrently.
-    """
-
-    steps: tuple[StandardizerStep, ...]
-    fold: str
-
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        if not steps:
-            raise ConfigError("model needs at least one standardizer step")
-        _check_fold(self.fold)
-        dim = steps[0].dim
-        if any(s.dim != dim for s in steps):
-            raise ShapeError("all standardizer steps must share one dimensionality")
-        object.__setattr__(self, "steps", steps)
-
-    @property
-    def dim(self) -> int:
-        return self.steps[0].dim
+        return self.mu.shape[1]
 
     @property
     def iterations(self) -> int:
-        return len(self.steps)
+        return self.mu.shape[0]
 
     def truncated(self, iterations: int) -> "RefModel":
         """Model replaying only the first `iterations` steps.
 
         Valid because step i of training depends only on steps before it.
         """
-        if not 1 <= iterations <= len(self.steps):
+        if not 1 <= iterations <= self.iterations:
             raise ConfigError(
-                f"truncation depth {iterations} outside 1..{len(self.steps)}"
+                f"truncation depth {iterations} outside 1..{self.iterations}"
             )
-        return RefModel(steps=self.steps[:iterations], fold=self.fold)
+        return RefModel(self.mu[:iterations], self.sigma[:iterations], self.fold)
 
 
 @dataclass(frozen=True)
@@ -211,49 +192,19 @@ def _as_samples(
     return a, single
 
 
-def fold_apply(op: str, x) -> np.ndarray:
-    """Apply the named fold element-wise to a finite vector or matrix."""
-    _check_fold(op)
-    a, single = _as_samples(x)
-    out = _fold_matrix(op, a)
-    return out[0] if single else out
-
-
-def fit_standardizer(X) -> StandardizerStep:
-    """Column means and sample standard deviations (N-1 divisor) of X.
-
-    Degenerate dimensions (std zero or non-finite) get std 1. Requires at
-    least two rows.
-    """
-    a, _ = _as_samples(X, "training data")
-    if a.shape[0] < 2:
-        raise InsufficientDataError(
-            f"need at least 2 samples to fit a standardizer, got {a.shape[0]}"
-        )
-    return _fit_step(a)
-
-
-def _fit_step(a: np.ndarray, scratch: np.ndarray | None = None) -> StandardizerStep:
-    # scratch: optional buffer shaped like `a` for the squared deviations
+def _fit_step(a: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """Write the column means and sample stds (N-1 divisor) of `a` into the
+    D-vectors mu and sigma; scratch is a buffer shaped like `a`."""
     n = a.shape[0]
-    mu = _column_totals(a) / n
+    np.divide(_column_totals(a), n, out=mu)
     dev = np.subtract(a, mu, out=scratch)
     # squared deviations may overflow for extreme magnitudes; the resulting
     # non-finite std is sanitized to 1 just like the zero-variance case
     with np.errstate(over="ignore"):
         np.multiply(dev, dev, out=dev)
-        sigma = np.sqrt(_column_totals(dev) / (n - 1))
-    sigma = np.where(~np.isfinite(sigma) | (sigma <= 0.0), 1.0, sigma)
-    return StandardizerStep(mu=mu, sigma=sigma)
-
-
-def apply_standardizer(x, step: StandardizerStep) -> np.ndarray:
-    """Per-dimension (x - mu) / sigma."""
-    a, single = _as_samples(x)
-    if a.shape[1] != step.dim:
-        raise ShapeError(f"sample has {a.shape[1]} dimensions, standardizer has {step.dim}")
-    out = (a - step.mu) / step.sigma
-    return out[0] if single else out
+        np.sqrt(_column_totals(dev) / (n - 1), out=sigma)
+    sigma[~np.isfinite(sigma) | (sigma <= 0.0)] = 1.0
 
 
 def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD) -> RefModel:
@@ -277,19 +228,19 @@ def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD)
     # after the matrix outgrows the CPU cache
     z = z.copy()
     scratch = np.empty_like(z)
-    steps = []
-    for i in range(1, iterations + 1):
-        if i > 1:
+    mu = np.empty((iterations, z.shape[1]))
+    sigma = np.empty_like(mu)
+    for i in range(iterations):
+        if i > 0:
             z = _fold_matrix(fold, z, out=z)
             if not np.isfinite(z).all():
-                raise NumericError(f"non-finite working values at iteration {i}")
-        step = _fit_step(z, scratch)
-        np.subtract(z, step.mu, out=z)
-        np.divide(z, step.sigma, out=z)
+                raise NumericError(f"non-finite working values at iteration {i + 1}")
+        _fit_step(z, mu[i], sigma[i], scratch)
+        np.subtract(z, mu[i], out=z)
+        np.divide(z, sigma[i], out=z)
         if not np.isfinite(z).all():
-            raise NumericError(f"non-finite working values at iteration {i}")
-        steps.append(step)
-    return RefModel(steps=tuple(steps), fold=fold)
+            raise NumericError(f"non-finite working values at iteration {i + 1}")
+    return RefModel(mu, sigma, fold)
 
 
 def train_base(X) -> RefModel:
@@ -325,11 +276,11 @@ def _replay(a: np.ndarray, model: RefModel):
     and learning_curve (which takes its distance at once) do.
     """
     z = np.array(a, dtype=np.float64, order="C")
-    for i, step in enumerate(model.steps):
+    for i, (mu, sigma) in enumerate(zip(model.mu, model.sigma)):
         if i > 0:
             z = _fold_matrix(model.fold, z, out=z)
-        np.subtract(z, step.mu, out=z)
-        np.divide(z, step.sigma, out=z)
+        np.subtract(z, mu, out=z)
+        np.divide(z, sigma, out=z)
         yield z
 
 
@@ -341,12 +292,17 @@ def distance_to_origin(z, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:
     """
     _check_distance(dist)
     a, single = _as_samples(z, "transformed sample", allow_nonfinite=True)
-    d = a.shape[1]
-    if dist == "l1":
-        out = _running_total(np.abs(a), 1) / d
-    else:
-        with np.errstate(over="ignore"):  # inf in means inf out, by design
-            out = np.sqrt(_running_total(a * a, 1)) / d
+    # one column at a time, left to right: the running-total order, with
+    # M-vector temporaries only
+    term = np.abs if dist == "l1" else np.square
+    with np.errstate(over="ignore"):  # inf in means inf out, by design
+        out = term(a[:, 0])
+        col = np.empty_like(out)
+        for j in range(1, a.shape[1]):
+            out += term(a[:, j], out=col)
+        if dist == "l2":
+            np.sqrt(out, out=out)
+    out /= a.shape[1]
     return float(out[0]) if single else out
 
 

@@ -2,8 +2,9 @@
 
 Values are written as 17-significant-digit decimals, which round-trip
 64-bit floats exactly, so a reloaded model scores bit-identically and
-re-serializing a parsed file reproduces it byte for byte. UTF-8, LF line
-endings.
+re-serializing a parsed file reproduces it byte for byte. Header integers
+are canonical for the same reason: ASCII decimal digits with no sign,
+padding or leading zero. UTF-8, LF line endings.
 
 Layout:
 
@@ -12,15 +13,23 @@ Layout:
     iterations=J
     dim=D
     <J step lines: D mean values, then D std values, space-separated>
+
+Step line i holds row i of the model's mu followed by row i of its sigma.
 """
 
 from __future__ import annotations
 
-from .core import RefModel, StandardizerStep
+import re
+
+import numpy as np
+
+from .core import RefModel
 from .errors import ModelFormatError, RefoldError
 from .textio import format_float, parse_float, read_text, write_text
 
 FORMAT_VERSION = "refold-model-v1"
+
+_CANONICAL_INT = re.compile(r"0|[1-9][0-9]*")
 
 
 def serialize_model(model: RefModel) -> str:
@@ -30,9 +39,8 @@ def serialize_model(model: RefModel) -> str:
         f"iterations={model.iterations}",
         f"dim={model.dim}",
     ]
-    for step in model.steps:
-        values = [format_float(v) for v in step.mu] + [format_float(v) for v in step.sigma]
-        lines.append(" ".join(values))
+    for mu, sigma in zip(model.mu, model.sigma):
+        lines.append(" ".join(format_float(v) for v in (*mu, *sigma)))
     return "\n".join(lines) + "\n"
 
 
@@ -56,7 +64,7 @@ def parse_model(text: str) -> RefModel:
         raise ModelFormatError(
             f"model file declares iterations={iterations} but holds {len(body)} step lines"
         )
-    steps = []
+    rows = []
     for i, line in enumerate(body, start=1):
         tokens = line.split()
         if len(tokens) != 2 * dim:
@@ -64,15 +72,13 @@ def parse_model(text: str) -> RefModel:
                 f"step {i}: expected {2 * dim} values for dim={dim}, got {len(tokens)}"
             )
         try:
-            values = [parse_float(t) for t in tokens]
+            rows.append([parse_float(t) for t in tokens])
         except ValueError as exc:
             raise ModelFormatError(f"step {i}: {exc}") from None
-        try:
-            steps.append(StandardizerStep(mu=values[:dim], sigma=values[dim:]))
-        except RefoldError as exc:
-            raise ModelFormatError(f"step {i}: {exc}") from None
+    # with no step lines dim was never checked, so it cannot size the array
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), 2 * dim if rows else 0)
     try:
-        return RefModel(steps=tuple(steps), fold=fold)
+        return RefModel(values[:, :dim], values[:, dim:], fold)
     except RefoldError as exc:
         raise ModelFormatError(str(exc)) from None
 
@@ -86,10 +92,12 @@ def _header_value(line: str, key: str) -> str:
 
 def _int_header(line: str, key: str) -> int:
     raw = _header_value(line, key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ModelFormatError(f"{key} header is not an integer: {raw!r}") from None
+    if _CANONICAL_INT.fullmatch(raw):
+        try:
+            return int(raw)
+        except ValueError:  # past int()'s digit-count limit
+            pass
+    raise ModelFormatError(f"{key} header is not a canonical integer: {raw!r}")
 
 
 def save_model(model: RefModel, path) -> None:

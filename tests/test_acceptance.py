@@ -19,7 +19,6 @@ import oracle
 from refold.bench import BenchSpec, learning_curve, run_benchmark, timing_probe
 from refold.core import (
     FOLD_OPS,
-    fit_standardizer,
     score,
     train_ref,
     transform_ref,
@@ -106,14 +105,14 @@ def test_criterion_2_hand_derived_model():
     """Two-iteration model on {-1, 0, 1} matches the hand computation."""
     model = train_ref([[-1.0], [0.0], [1.0]], iterations=2, fold="abs")
     checks = [
-        (model.steps[0].mu[0], 0.0),
-        (model.steps[0].sigma[0], 1.0),
-        (model.steps[1].mu[0], 2.0 / 3.0),
-        (model.steps[1].sigma[0], math.sqrt(1.0 / 3.0)),
+        (model.mu[0, 0], 0.0),
+        (model.sigma[0, 0], 1.0),
+        (model.mu[1, 0], 2.0 / 3.0),
+        (model.sigma[1, 0], math.sqrt(1.0 / 3.0)),
     ]
     ok = all(abs(got - want) <= 1e-4 for got, want in checks)
     _report("2 hand-derived model", ok,
-            f"steps ({model.steps[1].mu[0]:.5f}, {model.steps[1].sigma[0]:.5f})")
+            f"steps ({model.mu[1, 0]:.5f}, {model.sigma[1, 0]:.5f})")
 
 
 # --------------------------------------------------------------- criterion 3
@@ -171,9 +170,9 @@ def test_criterion_4_dominance_preservation():
         n = int(rng.integers(3, 26))
         d = int(rng.integers(1, 7))
         X = rng.normal(size=(n, d)) * float(rng.uniform(0.5, 4))
-        step0 = fit_standardizer(X)
-        margin = np.abs(X - step0.mu).max(axis=0)
-        y = step0.mu + rng.choice([-1.0, 1.0], size=d) * margin * rng.uniform(
+        mu0 = train_ref(X, iterations=1).mu[0]
+        margin = np.abs(X - mu0).max(axis=0)
+        y = mu0 + rng.choice([-1.0, 1.0], size=d) * margin * rng.uniform(
             1.001, 3.0, size=d
         )
         model = train_ref(X, iterations=12, fold="abs")

@@ -392,6 +392,14 @@ def test_probe_bad_sizes_is_a_config_error(tmp_path, capsys, sizes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim", ["-1", "0"])
+def test_probe_bad_dim_is_a_config_error(tmp_path, capsys, dim):
+    out = tmp_path / "probe.csv"
+    rc = main(["probe", "--sizes", "100", "--dim", dim, "--out", str(out)])
+    assert "probe dim must be >= 1" in single_error_line(capsys, rc, "ConfigError")
+    assert not out.exists()
+
+
 def test_help_lists_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--help"])

@@ -14,17 +14,14 @@ from refold.core import (
     FOLD_OPS,
     Prediction,
     RefModel,
-    StandardizerStep,
-    apply_standardizer,
     classify,
     distance_to_origin,
-    fit_standardizer,
-    fold_apply,
     score,
     train_base,
     train_ref,
     transform_ref,
 )
+from refold.model_io import parse_model, serialize_model
 from refold.errors import (
     ConfigError,
     InsufficientDataError,
@@ -35,24 +32,32 @@ from refold.errors import (
 SQRT_THIRD = math.sqrt(1.0 / 3.0)
 
 
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
 # ---------------------------------------------------------------- fold ops
 
+def fold(op, x):
+    return _fold_matrix(op, np.array(x, dtype=np.float64))
+
+
 def test_fold_abs():
-    np.testing.assert_array_equal(fold_apply("abs", [-2.0, 0.5]), [2.0, 0.5])
+    np.testing.assert_array_equal(fold("abs", [-2.0, 0.5]), [2.0, 0.5])
 
 
 def test_fold_cos_abs_branches():
-    out = fold_apply("cos_abs", [0.0, 2.0])
+    out = fold("cos_abs", [0.0, 2.0])
     assert out[0] == 1.0  # cos(0)
     assert out[1] == 2.0  # |2| > 1 so abs branch
 
 
 def test_fold_sqr():
-    np.testing.assert_array_equal(fold_apply("sqr", [-3.0]), [9.0])
+    np.testing.assert_array_equal(fold("sqr", [-3.0]), [9.0])
 
 
 def test_fold_cos_abs_closed_interval_boundary():
-    out = fold_apply("cos_abs", [1.0, -1.0])
+    out = fold("cos_abs", [1.0, -1.0])
     assert out[0] == math.cos(1.0)
     assert out[1] == math.cos(-1.0)
 
@@ -61,75 +66,85 @@ def test_fold_cos_abs_closed_interval_boundary():
 def test_fold_total_on_finite_input(op):
     rng = np.random.default_rng(3)
     x = rng.normal(size=500) * 100
-    out = fold_apply(op, x)
+    out = fold(op, x)
     assert out.shape == x.shape
     assert np.isfinite(out).all()
 
 
 def test_fold_rejects_non_finite():
+    # folds never see non-finite samples: training and replay reject them
+    model = train_ref([[0.0, 1.0], [1.0, 0.0]], iterations=2, fold="sin")
     with pytest.raises(InvalidInputError):
-        fold_apply("abs", [1.0, float("nan")])
+        transform_ref([1.0, float("nan")], model)
     with pytest.raises(InvalidInputError):
-        fold_apply("sin", [float("inf")])
+        train_ref([[1.0], [float("inf")]], fold="sin")
 
 
 def test_fold_rejects_unknown_op():
     with pytest.raises(ConfigError):
-        fold_apply("log", [1.0])
+        fold("log", [1.0])
 
 
 # ------------------------------------------------------------ standardizer
 
-def test_fit_standardizer_two_points():
-    step = fit_standardizer([[1.0], [3.0]])
-    assert step.mu[0] == 2.0
-    assert step.sigma[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
+def first_step(X):
+    """(mu, sigma) of the first training step, a plain standardization."""
+    model = train_ref(X, iterations=1)
+    return model.mu[0], model.sigma[0]
 
 
-def test_fit_standardizer_zero_variance_sanitized():
-    step = fit_standardizer([[5.0], [5.0], [5.0]])
-    assert step.mu[0] == 5.0
-    assert step.sigma[0] == 1.0
+def test_first_step_two_points():
+    mu, sigma = first_step([[1.0], [3.0]])
+    assert mu[0] == 2.0
+    assert sigma[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
-def test_fit_standardizer_symmetric():
-    step = fit_standardizer([[-1.0], [0.0], [1.0]])
-    assert step.mu[0] == 0.0
-    assert step.sigma[0] == 1.0
+def test_first_step_zero_variance_sanitized():
+    mu, sigma = first_step([[5.0], [5.0], [5.0]])
+    assert mu[0] == 5.0
+    assert sigma[0] == 1.0
 
 
-def test_fit_standardizer_rejects_single_row():
-    with pytest.raises(InsufficientDataError):
-        fit_standardizer([[1.0, 2.0]])
+def test_first_step_symmetric():
+    mu, sigma = first_step([[-1.0], [0.0], [1.0]])
+    assert mu[0] == 0.0
+    assert sigma[0] == 1.0
 
 
-def test_apply_standardizer_formula():
-    step = StandardizerStep(mu=np.array([1.0]), sigma=np.array([2.0]))
-    assert apply_standardizer([3.0], step)[0] == 1.0
+def test_standardize_formula():
+    model = RefModel(np.array([[1.0]]), np.array([[2.0]]), "abs")
+    assert transform_ref([3.0], model)[0] == 1.0
 
 
-def test_apply_standardizer_centering_identity():
-    step = fit_standardizer([[2.0, 7.0], [4.0, 9.0]])
-    out = apply_standardizer(step.mu, step)
-    np.testing.assert_array_equal(out, [0.0, 0.0])
+def test_standardize_centering_identity():
+    model = train_ref([[2.0, 7.0], [4.0, 9.0]], iterations=1)
+    np.testing.assert_array_equal(transform_ref(model.mu[0], model), [0.0, 0.0])
 
 
-def test_apply_standardizer_per_dimension():
-    step = StandardizerStep(mu=np.array([0.0, 2.0]), sigma=np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(apply_standardizer([0.0, 4.0], step), [0.0, 1.0])
-
-
-def test_apply_standardizer_shape_mismatch():
-    step = StandardizerStep(mu=np.array([0.0]), sigma=np.array([1.0]))
-    with pytest.raises(ShapeError):
-        apply_standardizer([1.0, 2.0], step)
+def test_standardize_per_dimension():
+    model = RefModel(np.array([[0.0, 2.0]]), np.array([[1.0, 2.0]]), "abs")
+    np.testing.assert_array_equal(transform_ref([0.0, 4.0], model), [0.0, 1.0])
 
 
 def test_standardizer_step_validation():
-    with pytest.raises(InvalidInputError):
-        StandardizerStep(mu=np.array([0.0]), sigma=np.array([0.0]))
-    with pytest.raises(ShapeError):
-        StandardizerStep(mu=np.array([0.0, 1.0]), sigma=np.array([1.0]))
+    # RefModel validates all steps at once and names the first bad one
+    cases = [
+        ([[0.0]], [[0.0]], InvalidInputError, "step 1: sigma"),
+        ([[0.0], [1.0]], [[1.0], [-1.0]], InvalidInputError, "step 2: sigma"),
+        ([[0.0, 1.0], [np.nan, 0.0]], [[1.0, 1.0], [0.0, 1.0]], InvalidInputError,
+         "step 2: mu"),
+        ([[0.0], [1.0], [2.0]], [[1.0], [1.0], [np.inf]], InvalidInputError,
+         "step 3: sigma"),
+        ([[0.0, 1.0]], [[1.0]], ShapeError, "equal shape"),
+        ([0.0], [1.0], ShapeError, "equal shape"),
+        (np.empty((1, 0)), np.empty((1, 0)), ShapeError, "one dimension"),
+        (np.empty((0, 2)), np.empty((0, 2)), ConfigError, "one step"),
+    ]
+    for mu, sigma, error, message in cases:
+        with pytest.raises(error, match=message):
+            RefModel(np.array(mu), np.array(sigma), "abs")
+    with pytest.raises(ConfigError):
+        RefModel(np.zeros((1, 1)), np.ones((1, 1)), "log")
 
 
 # ---------------------------------------------------------------- training
@@ -137,17 +152,17 @@ def test_standardizer_step_validation():
 def test_train_single_iteration():
     model = train_ref([[-1.0], [0.0], [1.0]], iterations=1)
     assert model.iterations == 1
-    assert model.steps[0].mu[0] == 0.0
-    assert model.steps[0].sigma[0] == 1.0
+    assert model.mu[0, 0] == 0.0
+    assert model.sigma[0, 0] == 1.0
 
 
 def test_train_two_iterations_hand_derived():
     # standardize {-1,0,1} -> {-1,0,1}; abs -> {1,0,1}: mean 2/3, std sqrt(1/3)
     model = train_ref([[-1.0], [0.0], [1.0]], iterations=2, fold="abs")
-    assert model.steps[0].mu[0] == 0.0
-    assert model.steps[0].sigma[0] == 1.0
-    assert model.steps[1].mu[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert model.steps[1].sigma[0] == pytest.approx(SQRT_THIRD, abs=1e-15)
+    assert model.mu[0, 0] == 0.0
+    assert model.sigma[0, 0] == 1.0
+    assert model.mu[1, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert model.sigma[1, 0] == pytest.approx(SQRT_THIRD, abs=1e-15)
 
 
 def test_train_does_not_mutate_input():
@@ -160,6 +175,8 @@ def test_train_does_not_mutate_input():
 def test_train_rejects_bad_inputs():
     with pytest.raises(InsufficientDataError):
         train_ref([[1.0, 2.0]])
+    with pytest.raises(InsufficientDataError):
+        train_ref([[1.0, 2.0]], iterations=1)
     with pytest.raises(ConfigError):
         train_ref([[1.0], [2.0]], iterations=0)
     with pytest.raises(InvalidInputError):
@@ -171,7 +188,8 @@ def test_train_rejects_bad_inputs():
 def test_model_stores_only_step_vectors():
     model = train_ref(np.zeros((50, 3)) + np.arange(50)[:, None], iterations=9)
     assert model.iterations == 9
-    assert all(s.mu.shape == (3,) and s.sigma.shape == (3,) for s in model.steps)
+    assert model.mu.shape == model.sigma.shape == (9, 3)
+    assert model.mu.dtype == model.sigma.dtype == np.float64
 
 
 def test_truncated_model():
@@ -179,7 +197,8 @@ def test_truncated_model():
     model = train_ref(rng.normal(size=(20, 2)), iterations=6)
     part = model.truncated(3)
     assert part.iterations == 3
-    assert part.steps == model.steps[:3]
+    assert bits(part.mu) == bits(model.mu[:3])
+    assert bits(part.sigma) == bits(model.sigma[:3])
     with pytest.raises(ConfigError):
         model.truncated(0)
     with pytest.raises(ConfigError):
@@ -194,17 +213,15 @@ def test_truncation_equals_shallower_training(op):
     full = train_ref(X, iterations=7, fold=op)
     for depth in (1, 4):
         short = train_ref(X, iterations=depth, fold=op)
-        for a, b in zip(full.truncated(depth).steps, short.steps, strict=True):
-            assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
+        part = full.truncated(depth)
+        assert bits(part.mu) == bits(short.mu)
+        assert bits(part.sigma) == bits(short.sigma)
 
 
 # --------------------------------------------------------------- transform
 
 def test_transform_identity_for_trivial_model():
-    model = RefModel(
-        steps=(StandardizerStep(mu=np.array([0.0]), sigma=np.array([1.0])),),
-        fold="abs",
-    )
+    model = RefModel(np.array([[0.0]]), np.array([[1.0]]), "abs")
     assert transform_ref([3.0], model)[0] == 3.0
 
 
@@ -216,13 +233,13 @@ def test_transform_two_step_hand_derived():
     assert out[0] == pytest.approx(-1.1547, abs=1e-4)
 
 
-def test_transform_j1_equals_apply_standardizer():
+def test_transform_j1_is_one_standardization():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(10, 4))
     model = train_ref(X, iterations=1)
     y = rng.normal(size=4)
     np.testing.assert_array_equal(
-        transform_ref(y, model), apply_standardizer(y, model.steps[0])
+        transform_ref(y, model), (y - model.mu[0]) / model.sigma[0]
     )
 
 
@@ -253,10 +270,10 @@ def test_transform_in_place_matches_out_of_place_form(op):
         layout.setflags(write=False)
         with np.errstate(over="ignore"):
             z = layout
-            for i, step in enumerate(model.steps):
+            for i in range(model.iterations):
                 if i > 0:
                     z = _fold_matrix(op, z)
-                z = (z - step.mu) / step.sigma
+                z = (z - model.mu[i]) / model.sigma[i]
             got = transform_ref(layout, model)
         assert got.tobytes() == z.tobytes()
         assert layout.tobytes() == Y.tobytes()
@@ -320,7 +337,7 @@ def test_base_score_is_distance_of_standardized_sample():
     X = rng.normal(size=(15, 3))
     y = rng.normal(size=3)
     model = train_base(X)
-    z = apply_standardizer(y, model.steps[0])
+    z = (y - model.mu[0]) / model.sigma[0]
     assert score(y, model, "l1") == distance_to_origin(z, "l1")
 
 
@@ -349,8 +366,8 @@ def test_matches_oracle_per_op(op):
         model = train_ref(X, iterations=j, fold=op)
         mus, sigmas, _ = oracle.train(X.tolist(), j, op)
         for k in range(j):
-            np.testing.assert_allclose(model.steps[k].mu, mus[k], rtol=0, atol=1e-13)
-            np.testing.assert_allclose(model.steps[k].sigma, sigmas[k], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(model.mu[k], mus[k], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(model.sigma[k], sigmas[k], rtol=0, atol=1e-13)
         np.testing.assert_allclose(
             transform_ref(y, model), oracle.transform(y.tolist(), mus, sigmas, op),
             rtol=0, atol=1e-12,
@@ -368,9 +385,8 @@ def test_train_matches_oracle_bit_for_bit_at_large_n(d):
     X = rng.normal(size=(2000, d)) * 1e3 + 7.0
     model = train_ref(X, iterations=4)
     mus, sigmas, _ = oracle.train(X.tolist(), 4, "abs")
-    for step, mu, sigma in zip(model.steps, mus, sigmas):
-        assert step.mu.tolist() == mu
-        assert step.sigma.tolist() == sigma
+    assert model.mu.tolist() == mus
+    assert model.sigma.tolist() == sigmas
 
 
 # --------------------------------------------------------- summation order
@@ -390,6 +406,26 @@ def test_column_totals_add_rows_in_index_order(shape):
         got = _column_totals(layout)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("shape", [(5000, 20), (1000, 1), (7, 3), (50, 2)])
+@pytest.mark.parametrize("dist", DISTANCES)
+def test_distance_adds_columns_in_index_order(shape, dist):
+    """Bit for bit against a plain loop over the columns, with infinities,
+    NaN and signed zeros, in C and Fortran layout."""
+    rng = np.random.default_rng(shape[0] * shape[1])
+    z = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    flat = z.reshape(-1)
+    flat[::7], flat[::11], flat[::13], flat[::17] = np.inf, -0.0, -np.inf, np.nan
+    term = np.abs if dist == "l1" else np.square
+    want = term(z[:, 0])
+    for j in range(1, shape[1]):
+        want = want + term(z[:, j])
+    if dist == "l2":
+        want = np.sqrt(want)
+    want = want / shape[1]
+    for layout in (z, np.asfortranarray(z)):
+        assert distance_to_origin(layout, dist).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- invariants
@@ -458,9 +494,8 @@ def test_determinism_bit_identical():
     y = rng.normal(size=3)
     m1 = train_ref(X, iterations=25, fold="cos")
     m2 = train_ref(X.copy(), iterations=25, fold="cos")
-    for s1, s2 in zip(m1.steps, m2.steps):
-        np.testing.assert_array_equal(s1.mu, s2.mu)
-        np.testing.assert_array_equal(s1.sigma, s2.sigma)
+    np.testing.assert_array_equal(m1.mu, m2.mu)
+    np.testing.assert_array_equal(m1.sigma, m2.sigma)
     assert score(y, m1) == score(y, m2)
 
 
@@ -478,16 +513,27 @@ def test_dominance_preserved_over_one_fold_step():
         )
         Zf = np.abs(Z)
         yf = np.abs(y)
-        step = fit_standardizer(Zf)
-        z_data = apply_standardizer(Zf, step)
-        z_y = apply_standardizer(yf, step)
+        step = train_ref(Zf, iterations=1)
+        z_data = transform_ref(Zf, step)
+        z_y = transform_ref(yf, step)
         assert (z_y >= z_data.max(axis=0)).all()
 
 
 def test_model_arrays_are_immutable():
     model = train_ref([[1.0], [2.0], [3.0]], iterations=2)
-    with pytest.raises(ValueError):
-        model.steps[0].mu[0] = 99.0
+    parsed = parse_model(serialize_model(model))
+    mu, sigma = np.array([[0.0]]), np.array([[1.0]])
+    built = RefModel(mu, sigma, "abs")
+    for m in (model, parsed, model.truncated(1), built):
+        with pytest.raises(ValueError):
+            m.mu[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            m.sigma[0, 0] = 99.0
+    # the model copies arrays the caller passed in and leaves them writable
+    mu[0, 0] = 5.0
+    assert built.mu[0, 0] == 0.0
+    # models compare by identity; comparing their arrays would raise
+    assert model == model and model != parsed and len({model, parsed}) == 2
 
 
 def test_scores_nonnegative():
@@ -523,9 +569,9 @@ def test_training_coverage_of_univariate_normal():
 def test_sigma_overflow_sanitized_to_one():
     # squared deviations overflow to inf for huge magnitudes; the non-finite
     # std falls back to 1 like the zero-variance case
-    step = fit_standardizer([[1e200], [-1e200]])
-    assert step.mu[0] == 0.0
-    assert step.sigma[0] == 1.0
+    mu, sigma = first_step([[1e200], [-1e200]])
+    assert mu[0] == 0.0
+    assert sigma[0] == 1.0
 
 
 def test_concurrent_scoring_is_safe():

@@ -21,9 +21,8 @@ def test_roundtrip_hand_derived_model(tmp_path):
     loaded = load_model(path)
     assert loaded.fold == "abs"
     assert loaded.iterations == 2
-    for a, b in zip(model.steps, loaded.steps):
-        np.testing.assert_array_equal(a.mu, b.mu)
-        np.testing.assert_array_equal(a.sigma, b.sigma)
+    np.testing.assert_array_equal(model.mu, loaded.mu)
+    np.testing.assert_array_equal(model.sigma, loaded.sigma)
 
 
 def test_roundtrip_scores_bit_identical(tmp_path):
@@ -110,9 +109,26 @@ def test_non_ascii_digits_rejected():
         parse_model(text)
 
 
+@pytest.mark.parametrize("header", [
+    "iterations=+1", "iterations=01", "iterations= 1", "iterations=1 ",
+    "iterations=\u0661", "iterations=-1", "iterations=", "dim=0_1", "dim=+1",
+    "dim=\uff11", "dim=1.0", "dim=00",
+])
+def test_non_canonical_header_integer_rejected(header):
+    # int() reads most of these, but none is the form serialize_model writes
+    lines = [FORMAT_VERSION, "fold=abs", "iterations=1", "dim=1", "0 1"]
+    lines[2 if header.startswith("iterations") else 3] = header
+    with pytest.raises(ModelFormatError, match="not a canonical integer"):
+        parse_model("\n".join(lines) + "\n")
+
+
 def test_nonpositive_sigma_rejected():
     text = FORMAT_VERSION + "\nfold=abs\niterations=1\ndim=1\n0 0\n"
     with pytest.raises(ModelFormatError, match="step 1"):
+        parse_model(text)
+    # one check over the whole model still names the first bad step line
+    text = FORMAT_VERSION + "\nfold=abs\niterations=3\ndim=1\n0 1\n0 -1\nnan 1\n"
+    with pytest.raises(ModelFormatError, match="step 2: sigma"):
         parse_model(text)
 
 
