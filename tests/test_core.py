@@ -111,6 +111,12 @@ def test_first_step_symmetric():
     assert sigma[0] == 1.0
 
 
+def test_fit_standardizer_rejects_single_row():
+    # the first standardization step needs two rows for its N-1 divisor
+    with pytest.raises(InsufficientDataError):
+        train_ref([[1.0, 2.0]], iterations=1)
+
+
 def test_standardize_formula():
     model = RefModel(np.array([[1.0]]), np.array([[2.0]]), "abs")
     assert transform_ref([3.0], model)[0] == 1.0
@@ -124,6 +130,12 @@ def test_standardize_centering_identity():
 def test_standardize_per_dimension():
     model = RefModel(np.array([[0.0, 2.0]]), np.array([[1.0, 2.0]]), "abs")
     np.testing.assert_array_equal(transform_ref([0.0, 4.0], model), [0.0, 1.0])
+
+
+def test_apply_standardizer_shape_mismatch():
+    model = RefModel(np.array([[0.0]]), np.array([[1.0]]), "abs")
+    with pytest.raises(ShapeError):
+        transform_ref([1.0, 2.0], model)
 
 
 def test_standardizer_step_validation():
@@ -175,8 +187,6 @@ def test_train_does_not_mutate_input():
 def test_train_rejects_bad_inputs():
     with pytest.raises(InsufficientDataError):
         train_ref([[1.0, 2.0]])
-    with pytest.raises(InsufficientDataError):
-        train_ref([[1.0, 2.0]], iterations=1)
     with pytest.raises(ConfigError):
         train_ref([[1.0], [2.0]], iterations=0)
     with pytest.raises(InvalidInputError):
