@@ -6,7 +6,19 @@ split plan, fixes or cross-validates the decision threshold, scores the test
 split, and aggregates Gmean per task as mean and standard deviation in
 percent, plus an unweighted overall average row. Reports are delimited text
 with a commented header; everything above the timing section is a pure
-function of (spec, seed) and reproduces byte for byte.
+function of (spec, seed) and reproduces byte for byte. The timing section
+gives each task's wall-clock seconds per stage: plan (the split plan), select
+(threshold cross-validation) and fit_score (fitting, scoring, counting).
+
+A stratified plan gives every repetition of a task the same row counts, so
+the task's fits run as one stacked kernel call (core.fit_stack), which scores
+the test rows of the model and of its baseline in the same pass. Grid mode
+adds one call per group of threshold-CV fits sharing their fit and
+validation row counts. A stack larger than 8 MB is split into calls of at
+most that size. Each slice gets the arithmetic of a lone fit, so
+results are bit-identical to fitting repetition by repetition; a task whose
+stacked pass fails or warns is replayed that way, so that it raises what
+the first failing repetition raises.
 
 Seed streams, all derived from the master seed with refold.rng.derive_seed:
 split plan of task t -> (t, 1); threshold CV of task t repetition r ->
@@ -16,9 +28,10 @@ split plan of task t -> (t, 1); threshold CV of task t repetition r ->
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 import time
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,21 +42,23 @@ from .core import (
     DEFAULT_FOLD,
     DEFAULT_ITERATIONS,
     DEFAULT_THRESHOLD,
-    _replay,
-    distance_to_origin,
+    fit_stack,
     score,
     train_ref,
 )
 from .datasets import Dataset, load_dataset, load_registry_dataset, registry, resolve_data_dir
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, RefoldError
 from .evaluation import (
     DEFAULT_CV_FOLDS,
     DEFAULT_REPETITIONS,
     DEFAULT_THRESHOLD_GRID,
     DEFAULT_TRAIN_FRACTION,
     OccTask,
+    best_threshold,
     check_grid,
     confusion_from_scores,
+    cv_folds,
+    fold_gmeans,
     gmean,
     make_occ_tasks,
     make_split_plan,
@@ -59,6 +74,13 @@ PROBE_VERSION = "refold-probe-v1"
 _SPLIT_STREAM = 1
 _REF_CV_STREAM = 2
 _BASE_CV_STREAM = 3
+
+# wall-clock stages reported per task below a report's timing marker
+_TIMING_STAGES = ("plan", "select", "fit_score")
+
+# float64 cells gathered into one kernel call (8 MB), so that memory stays
+# bounded however many repetitions a large dataset runs
+_STACK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -206,7 +228,6 @@ class RunRecord:
     tn: int
     fp: int
     gmean: float
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -223,6 +244,7 @@ class BenchReport:
     runs: tuple[RunRecord, ...]
     summaries: tuple[TaskSummary, ...]
     notes: tuple[tuple[str, str], ...]  # (dataset name, note)
+    timings: tuple[tuple[str, str, float], ...] = ()  # (task, stage, seconds)
 
     def deterministic_text(self) -> str:
         lines = [
@@ -249,8 +271,8 @@ class BenchReport:
     def text(self) -> str:
         lines = [self.deterministic_text()]
         lines.append("# timing below is wall-clock and excluded from the deterministic body\n")
-        for r in self.runs:
-            lines.append(f"timing,{r.model},{r.task},{r.repetition},{r.seconds:.6f}\n")
+        for task, stage, seconds in self.timings:
+            lines.append(f"timing,{task},{stage},{seconds:.6f}\n")
         return "".join(lines)
 
     def summary_for(self, model: str, task: str) -> TaskSummary:
@@ -300,20 +322,10 @@ def _resolve_tasks(spec: BenchSpec, data_dir):
     return resolved
 
 
-@dataclass(frozen=True)
-class _Split:
-    """One repetition of a task's split plan, as arrays."""
-
-    seed: int
-    train_X: np.ndarray
-    train_flags: np.ndarray  # True on target-class rows
-    fit_X: np.ndarray  # the training targets, the only rows a model is fit on
-    test_X: np.ndarray
-    test_flags: np.ndarray
-
-
-def _task_splits(spec: BenchSpec, ds: Dataset, task: OccTask, ordinal: int):
-    """Yield the task's repetitions in order, all from one split plan."""
+def _plan_arrays(spec: BenchSpec, ds: Dataset, task: OccTask, ordinal: int):
+    """The task's split plan as arrays: per-repetition split seeds, the
+    (R, n_train) and (R, n_test) dataset row indices, and the per-row target
+    flags. A stratified plan gives every repetition the same sizes."""
     plan = make_split_plan(
         ds.labels,
         task.target_class,
@@ -321,18 +333,113 @@ def _task_splits(spec: BenchSpec, ds: Dataset, task: OccTask, ordinal: int):
         spec.repetitions,
         seed=derive_seed(spec.seed, ordinal, _SPLIT_STREAM),
     )
+    seeds = [derive_seed(plan.seed, rep) for rep in range(plan.repetitions)]
+    train = np.array([train for train, _ in plan.splits], dtype=np.intp)
+    test = np.array([test for _, test in plan.splits], dtype=np.intp)
     flags = np.array([lab == task.target_class for lab in ds.labels])
-    for rep, (train_idx, test_idx) in enumerate(plan.splits):
-        train, test = list(train_idx), list(test_idx)
-        train_X, train_flags = ds.features[train], flags[train]
-        yield _Split(
-            seed=derive_seed(plan.seed, rep),
-            train_X=train_X,
-            train_flags=train_flags,
-            fit_X=train_X[train_flags],
-            test_X=ds.features[test],
-            test_flags=flags[test],
-        )
+    return seeds, train, test, flags
+
+
+def _fit_rows(X, fit, rows, iterations, fold, depths, dist) -> dict[int, np.ndarray]:
+    """fit_stack over the fits of rows fit[r] of X, scoring rows[r] of X, in
+    as few calls as the _STACK_CELLS budget allows."""
+    step = max(1, _STACK_CELLS // ((fit.shape[1] + rows.shape[1]) * X.shape[1]))
+    parts = [fit_stack(X[fit[a:a + step]], iterations, fold, X[rows[a:a + step]], depths, dist)
+             for a in range(0, len(fit), step)]
+    return {d: np.concatenate([p[d] for p in parts]) for d in depths}
+
+
+@contextmanager
+def _stage(seconds: dict[str, float], name: str):
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[name] += time.perf_counter() - started
+
+
+def _select_stacked(spec, X, train, flags, depth, seeds) -> list[float]:
+    """select_threshold for every repetition's pool, one kernel call per
+    group of CV fits that share their fit and validation row counts."""
+    folds = [list(cv_folds(flags[pool], spec.cv_folds, seed))
+             for pool, seed in zip(train, seeds)]
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for rep, rep_folds in enumerate(folds):
+        for k, (fit, val) in enumerate(rep_folds):
+            groups.setdefault((len(fit), len(val)), []).append((rep, k))
+    per_fold = [[None] * len(rep_folds) for rep_folds in folds]
+    for members in groups.values():
+        fit = np.array([train[rep][folds[rep][k][0]] for rep, k in members])
+        val = np.array([train[rep][folds[rep][k][1]] for rep, k in members])
+        scores = _fit_rows(X, fit, val, depth, spec.fold, (depth,), spec.dist)[depth]
+        for (rep, k), s, rows in zip(members, scores, val):
+            per_fold[rep][k] = fold_gmeans(s, flags[rows], spec.grid)
+    return [best_threshold(p, spec.grid) for p in per_fold]
+
+
+def _task_stacked(spec, variants, X, train, test, flags, cv_seeds, seconds):
+    """(thresholds, scores) per variant: every repetition at once."""
+    thresholds = {}
+    with _stage(seconds, "select"):
+        for name, depth, _ in variants:
+            thresholds[name] = (
+                _select_stacked(spec, X, train, flags, depth, cv_seeds[name])
+                if spec.threshold_mode == "grid"
+                else [spec.threshold] * len(train)
+            )
+    with _stage(seconds, "fit_score"):
+        fit = train[flags[train]].reshape(len(train), -1)
+        scores = _fit_rows(X, fit, test, spec.iterations, spec.fold,
+                           {depth for _, depth, _ in variants}, spec.dist)
+    return thresholds, {name: scores[depth] for name, depth, _ in variants}
+
+
+def _task_sequential(spec, variants, X, train, test, flags, cv_seeds, seconds):
+    """_task_stacked one repetition at a time, in the order of a plain loop
+    (fit, then select and score per variant), so a failure raises the same
+    exception as that loop."""
+    thresholds = {name: [] for name, _, _ in variants}
+    scores = {name: [] for name, _, _ in variants}
+    for rep, (pool, rows) in enumerate(zip(train, test)):
+        with _stage(seconds, "fit_score"):
+            model = train_ref(X[pool][flags[pool]], spec.iterations, spec.fold)
+        for name, depth, _ in variants:
+            with _stage(seconds, "select"):
+                thresholds[name].append(
+                    select_threshold(
+                        X[pool],
+                        flags[pool],
+                        replace(spec.config, iterations=depth),
+                        spec.grid,
+                        k=spec.cv_folds,
+                        seed=cv_seeds[name][rep],
+                    )
+                    if spec.threshold_mode == "grid"
+                    else spec.threshold
+                )
+            with _stage(seconds, "fit_score"):
+                scores[name].append(score(X[rows], model.truncated(depth), spec.dist))
+    return thresholds, scores
+
+
+def _task_results(spec, variants, X, train, test, flags, cv_seeds, seconds):
+    """Thresholds and test scores of every variant and repetition of a task.
+
+    The stacked pass runs first. If it raises a package error or warns (a
+    non-finite working value, a CV fold that cannot be planned, an overflow),
+    the task is replayed one repetition at a time, which raises or warns
+    exactly as a loop over the repetitions does, first failure first.
+    """
+    args = (spec, variants, X, train, test, flags, cv_seeds, seconds)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = _task_stacked(*args)
+        except RefoldError:
+            result = None
+    if result is None or caught:
+        result = _task_sequential(*args)
+    return result
 
 
 def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
@@ -349,41 +456,41 @@ def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
         variants.append(("base", 1, _BASE_CV_STREAM))
     runs: dict[str, list[RunRecord]] = {name: [] for name, _, _ in variants}
     summaries: dict[str, list[TaskSummary]] = {name: [] for name, _, _ in variants}
+    timings = []
     for ordinal, ds, task in _resolve_tasks(spec, data_dir):
-        for rep, split in enumerate(_task_splits(spec, ds, task, ordinal)):
-            started = time.perf_counter()
-            model = train_ref(split.fit_X, spec.iterations, spec.fold)
-            for name, depth, cv_stream in variants:
-                if spec.threshold_mode == "grid":
-                    threshold = select_threshold(
-                        split.train_X,
-                        split.train_flags,
-                        replace(spec.config, iterations=depth),
-                        spec.grid,
-                        k=spec.cv_folds,
-                        seed=derive_seed(spec.seed, ordinal, cv_stream, rep),
+        seconds = dict.fromkeys(_TIMING_STAGES, 0.0)
+        with _stage(seconds, "plan"):
+            split_seeds, train, test, flags = _plan_arrays(spec, ds, task, ordinal)
+        cv_seeds = {
+            name: [derive_seed(spec.seed, ordinal, stream, rep)
+                   for rep in range(spec.repetitions)]
+            for name, _, stream in variants
+        }
+        thresholds, scores = _task_results(
+            spec, variants, ds.features, train, test, flags, cv_seeds, seconds
+        )
+        with _stage(seconds, "fit_score"):
+            for name, records in runs.items():
+                for rep, rows in enumerate(test):
+                    threshold = thresholds[name][rep]
+                    result = gmean(
+                        confusion_from_scores(scores[name][rep], flags[rows], threshold)
                     )
-                else:
-                    threshold = spec.threshold
-                scores = score(split.test_X, model.truncated(depth), spec.dist)
-                result = gmean(confusion_from_scores(scores, split.test_flags, threshold))
-                ended = time.perf_counter()
-                runs[name].append(
-                    RunRecord(
-                        model=name,
-                        task=task.name,
-                        repetition=rep + 1,
-                        split_seed=split.seed,
-                        threshold=threshold,
-                        tp=result.counts.tp,
-                        fn=result.counts.fn,
-                        tn=result.counts.tn,
-                        fp=result.counts.fp,
-                        gmean=result.gmean,
-                        seconds=ended - started,
+                    records.append(
+                        RunRecord(
+                            model=name,
+                            task=task.name,
+                            repetition=rep + 1,
+                            split_seed=split_seeds[rep],
+                            threshold=threshold,
+                            tp=result.counts.tp,
+                            fn=result.counts.fn,
+                            tn=result.counts.tn,
+                            fp=result.counts.fp,
+                            gmean=result.gmean,
+                        )
                     )
-                )
-                started = ended
+        timings.extend((task.name, stage, seconds[stage]) for stage in _TIMING_STAGES)
         for name, records in runs.items():
             gmeans = [100.0 * r.gmean for r in records[-spec.repetitions:]]
             summaries[name].append(TaskSummary(name, task.name, *mean_std(gmeans)))
@@ -404,6 +511,7 @@ def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
         runs=tuple(r for records in runs.values() for r in records),
         summaries=tuple(s for per_task in summaries.values() for s in per_task),
         notes=tuple(notes),
+        timings=tuple(timings),
     )
 
 
@@ -438,10 +546,9 @@ def learning_curve(
 ) -> LearningCurve:
     """Gmean versus iteration depth for one task and repetition (1-based).
 
-    Trains the full J-step model once and replays the test set through the
-    step sequence, scoring at every depth; step i depends only on earlier
-    steps, so truncated models need no retraining. Defined for fixed
-    thresholds only.
+    Fits the full J-step model once and scores the test set after every
+    step; step i depends only on earlier steps, so truncated models need no
+    retraining. Defined for fixed thresholds only.
     """
     if spec.threshold_mode != "fixed":
         raise ConfigError("learning curves are defined for fixed thresholds only")
@@ -454,16 +561,15 @@ def learning_curve(
             break
     else:
         raise ConfigError(f"task {task_name!r} not produced by this spec's datasets")
-    splits = _task_splits(spec, ds, task, ordinal)
-    split = next(itertools.islice(splits, repetition - 1, None))
-    model = train_ref(split.fit_X, spec.iterations, spec.fold)
-    # the scoring path's replay, scored at every depth; overflow to inf for
-    # far-out samples is legitimate here too
-    with np.errstate(over="ignore"):
-        scores = [distance_to_origin(z, spec.dist) for z in _replay(split.test_X, model)]
+    _, train, test, flags = _plan_arrays(spec, ds, task, ordinal)
+    pool, rows = train[repetition - 1], test[repetition - 1]
+    fit = pool[flags[pool]]
+    depths = range(1, spec.iterations + 1)
+    scores = _fit_rows(ds.features, fit[np.newaxis], rows[np.newaxis], spec.iterations,
+                       spec.fold, depths, spec.dist)
     gmeans = tuple(
-        gmean(confusion_from_scores(s, split.test_flags, spec.threshold)).gmean
-        for s in scores
+        gmean(confusion_from_scores(scores[d][0], flags[rows], spec.threshold)).gmean
+        for d in depths
     )
     return LearningCurve(
         task=task.name,
@@ -519,6 +625,9 @@ def timing_probe(
         raise ConfigError("probe sizes must all be >= 2")
     if dim < 1:
         raise ConfigError("probe dim must be >= 1")
+    # derive_seed works modulo 2**64; a seed outside would alias another
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must be in 0..2**64-1")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     rows = []

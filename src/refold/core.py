@@ -44,17 +44,18 @@ OUTLIER = "outlier"
 
 
 def _column_totals(a: np.ndarray) -> np.ndarray:
-    """Strict left-to-right column sums of an (N, D) matrix."""
-    # Over the rows of a C-contiguous matrix with D >= 2, add.reduce adds one
+    """Strict left-to-right column sums of an (N, D) matrix, or of every
+    slice of an (R, N, D) stack."""
+    # Over the rows of a C-contiguous block with D >= 2, add.reduce adds one
     # row at a time into the accumulator row: the running-total order without
     # materializing an (N, D) cumsum. Starting from -0.0 keeps the first
     # row's bits, signed zeros included. A single column is the contiguous
     # axis, which add.reduce sums pairwise, so it (like any other layout)
     # takes the last row of a cumsum, which carries one running total in
     # index order.
-    if a.shape[1] > 1 and a.flags.c_contiguous:
-        return np.add.reduce(a, axis=0, initial=-0.0)
-    return np.cumsum(a, axis=0)[-1]
+    if a.shape[-1] > 1 and a.flags.c_contiguous:
+        return np.add.reduce(a, axis=-2, initial=-0.0)
+    return np.cumsum(a, axis=-2)[..., -1, :]
 
 
 def _fold_matrix(op: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -192,19 +193,91 @@ def _as_samples(
     return a, single
 
 
-def _fit_step(a: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
+def _fit_step(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
               scratch: np.ndarray) -> None:
-    """Write the column means and sample stds (N-1 divisor) of `a` into the
-    D-vectors mu and sigma; scratch is a buffer shaped like `a`."""
-    n = a.shape[0]
-    np.divide(_column_totals(a), n, out=mu)
-    dev = np.subtract(a, mu, out=scratch)
+    """Write the column means and sample stds (N-1 divisor) of every slice of
+    the (R, N, D) stack z into the (R, 1, D) arrays mu and sigma; scratch is
+    a buffer shaped like z."""
+    n = z.shape[-2]
+    np.divide(_column_totals(z), n, out=mu[:, 0])
+    dev = np.subtract(z, mu, out=scratch)
     # squared deviations may overflow for extreme magnitudes; the resulting
     # non-finite std is sanitized to 1 just like the zero-variance case
     with np.errstate(over="ignore"):
         np.multiply(dev, dev, out=dev)
-        np.sqrt(_column_totals(dev) / (n - 1), out=sigma)
+        np.sqrt(_column_totals(dev) / (n - 1), out=sigma[:, 0])
     sigma[~np.isfinite(sigma) | (sigma <= 0.0)] = 1.0
+
+
+def _replay_step(z: np.ndarray, mu, sigma, fold: str, i: int) -> np.ndarray:
+    """Apply step i (0-based) of a model to the working samples z in place;
+    cos_abs alone returns a new array, so callers use the returned one."""
+    if i > 0:
+        z = _fold_matrix(fold, z, out=z)
+    np.subtract(z, mu, out=z)
+    np.divide(z, sigma, out=z)
+    return z
+
+
+def fit_stack(
+    Z: np.ndarray,
+    iterations: int,
+    fold: str,
+    Y: np.ndarray | None = None,
+    depths=(),
+    dist: str = DEFAULT_DISTANCE,
+    params: tuple[np.ndarray, np.ndarray] | None = None,
+) -> dict[int, np.ndarray]:
+    """Fit one model per slice of a stack and score other rows with each.
+
+    Z is a C-ordered float64 (R, N, D) stack of finite training rows, slice r
+    holding the rows of fit r; Y, when given, is an (R, M, D) stack of rows
+    to score, slice r with model r. Both are overwritten. Returns, for every
+    depth in `depths` (each in 1..iterations), the (R, M) distances of Y
+    after that many steps: score(Y[r], model_r.truncated(depth), dist), bit
+    for bit. With params = (mu, sigma), two (iterations, R, D) arrays, the
+    step vectors are written there, mu[i, r] being step i + 1 of fit r;
+    otherwise no step is kept once the next one is computed.
+
+    Every slice gets exactly the arithmetic of a lone fit, and a NumericError
+    names the first iteration at which any slice goes non-finite.
+    """
+    _check_distance(dist)
+    wanted = set(depths)
+    if not wanted <= set(range(1, iterations + 1)):
+        raise ConfigError(f"scoring depths must lie in 1..{iterations}")
+    r, n, d = Z.shape
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 training samples, got {n}")
+    # one scratch buffer, and Z and Y updated in place, so no iteration
+    # allocates (R, N, D) temporaries and time stays linear in N after the
+    # stack outgrows the CPU cache
+    scratch = np.empty_like(Z)
+    mu = np.empty((r, 1, d))
+    sigma = np.empty_like(mu)
+    last = max(wanted, default=0) if Y is not None else 0
+    scores = {}
+    for i in range(iterations):
+        if i > 0:
+            Z = _fold_matrix(fold, Z, out=Z)
+            if not np.isfinite(Z).all():
+                raise NumericError(f"non-finite working values at iteration {i + 1}")
+        _fit_step(Z, mu, sigma, scratch)
+        np.subtract(Z, mu, out=Z)
+        np.divide(Z, sigma, out=Z)
+        if not np.isfinite(Z).all():
+            raise NumericError(f"non-finite working values at iteration {i + 1}")
+        if params is not None:
+            params[0][i] = mu[:, 0]
+            params[1][i] = sigma[:, 0]
+        if i < last:
+            # overflow to inf is a legitimate outcome for samples far outside
+            # the training data, as in transform_ref
+            with np.errstate(over="ignore"):
+                Y = _replay_step(Y, mu, sigma, fold, i)
+                if i + 1 in wanted:
+                    scores[i + 1] = _distances(Y, dist)
+    return scores
 
 
 def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD) -> RefModel:
@@ -213,34 +286,16 @@ def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD)
     Standardizes X, then repeats fold-and-standardize for iterations-1 more
     rounds, recording each (mean, std) pair. The caller's X is not mutated.
     Work and memory are linear in N * D per iteration; the model itself
-    stores only the J step vectors.
+    stores only the J step vectors. This is fit_stack on a stack of one.
     """
     if not (isinstance(iterations, int) and iterations >= 1):
         raise ConfigError("iterations must be an integer >= 1")
     _check_fold(fold)
     z, _ = _as_samples(X, "training data")
-    if z.shape[0] < 2:
-        raise InsufficientDataError(
-            f"need at least 2 training samples, got {z.shape[0]}"
-        )
-    # one C-ordered working copy and one scratch buffer, updated in place, so
-    # no iteration allocates (N, D) temporaries and time stays linear in N
-    # after the matrix outgrows the CPU cache
-    z = z.copy()
-    scratch = np.empty_like(z)
-    mu = np.empty((iterations, z.shape[1]))
+    mu = np.empty((iterations, 1, z.shape[1]))
     sigma = np.empty_like(mu)
-    for i in range(iterations):
-        if i > 0:
-            z = _fold_matrix(fold, z, out=z)
-            if not np.isfinite(z).all():
-                raise NumericError(f"non-finite working values at iteration {i + 1}")
-        _fit_step(z, mu[i], sigma[i], scratch)
-        np.subtract(z, mu[i], out=z)
-        np.divide(z, sigma[i], out=z)
-        if not np.isfinite(z).all():
-            raise NumericError(f"non-finite working values at iteration {i + 1}")
-    return RefModel(mu, sigma, fold)
+    fit_stack(z.copy()[np.newaxis], iterations, fold, params=(mu, sigma))
+    return RefModel(mu[:, 0], sigma[:, 0], fold)
 
 
 def train_base(X) -> RefModel:
@@ -253,35 +308,36 @@ def transform_ref(y, model: RefModel) -> np.ndarray:
 
     Accepts a single D-vector or an (M, D) matrix; the arithmetic per sample
     is identical to the training-time working copy, element for element.
+    One C-ordered copy of the samples is updated in place, so no step
+    allocates (M, D) temporaries and the caller's array is never written.
     """
     a, single = _as_samples(y, "sample")
     if a.shape[1] != model.dim:
         raise ShapeError(f"sample has {a.shape[1]} dimensions, model has {model.dim}")
+    z = np.array(a, dtype=np.float64, order="C")
     # overflow to inf is a legitimate outcome for samples far outside the
     # training data (tiny stds amplify them every iteration); inf scores
     # simply classify as outliers
     with np.errstate(over="ignore"):
-        for z in _replay(a, model):
-            pass
+        for i, (mu, sigma) in enumerate(zip(model.mu, model.sigma)):
+            z = _replay_step(z, mu, sigma, model.fold, i)
     return z[0] if single else z
 
 
-def _replay(a: np.ndarray, model: RefModel):
-    """Yield the working matrix after each model step; callers set errstate.
-
-    One C-ordered copy of `a` is updated in place (cos_abs alone allocates a
-    new one), so no step allocates (M, D) temporaries and `a` itself is never
-    written. Each step yields the same buffer: a caller must finish with it
-    before advancing the generator, as transform_ref (which keeps the last)
-    and learning_curve (which takes its distance at once) do.
-    """
-    z = np.array(a, dtype=np.float64, order="C")
-    for i, (mu, sigma) in enumerate(zip(model.mu, model.sigma)):
-        if i > 0:
-            z = _fold_matrix(model.fold, z, out=z)
-        np.subtract(z, mu, out=z)
-        np.divide(z, sigma, out=z)
-        yield z
+def _distances(a: np.ndarray, dist: str) -> np.ndarray:
+    """distance_to_origin over the last axis of a matrix or stack."""
+    # one column at a time, left to right: the running-total order, with
+    # (..., M) temporaries only
+    term = np.abs if dist == "l1" else np.square
+    with np.errstate(over="ignore"):  # inf in means inf out, by design
+        out = term(a[..., 0])
+        col = np.empty_like(out)
+        for j in range(1, a.shape[-1]):
+            out += term(a[..., j], out=col)
+        if dist == "l2":
+            np.sqrt(out, out=out)
+    out /= a.shape[-1]
+    return out
 
 
 def distance_to_origin(z, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:
@@ -292,17 +348,7 @@ def distance_to_origin(z, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:
     """
     _check_distance(dist)
     a, single = _as_samples(z, "transformed sample", allow_nonfinite=True)
-    # one column at a time, left to right: the running-total order, with
-    # M-vector temporaries only
-    term = np.abs if dist == "l1" else np.square
-    with np.errstate(over="ignore"):  # inf in means inf out, by design
-        out = term(a[:, 0])
-        col = np.empty_like(out)
-        for j in range(1, a.shape[1]):
-            out += term(a[:, j], out=col)
-        if dist == "l2":
-            np.sqrt(out, out=out)
-    out /= a.shape[1]
+    out = _distances(a, dist)
     return float(out[0]) if single else out
 
 

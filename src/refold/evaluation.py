@@ -193,6 +193,59 @@ def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
+def cv_folds(is_target: np.ndarray, k: int, seed: int = 0):
+    """Yield select_threshold's (fit rows, validation rows) index arrays.
+
+    One pair per CV fold of the pool, in fold order: the fold's training
+    targets (the only rows a model is fit on) and its validation rows.
+    Folds whose validation rows hold a single class are skipped, since Gmean
+    is undefined there. Raises SelectionError on a pool without both classes
+    and, on reaching it, on a fold with fewer than 2 training targets.
+    """
+    if not is_target.any():
+        raise SelectionError("training pool has no target samples")
+    if is_target.all():
+        raise SelectionError(
+            "training pool has no outliers for validation; "
+            "use the default threshold T=1 instead of grid selection"
+        )
+    for fold_train, fold_val in kfold(range(len(is_target)), k, seed):
+        fold_train = np.array(fold_train)
+        fit = fold_train[is_target[fold_train]]
+        if len(fit) < 2:
+            raise SelectionError(
+                f"a CV fold has {len(fit)} target training rows; need >= 2"
+            )
+        val = np.array(fold_val)
+        val_flags = is_target[val]
+        if val_flags.all() or not val_flags.any():
+            continue
+        yield fit, val
+
+
+def fold_gmeans(scores: np.ndarray, is_target: np.ndarray, grid) -> list[float]:
+    """Gmean of one validation fold's scores at every grid threshold: the
+    confusion_from_scores counts of each threshold, all in one pass."""
+    accepted = scores <= np.asarray(grid)[:, np.newaxis]
+    tp = np.count_nonzero(accepted & is_target, axis=1).tolist()
+    fp = np.count_nonzero(accepted & ~is_target, axis=1).tolist()
+    pos = int(np.count_nonzero(is_target))
+    neg = len(is_target) - pos
+    return [gmean(ConfusionCounts(t, pos - t, neg - f, f)).gmean for t, f in zip(tp, fp)]
+
+
+def best_threshold(per_fold: list[list[float]], grid) -> float:
+    """The grid threshold with the highest mean Gmean over the folds.
+
+    Ties break toward the value closest to 1.0, then toward the larger value.
+    """
+    if not per_fold:
+        raise SelectionError("no CV fold had both classes in its validation set")
+    means = [sum(col) / len(per_fold) for col in zip(*per_fold)]
+    best = max(zip(grid, means), key=lambda tm: (tm[1], -abs(tm[0] - 1.0), tm[0]))
+    return best[0]
+
+
 def select_threshold(
     features: np.ndarray,
     is_target: Sequence[bool],
@@ -214,36 +267,9 @@ def select_threshold(
     flags = np.asarray(is_target, dtype=bool)
     if features.ndim != 2 or len(flags) != len(features):
         raise ConfigError("features must be (N, D) with one is_target flag per row")
-    if not flags.any():
-        raise SelectionError("training pool has no target samples")
-    if flags.all():
-        raise SelectionError(
-            "training pool has no outliers for validation; "
-            "use the default threshold T=1 instead of grid selection"
-        )
-
     per_fold = []
-    for fold_train, fold_val in kfold(range(len(features)), k, seed):
-        fit_rows = [i for i in fold_train if flags[i]]
-        if len(fit_rows) < 2:
-            raise SelectionError(
-                f"a CV fold has {len(fit_rows)} target training rows; need >= 2"
-            )
-        val = list(fold_val)
-        val_flags = flags[val]
-        if val_flags.all() or not val_flags.any():
-            # single-class validation fold: Gmean undefined, skip it
-            continue
-        model = train_ref(features[fit_rows], config.iterations, config.fold)
+    for fit, val in cv_folds(flags, k, seed):
+        model = train_ref(features[fit], config.iterations, config.fold)
         val_scores = score(features[val], model, config.dist)
-        per_fold.append(
-            [
-                gmean(confusion_from_scores(val_scores, val_flags, t)).gmean
-                for t in grid
-            ]
-        )
-    if not per_fold:
-        raise SelectionError("no CV fold had both classes in its validation set")
-    means = [sum(col) / len(per_fold) for col in zip(*per_fold)]
-    best = max(zip(grid, means), key=lambda tm: (tm[1], -abs(tm[0] - 1.0), tm[0]))
-    return best[0]
+        per_fold.append(fold_gmeans(val_scores, flags[val], grid))
+    return best_threshold(per_fold, grid)

@@ -19,7 +19,7 @@ from refold.bench import (
     spec_hash,
     timing_probe,
 )
-from refold.errors import ConfigError, DataFormatError
+from refold.errors import ConfigError, DataFormatError, NumericError
 from refold.evaluation import DEFAULT_THRESHOLD_GRID
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -209,9 +209,14 @@ def test_golden_report_and_curve_digests(data_dir):
 
 
 def test_no_repeated_work(synthetic_csv, monkeypatch):
+    """One split plan per task and one kernel call per task, plus in grid
+    mode one per group of CV fits sharing (fit rows, validation rows)."""
     import refold.bench
+    from refold.datasets import load_dataset
+    from refold.evaluation import kfold, make_split_plan
+    from refold.rng import derive_seed
 
-    calls = {"plan": 0, "train": 0}
+    calls = {"plan": 0, "kernel": 0, "train": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -219,19 +224,121 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(
-        refold.bench, "make_split_plan", counting("plan", refold.bench.make_split_plan)
-    )
-    monkeypatch.setattr(refold.bench, "train_ref", counting("train", refold.bench.train_ref))
-    spec = BenchSpec(
-        datasets=(synthetic_csv,), iterations=11, repetitions=4, seed=2,
-        include_base=True,
-    )
+    for key, name in (("plan", "make_split_plan"), ("kernel", "fit_stack"),
+                      ("train", "train_ref")):
+        monkeypatch.setattr(refold.bench, name, counting(key, getattr(refold.bench, name)))
+
+    # the CV fits of each (task, stream), and their distinct sizes
+    ds = load_dataset(synthetic_csv)
+    fits, groups = 0, 0
+    for ordinal, target in enumerate(ds.class_names):
+        plan = make_split_plan(ds.labels, target, 0.7, 4, seed=derive_seed(2, ordinal, 1))
+        for stream in (2, 3):
+            sizes = set()
+            for rep, (train, _) in enumerate(plan.splits):
+                flags = [ds.labels[i] == target for i in train]
+                for fit, val in kfold(range(len(train)), 3, derive_seed(2, ordinal, stream, rep)):
+                    if len({flags[i] for i in val}) == 2:
+                        fits += 1
+                        sizes.add((sum(flags[i] for i in fit), len(val)))
+            groups += len(sizes)
+    assert groups < fits
+
+    for mode, kernel_calls in (("fixed", 2), ("grid", 2 + groups)):
+        calls.update(dict.fromkeys(calls, 0))
+        spec = BenchSpec(
+            datasets=(synthetic_csv,), iterations=11, repetitions=4, seed=2,
+            include_base=True, threshold_mode=mode, cv_folds=3,
+        )
+        report = run_benchmark(spec)
+        assert len(report.runs) == 2 * 2 * 4  # 2 tasks, ref and base, 4 reps
+        assert calls == {"plan": 2, "kernel": kernel_calls, "train": 0}
+
+
+def test_stack_budget_splits_calls_not_results(synthetic_csv, monkeypatch):
+    import refold.bench
+
+    spec = BenchSpec(datasets=(synthetic_csv,), iterations=9, repetitions=3, seed=6,
+                     threshold_mode="grid", cv_folds=3, include_base=True)
+    whole = run_benchmark(spec).deterministic_text()
+    curve = learning_curve(replace(spec, threshold_mode="fixed"), "blob2", 2).text()
+    calls = []
+    fit_stack = refold.bench.fit_stack
+    monkeypatch.setattr(refold.bench, "fit_stack",
+                        lambda Z, *args: calls.append(len(Z)) or fit_stack(Z, *args))
+    monkeypatch.setattr(refold.bench, "_STACK_CELLS", 1)  # one fit per call
+    assert run_benchmark(spec).deterministic_text() == whole
+    assert learning_curve(replace(spec, threshold_mode="fixed"), "blob2", 2).text() == curve
+    assert set(calls) == {1} and len(calls) > 2 * 3
+
+
+def test_report_timing_lines(synthetic_csv):
+    spec = BenchSpec(datasets=(synthetic_csv,), iterations=5, repetitions=3, seed=3,
+                     threshold_mode="grid", cv_folds=3, include_base=True)
     report = run_benchmark(spec)
-    assert len(report.runs) == 2 * 2 * 4  # 2 tasks, ref and base, 4 reps
-    assert calls == {"plan": 2, "train": 2 * 4}
+    marker = "# timing below is wall-clock and excluded from the deterministic body\n"
+    body, _, timing = report.text().partition(marker)
+    assert body == report.deterministic_text()
+    rows = [line.split(",") for line in timing.splitlines()]
+    assert [row[:3] for row in rows] == [
+        ["timing", task, stage]
+        for task in ("blob1", "blob2")
+        for stage in ("plan", "select", "fit_score")
+    ]
+    for row in rows:
+        assert len(row) == 4
+        whole, _, fraction = row[3].partition(".")
+        assert whole.isdigit() and len(fraction) == 6 and fraction.isdigit()
+        assert float(row[3]) >= 0.0
 
 
+def _overflow_csv(path):
+    """Targets whose column 1 holds 1e308 in two rows: a fit with one of them
+    overflows under sqr at iteration 2, a fit with both already sums to inf."""
+    rng = np.random.default_rng(5)
+    rows = np.vstack([rng.normal(size=(20, 3)), rng.normal(size=(20, 3)) + 5.0])
+    rows[[0, 1], 1] = 1e308
+    labels = ["t"] * 20 + ["o"] * 20
+    path.write_text("".join(",".join(map(repr, row.tolist())) + f",{lab}\n"
+                            for row, lab in zip(rows, labels)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "grid"])
+def test_failing_stack_raises_the_per_repetition_error(tmp_path, mode):
+    """A task whose stacked fit fails raises what a plain train_ref loop over
+    its repetitions raises, type and message."""
+    from refold.core import fit_stack, train_ref
+    from refold.datasets import load_dataset
+    from refold.evaluation import make_split_plan
+    from refold.rng import derive_seed
+
+    path = _overflow_csv(tmp_path / "overflow.csv")
+    spec = BenchSpec(datasets=(path,), fold="sqr", iterations=5, repetitions=6, seed=5,
+                     threshold_mode=mode, cv_folds=3)
+    ds = load_dataset(path)
+    plan = make_split_plan(ds.labels, "t", 0.7, 6, seed=derive_seed(5, 0, 1))
+    fits = [[i for i in train if ds.labels[i] == "t"] for train, _ in plan.splits]
+
+    def first_error(fn):
+        # Exception: under the suite's warning filter an overflow warning
+        # is raised too, and must then be the same one
+        with pytest.raises(Exception) as exc:
+            fn()
+        return type(exc.value), str(exc.value)
+
+    def loop():
+        for fit in fits:
+            train_ref(ds.features[fit], spec.iterations, spec.fold)
+
+    want = first_error(loop)
+    assert want == (NumericError, "non-finite working values at iteration 2")
+    # precondition: the whole stack fails another way (a later repetition
+    # fits both rows and fails first), so only a per-repetition replay
+    # reproduces the loop's error
+    stacked = first_error(lambda: fit_stack(ds.features[fits], spec.iterations, spec.fold))
+    assert stacked != want
+    assert first_error(lambda: run_benchmark(spec)) == want
 def test_grid_mode_records_selected_thresholds(synthetic_csv):
     spec = BenchSpec(
         datasets=(synthetic_csv,), iterations=11, repetitions=2, seed=4,

@@ -400,6 +400,15 @@ def test_probe_bad_dim_is_a_config_error(tmp_path, capsys, dim):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_probe_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
+    # derive_seed masks to 64 bits, so these would alias seeds 2**64-1 and 0
+    out = tmp_path / "probe.csv"
+    rc = main(["probe", "--sizes", "100", "--seed", seed, "--out", str(out)])
+    assert "seed must be in 0..2**64-1" in single_error_line(capsys, rc, "ConfigError")
+    assert not out.exists()
+
+
 def test_help_lists_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--help"])

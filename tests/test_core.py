@@ -401,17 +401,19 @@ def test_train_matches_oracle_bit_for_bit_at_large_n(d):
 
 # --------------------------------------------------------- summation order
 
-@pytest.mark.parametrize("shape", [(5000, 2), (3000, 17), (1000, 1), (2, 9)])
+@pytest.mark.parametrize("shape", [(5000, 2), (3000, 17), (1000, 1), (2, 9),
+                                   (7, 300, 4), (5, 200, 1), (1, 2, 3)])
 def test_column_totals_add_rows_in_index_order(shape):
-    """Bit for bit, signed zeros included, in C and Fortran layout: a numpy
-    that reorders add.reduce must fail here instead of changing models."""
-    rng = np.random.default_rng(shape[0] + shape[1])
+    """Bit for bit, signed zeros included, in C and Fortran layout, for a
+    matrix and per slice of a stack: a numpy that reorders add.reduce must
+    fail here instead of changing models."""
+    rng = np.random.default_rng(sum(shape))
     a = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
-    if shape[1] > 1:
-        a[:, 0] = -0.0
-    want = a[0].copy()
-    for row in a[1:]:
-        want = want + row
+    if shape[-1] > 1:
+        a[..., 0] = -0.0
+    want = a[..., 0, :].copy()
+    for k in range(1, shape[-2]):
+        want = want + a[..., k, :]
     for layout in (a, np.asfortranarray(a)):
         got = _column_totals(layout)
         np.testing.assert_array_equal(got, want)

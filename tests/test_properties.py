@@ -1,4 +1,5 @@
-"""Property tests for the text formats: bench specs, models and data files."""
+"""Property tests for the text formats (bench specs, models and data files)
+and for the stacked fit kernel."""
 
 import os
 import tempfile
@@ -9,12 +10,13 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from refold.bench import BenchSpec, parse_bench_spec, serialize_bench_spec
-from refold.core import DISTANCES, FOLD_OPS, RefModel, score, train_ref
+from refold.core import DISTANCES, FOLD_OPS, RefModel, fit_stack, score, train_ref
 from refold import datasets
 from refold.datasets import DatasetSchema, load_dataset
-from refold.errors import ConfigError, DataFormatError, ModelFormatError
+from refold.errors import ConfigError, DataFormatError, ModelFormatError, NumericError
 from refold.model_io import FORMAT_VERSION, parse_model, serialize_model
 
 import oracle
@@ -299,3 +301,63 @@ def test_matches_oracle_over_generated_shapes(case):
         assert model.mu.tolist() == mus
         assert model.sigma.tolist() == sigmas
         assert scores == want
+
+
+# ------------------------------------------------------------ stacked kernel
+
+@st.composite
+def kernel_cases(draw):
+    """A stack of fits and rows to score, with constant columns, and at
+    times one slice holding a 1e200 entry, which overflows under sqr."""
+    r, n, d, m = (draw(st.integers(1, 4)), draw(st.integers(2, 40)),
+                  draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    values = st.floats(-1e3, 1e3)
+    Z = draw(arrays(np.float64, (r, n, d), elements=values))
+    Y = draw(arrays(np.float64, (r, m, d), elements=values))
+    for j, constant in enumerate(draw(st.lists(st.booleans(), min_size=d, max_size=d))):
+        if constant:
+            Z[:, :, j] = Z[:, :1, j]
+    if draw(st.booleans()):
+        Z[draw(st.integers(0, r - 1)), 0, draw(st.integers(0, d - 1))] = 1e200
+    fold = draw(st.sampled_from(FOLD_OPS))
+    iterations = draw(st.integers(1, 6))
+    depths = draw(st.sets(st.integers(1, iterations), min_size=1))
+    return Z, Y, iterations, fold, depths, draw(st.sampled_from(DISTANCES))
+
+
+@PROPERTY_SETTINGS
+@given(kernel_cases())
+def test_fit_stack_matches_per_slice_fits(case):
+    """Bit for bit: the stack's step vectors are each slice's train_ref
+    model, and its distances are score() of that model truncated to each
+    requested depth. When a slice goes non-finite, the stack raises the
+    NumericError of the earliest failing iteration over the slices; the
+    benchmark runner then replays the slices one by one to raise the first
+    slice's error."""
+    Z, Y, iterations, fold, depths, dist = case
+    r, _, d = Z.shape
+    models, failed_at = [], []
+    # warnings off: far-out rows may overflow or turn NaN in both paths alike
+    with np.errstate(all="ignore"):
+        for k in range(r):
+            try:
+                models.append(train_ref(Z[k], iterations, fold))
+            except NumericError as exc:
+                failed_at.append(int(str(exc).rsplit(" ", 1)[1]))
+        mu = np.empty((iterations, r, d))
+        sigma = np.empty_like(mu)
+        if failed_at:
+            with pytest.raises(NumericError) as exc:
+                fit_stack(Z.copy(), iterations, fold, Y.copy(), depths, dist, (mu, sigma))
+            assert str(exc.value) == (
+                f"non-finite working values at iteration {min(failed_at)}"
+            )
+            return
+        scores = fit_stack(Z.copy(), iterations, fold, Y.copy(), depths, dist, (mu, sigma))
+        assert set(scores) == depths
+        for k, model in enumerate(models):
+            assert mu[:, k].tobytes() == model.mu.tobytes()
+            assert sigma[:, k].tobytes() == model.sigma.tobytes()
+            for depth in depths:
+                want = score(Y[k], model.truncated(depth), dist)
+                assert scores[depth][k].tobytes() == want.tobytes()
