@@ -13,12 +13,13 @@ gives each task's wall-clock seconds per stage: plan (the split plan), select
 A stratified plan gives every repetition of a task the same row counts, so
 the task's fits run as one stacked kernel call (core.fit_stack), which scores
 the test rows of the model and of its baseline in the same pass. Grid mode
-adds one call per group of threshold-CV fits sharing their fit and
-validation row counts. A stack larger than 8 MB is split into calls of at
-most that size. Each slice gets the arithmetic of a lone fit, so
-results are bit-identical to fitting repetition by repetition; a task whose
-stacked pass fails or warns is replayed that way, so that it raises what
-the first failing repetition raises.
+then selects thresholds (evaluation.select_thresholds), adding one call per
+group of threshold-CV fits sharing their fit and validation row counts. A
+stack larger than 8 MB is split into calls of at most that size. Each slice
+gets the arithmetic of a lone fit, so results are bit-identical to fitting
+repetition by repetition. A task whose stacked pass fails or warns is
+replayed one repetition at a time through the same path, so that it raises
+what the first failing repetition raises.
 
 Seed streams, all derived from the master seed with refold.rng.derive_seed:
 split plan of task t -> (t, 1); threshold CV of task t repetition r ->
@@ -42,8 +43,7 @@ from .core import (
     DEFAULT_FOLD,
     DEFAULT_ITERATIONS,
     DEFAULT_THRESHOLD,
-    fit_stack,
-    score,
+    _fit_rows,
     train_ref,
 )
 from .datasets import Dataset, load_dataset, load_registry_dataset, registry, resolve_data_dir
@@ -54,15 +54,12 @@ from .evaluation import (
     DEFAULT_THRESHOLD_GRID,
     DEFAULT_TRAIN_FRACTION,
     OccTask,
-    best_threshold,
     check_grid,
     confusion_from_scores,
-    cv_folds,
-    fold_gmeans,
     gmean,
     make_occ_tasks,
     make_split_plan,
-    select_threshold,
+    select_thresholds,
 )
 from .rng import GENERATOR_NAME, derive_seed
 from .textio import format_float as _fmt, read_text
@@ -77,10 +74,6 @@ _BASE_CV_STREAM = 3
 
 # wall-clock stages reported per task below a report's timing marker
 _TIMING_STAGES = ("plan", "select", "fit_score")
-
-# float64 cells gathered into one kernel call (8 MB), so that memory stays
-# bounded however many repetitions a large dataset runs
-_STACK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -340,15 +333,6 @@ def _plan_arrays(spec: BenchSpec, ds: Dataset, task: OccTask, ordinal: int):
     return seeds, train, test, flags
 
 
-def _fit_rows(X, fit, rows, iterations, fold, depths, dist) -> dict[int, np.ndarray]:
-    """fit_stack over the fits of rows fit[r] of X, scoring rows[r] of X, in
-    as few calls as the _STACK_CELLS budget allows."""
-    step = max(1, _STACK_CELLS // ((fit.shape[1] + rows.shape[1]) * X.shape[1]))
-    parts = [fit_stack(X[fit[a:a + step]], iterations, fold, X[rows[a:a + step]], depths, dist)
-             for a in range(0, len(fit), step)]
-    return {d: np.concatenate([p[d] for p in parts]) for d in depths}
-
-
 @contextmanager
 def _stage(seconds: dict[str, float], name: str):
     started = time.perf_counter()
@@ -358,68 +342,23 @@ def _stage(seconds: dict[str, float], name: str):
         seconds[name] += time.perf_counter() - started
 
 
-def _select_stacked(spec, X, train, flags, depth, seeds) -> list[float]:
-    """select_threshold for every repetition's pool, one kernel call per
-    group of CV fits that share their fit and validation row counts."""
-    folds = [list(cv_folds(flags[pool], spec.cv_folds, seed))
-             for pool, seed in zip(train, seeds)]
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for rep, rep_folds in enumerate(folds):
-        for k, (fit, val) in enumerate(rep_folds):
-            groups.setdefault((len(fit), len(val)), []).append((rep, k))
-    per_fold = [[None] * len(rep_folds) for rep_folds in folds]
-    for members in groups.values():
-        fit = np.array([train[rep][folds[rep][k][0]] for rep, k in members])
-        val = np.array([train[rep][folds[rep][k][1]] for rep, k in members])
-        scores = _fit_rows(X, fit, val, depth, spec.fold, (depth,), spec.dist)[depth]
-        for (rep, k), s, rows in zip(members, scores, val):
-            per_fold[rep][k] = fold_gmeans(s, flags[rows], spec.grid)
-    return [best_threshold(p, spec.grid) for p in per_fold]
-
-
 def _task_stacked(spec, variants, X, train, test, flags, cv_seeds, seconds):
-    """(thresholds, scores) per variant: every repetition at once."""
-    thresholds = {}
-    with _stage(seconds, "select"):
-        for name, depth, _ in variants:
-            thresholds[name] = (
-                _select_stacked(spec, X, train, flags, depth, cv_seeds[name])
-                if spec.threshold_mode == "grid"
-                else [spec.threshold] * len(train)
-            )
+    """(thresholds, scores) per variant: every repetition at once, fitting
+    and scoring before selecting thresholds, as a loop over them would."""
     with _stage(seconds, "fit_score"):
         fit = train[flags[train]].reshape(len(train), -1)
         scores = _fit_rows(X, fit, test, spec.iterations, spec.fold,
                            {depth for _, depth, _ in variants}, spec.dist)
-    return thresholds, {name: scores[depth] for name, depth, _ in variants}
-
-
-def _task_sequential(spec, variants, X, train, test, flags, cv_seeds, seconds):
-    """_task_stacked one repetition at a time, in the order of a plain loop
-    (fit, then select and score per variant), so a failure raises the same
-    exception as that loop."""
-    thresholds = {name: [] for name, _, _ in variants}
-    scores = {name: [] for name, _, _ in variants}
-    for rep, (pool, rows) in enumerate(zip(train, test)):
-        with _stage(seconds, "fit_score"):
-            model = train_ref(X[pool][flags[pool]], spec.iterations, spec.fold)
+    thresholds = {}
+    with _stage(seconds, "select"):
         for name, depth, _ in variants:
-            with _stage(seconds, "select"):
-                thresholds[name].append(
-                    select_threshold(
-                        X[pool],
-                        flags[pool],
-                        replace(spec.config, iterations=depth),
-                        spec.grid,
-                        k=spec.cv_folds,
-                        seed=cv_seeds[name][rep],
-                    )
-                    if spec.threshold_mode == "grid"
-                    else spec.threshold
-                )
-            with _stage(seconds, "fit_score"):
-                scores[name].append(score(X[rows], model.truncated(depth), spec.dist))
-    return thresholds, scores
+            thresholds[name] = (
+                select_thresholds(X, train, flags, replace(spec.config, iterations=depth),
+                                  spec.grid, spec.cv_folds, cv_seeds[name])
+                if spec.threshold_mode == "grid"
+                else [spec.threshold] * len(train)
+            )
+    return thresholds, {name: scores[depth] for name, depth, _ in variants}
 
 
 def _task_results(spec, variants, X, train, test, flags, cv_seeds, seconds):
@@ -427,19 +366,23 @@ def _task_results(spec, variants, X, train, test, flags, cv_seeds, seconds):
 
     The stacked pass runs first. If it raises a package error or warns (a
     non-finite working value, a CV fold that cannot be planned, an overflow),
-    the task is replayed one repetition at a time, which raises or warns
-    exactly as a loop over the repetitions does, first failure first.
+    the task is replayed through _task_stacked once per repetition, on
+    stacks of one, which raises or warns as a loop over the repetitions
+    does, first failure first.
     """
-    args = (spec, variants, X, train, test, flags, cv_seeds, seconds)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = _task_stacked(*args)
+            result = _task_stacked(spec, variants, X, train, test, flags, cv_seeds, seconds)
         except RefoldError:
             result = None
-    if result is None or caught:
-        result = _task_sequential(*args)
-    return result
+    if result is not None and not caught:
+        return result
+    parts = [_task_stacked(spec, variants, X, train[r:r + 1], test[r:r + 1], flags,
+                           {name: seeds[r:r + 1] for name, seeds in cv_seeds.items()}, seconds)
+             for r in range(len(train))]
+    return ({name: [t for part, _ in parts for t in part[name]] for name in cv_seeds},
+            {name: np.concatenate([part[name] for _, part in parts]) for name in cv_seeds})
 
 
 def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:

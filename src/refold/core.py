@@ -39,6 +39,10 @@ DEFAULT_DISTANCE = "l1"
 DEFAULT_ITERATIONS = 101
 DEFAULT_THRESHOLD = 1.0
 
+# float64 cells gathered into one kernel call (8 MB), so that memory stays
+# bounded however many fits a large dataset stacks
+_STACK_CELLS = 1 << 20
+
 TARGET = "target"
 OUTLIER = "outlier"
 
@@ -280,6 +284,15 @@ def fit_stack(
     return scores
 
 
+def _fit_rows(X, fit, rows, iterations, fold, depths, dist) -> dict[int, np.ndarray]:
+    """fit_stack over the fits of rows fit[r] of X, scoring rows[r] of X, in
+    as few calls as the _STACK_CELLS budget allows."""
+    step = max(1, _STACK_CELLS // ((fit.shape[1] + rows.shape[1]) * X.shape[1]))
+    parts = [fit_stack(X[fit[a:a + step]], iterations, fold, X[rows[a:a + step]], depths, dist)
+             for a in range(0, len(fit), step)]
+    return {d: np.concatenate([p[d] for p in parts]) for d in depths}
+
+
 def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD) -> RefModel:
     """Fit the folding classifier on target-class rows.
 
@@ -355,10 +368,9 @@ def distance_to_origin(z, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:
 def score(y, model: RefModel, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:
     """Distance to the origin of the transformed sample(s); always >= 0."""
     _check_distance(dist)
-    a, single = _as_samples(y, "sample")
-    z = transform_ref(a, model)
-    out = distance_to_origin(z, dist)
-    return float(out[0]) if single else out
+    z = transform_ref(y, model)
+    out = _distances(np.atleast_2d(z), dist)
+    return float(out[0]) if z.ndim == 1 else out
 
 
 def classify(

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassifierConfig, score, train_ref
+from .core import ClassifierConfig, _as_samples, _fit_rows
 from .errors import ConfigError, EvaluationError, SelectionError
 from .rng import SplitMix64, derive_seed
 
@@ -246,6 +246,29 @@ def best_threshold(per_fold: list[list[float]], grid) -> float:
     return best[0]
 
 
+def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> list[float]:
+    """select_threshold on every pool of row indices pools[r] of features,
+    with CV seed seeds[r]; is_target flags every row of features. All folds
+    are planned first, then fitted with one kernel call per group of folds
+    sharing their fit and validation row counts, each as a lone fit. A lone
+    pool fits one fold per call, so it fails and warns as a fold loop does."""
+    folds = [list(cv_folds(is_target[pool], k, seed)) for pool, seed in zip(pools, seeds)]
+    groups: dict[tuple[int, int] | int, list[tuple[int, int]]] = {}
+    for p, pool_folds in enumerate(folds):
+        for f, (fit, val) in enumerate(pool_folds):
+            key = (len(fit), len(val)) if len(pools) > 1 else f
+            groups.setdefault(key, []).append((p, f))
+    per_fold = [[None] * len(pool_folds) for pool_folds in folds]
+    depth = config.iterations
+    for members in groups.values():
+        fit = np.array([pools[p][folds[p][f][0]] for p, f in members])
+        val = np.array([pools[p][folds[p][f][1]] for p, f in members])
+        scores = _fit_rows(features, fit, val, depth, config.fold, (depth,), config.dist)[depth]
+        for (p, f), s, rows in zip(members, scores, val):
+            per_fold[p][f] = fold_gmeans(s, is_target[rows], grid)
+    return [best_threshold(gmeans, grid) for gmeans in per_fold]
+
+
 def select_threshold(
     features: np.ndarray,
     is_target: Sequence[bool],
@@ -261,15 +284,15 @@ def select_threshold(
     to 1.0, then toward the larger value. The training pool must contain
     outliers; without them there is nothing to validate against and the
     caller should fall back to the default threshold 1.
+
+    The arguments (grid, shapes, finite features) are checked before any
+    fold is planned; this is select_thresholds on one pool.
     """
     grid = check_grid(grid)
     features = np.asarray(features, dtype=np.float64)
     flags = np.asarray(is_target, dtype=bool)
     if features.ndim != 2 or len(flags) != len(features):
         raise ConfigError("features must be (N, D) with one is_target flag per row")
-    per_fold = []
-    for fit, val in cv_folds(flags, k, seed):
-        model = train_ref(features[fit], config.iterations, config.fold)
-        val_scores = score(features[val], model, config.dist)
-        per_fold.append(fold_gmeans(val_scores, flags[val], grid))
-    return best_threshold(per_fold, grid)
+    _as_samples(features, "training data")
+    return select_thresholds(features, [np.arange(len(flags))], flags, config, grid, k,
+                             [seed])[0]

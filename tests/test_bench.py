@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -212,6 +213,7 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
     """One split plan per task and one kernel call per task, plus in grid
     mode one per group of CV fits sharing (fit rows, validation rows)."""
     import refold.bench
+    import refold.core
     from refold.datasets import load_dataset
     from refold.evaluation import kfold, make_split_plan
     from refold.rng import derive_seed
@@ -224,9 +226,10 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for key, name in (("plan", "make_split_plan"), ("kernel", "fit_stack"),
-                      ("train", "train_ref")):
-        monkeypatch.setattr(refold.bench, name, counting(key, getattr(refold.bench, name)))
+    for key, module, name in (("plan", refold.bench, "make_split_plan"),
+                              ("kernel", refold.core, "fit_stack"),
+                              ("train", refold.bench, "train_ref")):
+        monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
 
     # the CV fits of each (task, stream), and their distinct sizes
     ds = load_dataset(synthetic_csv)
@@ -256,17 +259,17 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
 
 
 def test_stack_budget_splits_calls_not_results(synthetic_csv, monkeypatch):
-    import refold.bench
+    import refold.core
 
     spec = BenchSpec(datasets=(synthetic_csv,), iterations=9, repetitions=3, seed=6,
                      threshold_mode="grid", cv_folds=3, include_base=True)
     whole = run_benchmark(spec).deterministic_text()
     curve = learning_curve(replace(spec, threshold_mode="fixed"), "blob2", 2).text()
     calls = []
-    fit_stack = refold.bench.fit_stack
-    monkeypatch.setattr(refold.bench, "fit_stack",
+    fit_stack = refold.core.fit_stack
+    monkeypatch.setattr(refold.core, "fit_stack",
                         lambda Z, *args: calls.append(len(Z)) or fit_stack(Z, *args))
-    monkeypatch.setattr(refold.bench, "_STACK_CELLS", 1)  # one fit per call
+    monkeypatch.setattr(refold.core, "_STACK_CELLS", 1)  # one fit per call
     assert run_benchmark(spec).deterministic_text() == whole
     assert learning_curve(replace(spec, threshold_mode="fixed"), "blob2", 2).text() == curve
     assert set(calls) == {1} and len(calls) > 2 * 3
@@ -292,13 +295,14 @@ def test_report_timing_lines(synthetic_csv):
         assert float(row[3]) >= 0.0
 
 
-def _overflow_csv(path):
-    """Targets whose column 1 holds 1e308 in two rows: a fit with one of them
-    overflows under sqr at iteration 2, a fit with both already sums to inf."""
+def _overflow_csv(path, targets=20, big=(0, 1)):
+    """Targets whose column 1 holds 1e308 in the rows `big`, and 20 outliers.
+    With two such rows, a fit with one of them overflows under sqr at
+    iteration 2, a fit with both already sums to inf."""
     rng = np.random.default_rng(5)
-    rows = np.vstack([rng.normal(size=(20, 3)), rng.normal(size=(20, 3)) + 5.0])
-    rows[[0, 1], 1] = 1e308
-    labels = ["t"] * 20 + ["o"] * 20
+    rows = np.vstack([rng.normal(size=(targets, 3)), rng.normal(size=(20, 3)) + 5.0])
+    rows[list(big), 1] = 1e308
+    labels = ["t"] * targets + ["o"] * 20
     path.write_text("".join(",".join(map(repr, row.tolist())) + f",{lab}\n"
                             for row, lab in zip(rows, labels)), encoding="utf-8")
     return str(path)
@@ -339,6 +343,51 @@ def test_failing_stack_raises_the_per_repetition_error(tmp_path, mode):
     stacked = first_error(lambda: fit_stack(ds.features[fits], spec.iterations, spec.fold))
     assert stacked != want
     assert first_error(lambda: run_benchmark(spec)) == want
+
+
+def test_failing_task_fits_before_selecting(tmp_path):
+    """A task whose fit fails and whose threshold selection fails too raises
+    the fit's error, as a loop that fits, then selects, does."""
+    from refold.core import train_ref
+    from refold.datasets import load_dataset
+    from refold.errors import SelectionError
+    from refold.evaluation import make_split_plan, select_threshold
+    from refold.rng import derive_seed
+
+    path = _overflow_csv(tmp_path / "overflow.csv", targets=4, big=range(4))
+    spec = BenchSpec(datasets=(path,), fold="sqr", iterations=5, repetitions=3, seed=1,
+                     threshold_mode="grid", cv_folds=2)
+    ds = load_dataset(path)
+    plan = make_split_plan(ds.labels, "t", 0.7, 3, seed=derive_seed(1, 0, 1))
+    flags = np.array(ds.labels) == "t"
+
+    def first_error(fn):
+        with pytest.raises(Exception) as exc:
+            fn()
+        return type(exc.value), str(exc.value)
+
+    def loop():
+        for train, _ in plan.splits:
+            train_ref(ds.features[[i for i in train if flags[i]]], spec.iterations, spec.fold)
+
+    # precondition: selecting first would raise another error, since a
+    # 2-fold split of 2 training targets leaves a fold with fewer than 2
+    pool = list(plan.splits[0][0])
+    selected = first_error(lambda: select_threshold(
+        ds.features[pool], flags[pool], spec.config, spec.grid, spec.cv_folds,
+        derive_seed(1, 0, 2, 0)))
+    assert selected[0] is SelectionError
+    # under the suite's filter the overflow warning is raised first
+    want = first_error(loop)
+    assert want == (RuntimeWarning, "overflow encountered in reduce")
+    assert first_error(lambda: run_benchmark(spec)) == want
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = first_error(loop)
+        assert want == (NumericError, "non-finite working values at iteration 1")
+        assert first_error(lambda: run_benchmark(spec)) == want
+
+
 def test_grid_mode_records_selected_thresholds(synthetic_csv):
     spec = BenchSpec(
         datasets=(synthetic_csv,), iterations=11, repetitions=2, seed=4,

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 import oracle
-from refold.core import ClassifierConfig
-from refold.errors import ConfigError, EvaluationError, SelectionError
+from refold.core import ClassifierConfig, train_ref
+from refold.errors import (
+    ConfigError,
+    EvaluationError,
+    InvalidInputError,
+    NumericError,
+    SelectionError,
+    ShapeError,
+)
 from refold.evaluation import (
     DEFAULT_THRESHOLD_GRID,
     ConfusionCounts,
@@ -18,6 +25,7 @@ from refold.evaluation import (
     make_occ_tasks,
     make_split_plan,
     select_threshold,
+    select_thresholds,
 )
 
 
@@ -298,3 +306,68 @@ def test_select_threshold_deterministic():
     a = select_threshold(X, flags, cfg, seed=13)
     b = select_threshold(X, flags, cfg, seed=13)
     assert a == b
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("row", [0, 50], ids=["target", "outlier"])
+def test_select_threshold_rejects_non_finite_features(row, value):
+    # the outlier row is only ever scored, never fitted; it is rejected all
+    # the same, and with the message of training data
+    X, flags = _separable_pool(np.random.default_rng(53), n_targets=40, n_outliers=20)
+    X[row, 1] = value
+    with pytest.raises(InvalidInputError, match="^training data contains non-finite values$"):
+        select_threshold(X, flags, ClassifierConfig(iterations=5))
+
+
+def test_select_threshold_checks_features_before_the_pool():
+    # a pool without outliers cannot be cross-validated, but the features
+    # are checked first
+    X = np.random.default_rng(59).normal(size=(30, 2))
+    X[3, 0] = np.nan
+    with pytest.raises(InvalidInputError, match="^training data contains non-finite values$"):
+        select_threshold(X, [True] * 30, ClassifierConfig())
+    with pytest.raises(ShapeError, match="at least one feature dimension"):
+        select_threshold(np.empty((30, 0)), [True] * 15 + [False] * 15, ClassifierConfig())
+
+
+def test_select_threshold_plans_every_fold_before_fitting():
+    # targets 1e308, -1e308, 1e308 in column 0: fold 0 fits the two equal
+    # ones, whose sum overflows, and fold 1 has one training target; a pool
+    # that cannot be cross-validated is reported before any fit runs
+    X = np.vstack([[[1e308, 0.1], [-1e308, 0.2], [1e308, 0.3]],
+                   np.random.default_rng(0).normal(size=(8, 2)) + 4.0])
+    flags = np.array([True] * 3 + [False] * 8)
+    fit = [i for i in kfold(range(11), 2, seed=7)[0][0] if flags[i]]
+    assert fit == [0, 2]
+    # a warning under the suite's filter, the NumericError without it
+    with pytest.raises((RuntimeWarning, NumericError)):
+        train_ref(X[fit], 3)
+    with pytest.raises(SelectionError, match="a CV fold has 1 target training rows"):
+        select_threshold(X, flags, ClassifierConfig(iterations=3), k=2, seed=7)
+
+
+def test_select_thresholds_across_pools_matches_each_pool(monkeypatch):
+    """Pools of different sizes selected together, with CV fits of several
+    pools sharing a kernel call, give each pool's select_threshold pick,
+    which fits its folds one per call."""
+    import refold.core
+
+    rng = np.random.default_rng(61)
+    X, flags = _separable_pool(rng, n_targets=70, n_outliers=40, d=3, radius=3.0)
+    pools = [np.sort(rng.choice(len(X), size=n, replace=False)) for n in (40, 41, 43, 47)]
+    seeds = [3, 5, 7, 11]
+    grid = tuple(np.linspace(0.3, 1.5, 25).tolist())
+    calls = []
+    fit_stack = refold.core.fit_stack
+    monkeypatch.setattr(refold.core, "fit_stack",
+                        lambda Z, *args: calls.append(len(Z)) or fit_stack(Z, *args))
+    for cfg in (ClassifierConfig(iterations=9), ClassifierConfig("sqr", 7, "l2"),
+                ClassifierConfig("tanh", 11, "l1")):
+        calls.clear()
+        each = [select_threshold(X[pool], flags[pool], cfg, grid, k=4, seed=seed)
+                for pool, seed in zip(pools, seeds)]
+        alone = len(calls)
+        assert set(calls) == {1}
+        calls.clear()
+        assert select_thresholds(X, pools, flags, cfg, grid, 4, seeds) == each
+        assert len(calls) < alone
