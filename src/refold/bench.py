@@ -14,12 +14,13 @@ A stratified plan gives every repetition of a task the same row counts, so
 the task's fits run as one stacked kernel call (core.fit_stack), which scores
 the test rows of the model and of its baseline in the same pass. Grid mode
 then selects thresholds (evaluation.select_thresholds), adding one call per
-group of threshold-CV fits sharing their fit and validation row counts. A
-stack larger than 8 MB is split into calls of at most that size. Each slice
-gets the arithmetic of a lone fit, so results are bit-identical to fitting
-repetition by repetition. A task whose stacked pass fails or warns is
-replayed one repetition at a time through the same path, so that it raises
-what the first failing repetition raises.
+group of threshold-CV fits sharing their fit and validation row counts. The
+test confusion counts of all repetitions of a variant come from one
+evaluation.confusion_counts call. A stack larger than 8 MB is split into
+calls of at most that size. Each slice gets the arithmetic of a lone fit, so
+results are bit-identical to fitting repetition by repetition. A task whose
+stacked pass fails or warns is replayed one repetition at a time through the
+same path, so that it raises what the first failing repetition raises.
 
 Seed streams, all derived from the master seed with refold.rng.derive_seed:
 split plan of task t -> (t, 1); threshold CV of task t repetition r ->
@@ -44,6 +45,7 @@ from .core import (
     DEFAULT_ITERATIONS,
     DEFAULT_THRESHOLD,
     _fit_rows,
+    check_threshold,
     train_ref,
 )
 from .datasets import Dataset, load_dataset, load_registry_dataset, registry, resolve_data_dir
@@ -55,13 +57,13 @@ from .evaluation import (
     DEFAULT_TRAIN_FRACTION,
     OccTask,
     check_grid,
-    confusion_from_scores,
+    confusion_counts,
     gmean,
     make_occ_tasks,
     make_split_plan,
     select_thresholds,
 )
-from .rng import GENERATOR_NAME, derive_seed
+from .rng import GENERATOR_NAME, check_seed, derive_seed
 from .textio import format_float as _fmt, read_text
 
 REPORT_VERSION = "refold-bench-report-v1"
@@ -104,8 +106,7 @@ class BenchSpec:
                 f"threshold_mode must be 'fixed' or 'grid', got {self.threshold_mode!r}"
             )
         # every field is checked in both modes: all of them go into the spec hash
-        if not self.threshold > 0:
-            raise ConfigError("threshold must be > 0")
+        check_threshold(self.threshold)
         check_grid(self.grid)
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
@@ -113,9 +114,7 @@ class BenchSpec:
             raise ConfigError("train_fraction must be in (0, 1)")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        # derive_seed works modulo 2**64; a seed outside would alias another
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be in 0..2**64-1")
+        check_seed(self.seed)
 
     @property
     def config(self) -> ClassifierConfig:
@@ -134,20 +133,21 @@ def _bool(v: str) -> bool:
     raise ConfigError(f"expected a boolean, got {v!r}")
 
 
-# spec key -> converter from its text value, in BenchSpec field order
+# spec key -> (converter from its text value, formatter of its value), in
+# BenchSpec field order; the parser and the canonical serializer share it
 _SPEC_FIELDS = {
-    "datasets": _list,
-    "fold": str,
-    "dist": str,
-    "iterations": int,
-    "threshold_mode": str,
-    "threshold": float,
-    "grid": lambda v: tuple(float(t) for t in _list(v)),
-    "cv_folds": int,
-    "train_fraction": float,
-    "repetitions": int,
-    "seed": int,
-    "include_base": _bool,
+    "datasets": (_list, ", ".join),
+    "fold": (str, str),
+    "dist": (str, str),
+    "iterations": (int, str),
+    "threshold_mode": (str, str),
+    "threshold": (float, _fmt),
+    "grid": (lambda v: tuple(float(t) for t in _list(v)), lambda g: ", ".join(map(_fmt, g))),
+    "cv_folds": (int, str),
+    "train_fraction": (float, _fmt),
+    "repetitions": (int, str),
+    "seed": (int, str),
+    "include_base": (_bool, lambda v: "true" if v else "false"),
 }
 
 
@@ -172,7 +172,7 @@ def parse_bench_spec(text: str) -> BenchSpec:
     try:
         kwargs = {
             key: convert(values[key])
-            for key, convert in _SPEC_FIELDS.items()
+            for key, (convert, _) in _SPEC_FIELDS.items()
             if key in values
         }
     except ValueError as exc:
@@ -186,21 +186,9 @@ def read_bench_spec(path) -> BenchSpec:
 
 def serialize_bench_spec(spec: BenchSpec) -> str:
     """Canonical textual form; its hash identifies the run in reports."""
-    lines = [
-        "datasets = " + ", ".join(spec.datasets),
-        f"fold = {spec.fold}",
-        f"dist = {spec.dist}",
-        f"iterations = {spec.iterations}",
-        f"threshold_mode = {spec.threshold_mode}",
-        f"threshold = {_fmt(spec.threshold)}",
-        "grid = " + ", ".join(_fmt(t) for t in spec.grid),
-        f"cv_folds = {spec.cv_folds}",
-        f"train_fraction = {_fmt(spec.train_fraction)}",
-        f"repetitions = {spec.repetitions}",
-        f"seed = {spec.seed}",
-        f"include_base = {'true' if spec.include_base else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {fmt(getattr(spec, key))}\n" for key, (_, fmt) in _SPEC_FIELDS.items()
+    )
 
 
 def spec_hash(spec: BenchSpec) -> str:
@@ -329,7 +317,7 @@ def _plan_arrays(spec: BenchSpec, ds: Dataset, task: OccTask, ordinal: int):
     seeds = [derive_seed(plan.seed, rep) for rep in range(plan.repetitions)]
     train = np.array([train for train, _ in plan.splits], dtype=np.intp)
     test = np.array([test for _, test in plan.splits], dtype=np.intp)
-    flags = np.array([lab == task.target_class for lab in ds.labels])
+    flags = ds.class_flags(task.target_class)
     return seeds, train, test, flags
 
 
@@ -414,25 +402,20 @@ def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
         )
         with _stage(seconds, "fit_score"):
             for name, records in runs.items():
-                for rep, rows in enumerate(test):
-                    threshold = thresholds[name][rep]
-                    result = gmean(
-                        confusion_from_scores(scores[name][rep], flags[rows], threshold)
-                    )
-                    records.append(
-                        RunRecord(
-                            model=name,
-                            task=task.name,
-                            repetition=rep + 1,
-                            split_seed=split_seeds[rep],
-                            threshold=threshold,
-                            tp=result.counts.tp,
-                            fn=result.counts.fn,
-                            tn=result.counts.tn,
-                            fp=result.counts.fp,
-                            gmean=result.gmean,
-                        )
-                    )
+                accepted = scores[name] <= np.asarray(thresholds[name])[:, np.newaxis]
+                for rep, counts in enumerate(confusion_counts(accepted, flags[test])):
+                    records.append(RunRecord(
+                        model=name,
+                        task=task.name,
+                        repetition=rep + 1,
+                        split_seed=split_seeds[rep],
+                        threshold=thresholds[name][rep],
+                        tp=counts.tp,
+                        fn=counts.fn,
+                        tn=counts.tn,
+                        fp=counts.fp,
+                        gmean=gmean(counts).gmean,
+                    ))
         timings.extend((task.name, stage, seconds[stage]) for stage in _TIMING_STAGES)
         for name, records in runs.items():
             gmeans = [100.0 * r.gmean for r in records[-spec.repetitions:]]
@@ -510,10 +493,8 @@ def learning_curve(
     depths = range(1, spec.iterations + 1)
     scores = _fit_rows(ds.features, fit[np.newaxis], rows[np.newaxis], spec.iterations,
                        spec.fold, depths, spec.dist)
-    gmeans = tuple(
-        gmean(confusion_from_scores(scores[d][0], flags[rows], spec.threshold)).gmean
-        for d in depths
-    )
+    accepted = np.array([scores[d][0] for d in depths]) <= spec.threshold
+    gmeans = tuple(gmean(counts).gmean for counts in confusion_counts(accepted, flags[rows]))
     return LearningCurve(
         task=task.name,
         repetition=repetition,
@@ -568,9 +549,7 @@ def timing_probe(
         raise ConfigError("probe sizes must all be >= 2")
     if dim < 1:
         raise ConfigError("probe dim must be >= 1")
-    # derive_seed works modulo 2**64; a seed outside would alias another
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must be in 0..2**64-1")
+    check_seed(seed)
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     rows = []

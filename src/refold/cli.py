@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .bench import learning_curve, read_bench_spec, run_benchmark, timing_probe
 from .core import (
     DEFAULT_DISTANCE,
@@ -24,6 +22,7 @@ from .core import (
     FOLD_OPS,
     TARGET,
     OUTLIER,
+    check_threshold,
     score,
     train_ref,
 )
@@ -92,16 +91,9 @@ def _load(args, labeled: bool = True):
 
 def _cmd_train(args) -> int:
     ds = _load(args)
+    X = ds.features
     if args.target_class is not None:
-        rows = [i for i, lab in enumerate(ds.labels) if lab == args.target_class]
-        if not rows:
-            raise ConfigError(
-                f"target class {args.target_class!r} not in dataset classes "
-                f"{ds.class_names}"
-            )
-        X = ds.features[rows]
-    else:
-        X = ds.features
+        X = X[ds.class_flags(args.target_class)]
     model = train_ref(X, iterations=args.iters, fold=args.fold)
     save_model(model, args.out)
     print(f"J={model.iterations} D={model.dim} N={len(X)}")
@@ -110,8 +102,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     threshold = args.threshold
-    if not threshold > 0:
-        raise ConfigError(f"threshold must be > 0, got {threshold}")
+    check_threshold(threshold)
     model = load_model(args.model)
     X = _load(args, labeled=False).features
     scores = score(X, model, args.dist)
@@ -123,15 +114,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if not args.threshold > 0:
-        raise ConfigError(f"threshold must be > 0, got {args.threshold}")
+    check_threshold(args.threshold)
     model = load_model(args.model)
     ds = _load(args)
-    if args.target_class not in ds.class_names:
-        raise ConfigError(
-            f"target class {args.target_class!r} not in dataset classes {ds.class_names}"
-        )
-    flags = np.array([lab == args.target_class for lab in ds.labels])
+    flags = ds.class_flags(args.target_class)
     scores = score(ds.features, model, args.dist)
     result = gmean(confusion_from_scores(scores, flags, args.threshold))
     c = result.counts

@@ -97,6 +97,12 @@ def _check_distance(dist: str) -> None:
         raise ConfigError(f"unknown distance {dist!r}; expected one of {DISTANCES}")
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a decision threshold that is not > 0, NaN included."""
+    if not threshold > 0:
+        raise ConfigError(f"threshold must be > 0, got {threshold}")
+
+
 # eq=False: a generated __eq__ would compare the arrays element-wise and
 # raise on their ambiguous truth value; models compare by identity instead
 @dataclass(frozen=True, eq=False)
@@ -301,9 +307,7 @@ def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD)
     Work and memory are linear in N * D per iteration; the model itself
     stores only the J step vectors. This is fit_stack on a stack of one.
     """
-    if not (isinstance(iterations, int) and iterations >= 1):
-        raise ConfigError("iterations must be an integer >= 1")
-    _check_fold(fold)
+    ClassifierConfig(fold, iterations)  # validates
     z, _ = _as_samples(X, "training data")
     mu = np.empty((iterations, 1, z.shape[1]))
     sigma = np.empty_like(mu)
@@ -381,8 +385,7 @@ def classify(
 ) -> Prediction:
     """Label one sample: target iff score <= threshold (inclusive)."""
     threshold = float(threshold)
-    if not (threshold > 0.0):
-        raise ConfigError(f"threshold must be > 0, got {threshold}")
+    check_threshold(threshold)
     s = score(y, model, dist)
     if not np.isscalar(s):
         raise ShapeError("classify takes a single sample; use score() for batches")

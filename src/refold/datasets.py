@@ -62,8 +62,6 @@ class Dataset:
     features: np.ndarray
     labels: tuple[str, ...]
     class_names: tuple[str, ...]
-    source: str
-    schema: DatasetSchema
     task_prefix: str = ""
 
     def __post_init__(self):
@@ -77,6 +75,14 @@ class Dataset:
     @property
     def n_dims(self) -> int:
         return self.features.shape[1]
+
+    def class_flags(self, name: str) -> np.ndarray:
+        """Per-row flags: True on the rows labeled `name`."""
+        if name not in self.class_names:
+            raise ConfigError(
+                f"target class {name!r} not in dataset classes {self.class_names}"
+            )
+        return np.array([lab == name for lab in self.labels])
 
 
 def load_dataset(
@@ -105,6 +111,10 @@ def load_dataset(
         raise DataFormatError(f"{path}: no data rows")
 
     width = len(lines[row_offset].split(schema.delimiter))
+    if header_names is not None and len(header_names) != width:
+        raise DataFormatError(
+            f"{path}: header has {len(header_names)} fields, first data row has {width}"
+        )
     label_idx = _resolve_label(schema, header_names, width, path)
     for c in schema.drop_columns:
         if not 0 <= c < width:
@@ -121,14 +131,15 @@ def load_dataset(
     labels = []
     if label_idx is not None:
         labels = [line.split(schema.delimiter)[label_idx].strip() for line in data]
+        if not all(labels):
+            lineno = labels.index("") + row_offset + 1
+            raise DataFormatError(f"{path}: row {lineno} column {label_idx}: blank label")
     matrix.setflags(write=False)
     return Dataset(
         name=name or os.path.splitext(os.path.basename(path))[0],
         features=matrix,
         labels=tuple(labels),
         class_names=tuple(dict.fromkeys(labels)),
-        source=path,
-        schema=schema,
         task_prefix=task_prefix,
     )
 

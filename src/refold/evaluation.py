@@ -139,19 +139,25 @@ def gmean(counts: ConfusionCounts) -> EvalResult:
     return EvalResult(counts=counts, tpr=tpr, tnr=tnr, gmean=math.sqrt(tpr * tnr))
 
 
+def confusion_counts(accepted: np.ndarray, is_target: np.ndarray) -> list[ConfusionCounts]:
+    """Confusion counts of every row of a (K, M) accepted mask against (M,)
+    or (K, M) target flags. Grid selection counts every CV fold, so only tp
+    and the accepted rows are counted; fp, fn and tn follow from the totals."""
+    # add.reduce, not count_nonzero, which wraps it in Python when given an axis
+    tp = np.add.reduce(accepted & is_target, axis=1, dtype=np.intp)
+    fp = np.add.reduce(accepted, axis=1, dtype=np.intp) - tp
+    pos = np.add.reduce(is_target, axis=-1, dtype=np.intp)
+    fn = pos - tp
+    tn = is_target.shape[-1] - pos - fp
+    return [ConfusionCounts(*c) for c in zip(tp.tolist(), fn.tolist(), tn.tolist(), fp.tolist())]
+
+
 def confusion_from_scores(
     scores: np.ndarray, is_target: np.ndarray, threshold: float
 ) -> ConfusionCounts:
     """Threshold scores inclusively (target iff score <= threshold)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    is_target = np.asarray(is_target, dtype=bool)
-    accepted = scores <= threshold
-    return ConfusionCounts(
-        tp=int(np.sum(accepted & is_target)),
-        fn=int(np.sum(~accepted & is_target)),
-        tn=int(np.sum(~accepted & ~is_target)),
-        fp=int(np.sum(accepted & ~is_target)),
-    )
+    accepted = np.asarray(scores, dtype=np.float64).reshape(1, -1) <= threshold
+    return confusion_counts(accepted, np.asarray(is_target, dtype=bool).reshape(-1))[0]
 
 
 def kfold(
@@ -224,14 +230,9 @@ def cv_folds(is_target: np.ndarray, k: int, seed: int = 0):
 
 
 def fold_gmeans(scores: np.ndarray, is_target: np.ndarray, grid) -> list[float]:
-    """Gmean of one validation fold's scores at every grid threshold: the
-    confusion_from_scores counts of each threshold, all in one pass."""
+    """Gmean of one validation fold's scores at every grid threshold."""
     accepted = scores <= np.asarray(grid)[:, np.newaxis]
-    tp = np.count_nonzero(accepted & is_target, axis=1).tolist()
-    fp = np.count_nonzero(accepted & ~is_target, axis=1).tolist()
-    pos = int(np.count_nonzero(is_target))
-    neg = len(is_target) - pos
-    return [gmean(ConfusionCounts(t, pos - t, neg - f, f)).gmean for t, f in zip(tp, fp)]
+    return [gmean(counts).gmean for counts in confusion_counts(accepted, is_target)]
 
 
 def best_threshold(per_fold: list[list[float]], grid) -> float:

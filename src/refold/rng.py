@@ -46,6 +46,12 @@ def derive_seed(seed: int, *path: int) -> int:
     return s
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed that derive_seed, working modulo 2**64, would alias."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError("seed must be in 0..2**64-1")
+
+
 class SplitMix64:
     """splitmix64 stream: state advances by the golden-ratio increment."""
 

@@ -3,13 +3,14 @@
 import hashlib
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from refold.bench import (
+    _SPEC_FIELDS,
     BenchSpec,
     learning_curve,
     mean_std,
@@ -104,6 +105,11 @@ def test_spec_fields_checked_in_both_modes(mode, line, message):
     # would reject or alias
     with pytest.raises(ConfigError, match=message):
         parse_bench_spec(f"datasets = iris\nthreshold_mode = {mode}\n{line}\n")
+
+
+def test_spec_table_lists_every_field_in_order():
+    # the parser and the serializer both walk this table
+    assert list(_SPEC_FIELDS) == [f.name for f in fields(BenchSpec)]
 
 
 def test_spec_seed_range_ends_accepted():

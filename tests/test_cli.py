@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refold.bench import BenchSpec
 from refold.cli import main
+from refold.core import RefModel, classify
+from refold.errors import ConfigError
 from refold.model_io import load_model
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -302,6 +305,53 @@ def test_threshold_checked_before_reading_files(tmp_path, capsys, command):
         argv += ["--target-class", "a"]
     line = single_error_line(capsys, main(argv), "ConfigError")
     assert line.endswith("ConfigError: threshold must be > 0, got 0.0")
+
+
+@pytest.mark.parametrize("caller", ["classify", "predict", "eval", "spec"])
+def test_threshold_zero_rejected_with_one_message(tmp_path, capsys, caller):
+    message = "threshold must be > 0, got 0.0"
+    if caller in ("predict", "eval"):
+        missing = str(tmp_path / "missing.csv")
+        argv = [caller, "--model", missing, "--data", missing, "--threshold", "0"]
+        if caller == "eval":
+            argv += ["--target-class", "a"]
+        line = single_error_line(capsys, main(argv), "ConfigError")
+        assert line == f"refold: error: ConfigError: {message}"
+        return
+    with pytest.raises(ConfigError) as exc:
+        if caller == "classify":
+            classify([0.5], RefModel([[0.0]], [[1.0]], "abs"), threshold=0)
+        else:
+            BenchSpec(datasets=("iris",), threshold=0.0)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_unknown_target_class_rejected_with_one_message(trained_model, capsys, command):
+    model_path, data = trained_model
+    capsys.readouterr()
+    argv = [command, "--data", data, "--target-class", "nope"]
+    argv += ["--out", model_path + ".new"] if command == "train" else ["--model", model_path]
+    line = single_error_line(capsys, main(argv), "ConfigError")
+    assert line.endswith("target class 'nope' not in dataset classes "
+                         "('setosa', 'versicolor', 'virginica')")
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("a,b,c,label\n1,2,3\n", ["--header", "--label-column", "label"],
+     "header has 4 fields, first data row has 3"),
+    ("a,label\n1,2,x\n", ["--header", "--label-column", "label"],
+     "header has 2 fields, first data row has 3"),
+    ("1,2,a\n1,2,\n", ["--target-class", ""], "row 2 column 2: blank label"),
+], ids=["wider-header", "narrower-header", "blank-label"])
+def test_header_width_and_blank_label_are_one_error_line(tmp_path, capsys, text, flags,
+                                                         message):
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    out = tmp_path / "m.refold"
+    rc = main(["train", "--data", str(data), *flags, "--out", str(out)])
+    assert single_error_line(capsys, rc, "DataFormatError").endswith(message)
+    assert not out.exists()
 
 
 def test_label_column_none_rejected_by_train_and_eval(trained_model, tmp_path, capsys):

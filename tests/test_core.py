@@ -193,6 +193,9 @@ def test_train_rejects_bad_inputs():
         train_ref([[1.0], [float("nan")]])
     with pytest.raises(ConfigError):
         train_ref([[1.0], [2.0]], fold="nope")
+    # ClassifierConfig's order: the fold is checked before the iterations
+    with pytest.raises(ConfigError, match="unknown fold"):
+        train_ref([[1.0], [2.0]], iterations=0, fold="nope")
 
 
 def test_model_stores_only_step_vectors():

@@ -53,6 +53,38 @@ def test_header_and_named_label(tmp_path):
     assert ds.n_dims == 2
 
 
+@pytest.mark.parametrize("text, fields, width", [
+    ("a,b,c,label\n1,2,3\n", 4, 3),  # wider: the label would index past the row
+    ("a,label\n1,2,x\n", 2, 3),  # narrower: the label would shift onto a feature
+], ids=["wider", "narrower"])
+def test_header_width_must_match_the_first_row(tmp_path, text, fields, width):
+    p = write(tmp_path, text)
+    with pytest.raises(DataFormatError,
+                       match=f"header has {fields} fields, first data row has {width}"):
+        load_dataset(p, DatasetSchema(header=True, label_column="label"))
+
+
+@pytest.mark.parametrize("row_parse", [False, True], ids=["one-pass", "row-by-row"])
+@pytest.mark.parametrize("text, header, row", [
+    ("1,2,a\n3,4, \n5,6,\n", False, 2),
+    ("h1,h2,h3\n1,2,a\n3,4,\n", True, 3),
+], ids=["no-header", "header"])
+def test_blank_label_rejected(tmp_path, monkeypatch, row_parse, text, header, row):
+    if row_parse:
+        monkeypatch.setattr(datasets, "_loadtxt", lambda *args: None)
+    p = write(tmp_path, text)
+    with pytest.raises(DataFormatError, match=f"row {row} column 2: blank label"):
+        load_dataset(p, DatasetSchema(header=header))
+
+
+def test_class_flags(tmp_path):
+    ds = load_dataset(write(tmp_path, "1,2,a\n3,4,b\n5,6,a\n"))
+    np.testing.assert_array_equal(ds.class_flags("a"), [True, False, True])
+    with pytest.raises(ConfigError,
+                       match=r"target class 'c' not in dataset classes \('a', 'b'\)"):
+        ds.class_flags("c")
+
+
 def test_alternative_delimiter(tmp_path):
     p = write(tmp_path, "1;2;a\n3;4;b\n")
     ds = load_dataset(p, DatasetSchema(delimiter=";"))

@@ -1,5 +1,5 @@
-"""Property tests for the text formats (bench specs, models and data files)
-and for the stacked fit kernel."""
+"""Property tests for the text formats (bench specs, models and data files),
+for the stacked fit kernel and for confusion counting."""
 
 import os
 import tempfile
@@ -17,6 +17,7 @@ from refold.core import DISTANCES, FOLD_OPS, RefModel, fit_stack, score, train_r
 from refold import datasets
 from refold.datasets import DatasetSchema, load_dataset
 from refold.errors import ConfigError, DataFormatError, ModelFormatError, NumericError
+from refold.evaluation import ConfusionCounts, confusion_counts
 from refold.model_io import FORMAT_VERSION, parse_model, serialize_model
 
 import oracle
@@ -361,3 +362,30 @@ def test_fit_stack_matches_per_slice_fits(case):
             for depth in depths:
                 want = score(Y[k], model.truncated(depth), dist)
                 assert scores[depth][k].tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------- confusion counting
+
+@st.composite
+def confusion_cases(draw):
+    """A (K, M) accepted mask and target flags shared by every row (M,) or
+    given per row (K, M)."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(0, 12))
+    flags_shape = draw(st.sampled_from(((m,), (k, m))))
+    return draw(arrays(bool, (k, m))), draw(arrays(bool, flags_shape))
+
+
+@PROPERTY_SETTINGS
+@given(confusion_cases())
+def test_confusion_counts_match_a_plain_count(case):
+    accepted, is_target = case
+    want = []
+    for row, flags in zip(accepted.tolist(), np.broadcast_to(is_target, accepted.shape).tolist()):
+        pairs = list(zip(row, flags))
+        want.append(ConfusionCounts(
+            tp=sum(a and t for a, t in pairs),
+            fn=sum(not a and t for a, t in pairs),
+            tn=sum(not a and not t for a, t in pairs),
+            fp=sum(a and not t for a, t in pairs),
+        ))
+    assert confusion_counts(accepted, is_target) == want
