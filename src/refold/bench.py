@@ -552,6 +552,7 @@ def timing_probe(
     check_seed(seed)
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    ClassifierConfig(iterations=iterations)  # validates before any matrix is drawn
     rows = []
     for i, n in enumerate(sizes):
         rng = np.random.default_rng(derive_seed(seed, i))

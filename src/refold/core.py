@@ -15,6 +15,11 @@ Numeric conventions, fixed as part of the model format:
     centered training values stay 0 there while test deviations still count.
   - Column reductions accumulate strictly left to right (running total), so
     results are bit-reproducible and match a plain loop transcription.
+
+fit_stack fits R models at once, rows-outer: their (N, D) matrices sit side
+by side as one (N, R * D) matrix, so each numpy call of a step spans all
+R * D columns. Non-finite working values show in the column totals, which a
+step computes anyway; only a non-finite total leads to a scan of the values.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ def _fold_matrix(op: str, z: np.ndarray, out: np.ndarray | None = None) -> np.nd
         return np.sin(z, out=out)
     if op == "tanh":
         return np.tanh(z, out=out)
-    raise ConfigError(f"unknown fold operation {op!r}; expected one of {FOLD_OPS}")
+    _check_fold(op)  # raises: no other name is a fold
 
 
 def _check_fold(op: str) -> None:
@@ -203,22 +208,6 @@ def _as_samples(
     return a, single
 
 
-def _fit_step(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-              scratch: np.ndarray) -> None:
-    """Write the column means and sample stds (N-1 divisor) of every slice of
-    the (R, N, D) stack z into the (R, 1, D) arrays mu and sigma; scratch is
-    a buffer shaped like z."""
-    n = z.shape[-2]
-    np.divide(_column_totals(z), n, out=mu[:, 0])
-    dev = np.subtract(z, mu, out=scratch)
-    # squared deviations may overflow for extreme magnitudes; the resulting
-    # non-finite std is sanitized to 1 just like the zero-variance case
-    with np.errstate(over="ignore"):
-        np.multiply(dev, dev, out=dev)
-        np.sqrt(_column_totals(dev) / (n - 1), out=sigma[:, 0])
-    sigma[~np.isfinite(sigma) | (sigma <= 0.0)] = 1.0
-
-
 def _replay_step(z: np.ndarray, mu, sigma, fold: str, i: int) -> np.ndarray:
     """Apply step i (0-based) of a model to the working samples z in place;
     cos_abs alone returns a new array, so callers use the returned one."""
@@ -242,16 +231,23 @@ def fit_stack(
 
     Z is a C-ordered float64 (R, N, D) stack of finite training rows, slice r
     holding the rows of fit r; Y, when given, is an (R, M, D) stack of rows
-    to score, slice r with model r. Both are overwritten. Returns, for every
-    depth in `depths` (each in 1..iterations), the (R, M) distances of Y
-    after that many steps: score(Y[r], model_r.truncated(depth), dist), bit
+    to score, slice r with model r. Both may be overwritten. Returns, for
+    every depth in `depths` (each in 1..iterations), the (R, M) distances of
+    Y after that many steps: score(Y[r], model_r.truncated(depth), dist), bit
     for bit. With params = (mu, sigma), two (iterations, R, D) arrays, the
     step vectors are written there, mu[i, r] being step i + 1 of fit r;
     otherwise no step is kept once the next one is computed.
 
     Every slice gets exactly the arithmetic of a lone fit, and a NumericError
     names the first iteration at which any slice goes non-finite.
+
+    The stacks are held rows-outer, as (N, R * D) and (M, R * D) matrices.
+    A step proves its values finite through its column totals: a non-finite
+    entry leaves its running total non-finite, and a finite total of squared
+    deviations bounds every standardized value by sqrt(N - 1). Only a
+    non-finite total leads to a scan.
     """
+    _check_fold(fold)
     _check_distance(dist)
     wanted = set(depths)
     if not wanted <= set(range(1, iterations + 1)):
@@ -259,35 +255,61 @@ def fit_stack(
     r, n, d = Z.shape
     if n < 2:
         raise InsufficientDataError(f"need at least 2 training samples, got {n}")
-    # one scratch buffer, and Z and Y updated in place, so no iteration
-    # allocates (R, N, D) temporaries and time stays linear in N after the
-    # stack outgrows the CPU cache
-    scratch = np.empty_like(Z)
-    mu = np.empty((r, 1, d))
-    sigma = np.empty_like(mu)
+    # rows-outer (a view when R = 1); Z and Y are updated in place and Z's
+    # old storage, when there is one, is the scratch buffer, so no iteration
+    # allocates and time stays linear in N beyond the CPU cache
+    work = np.ascontiguousarray(Z.transpose(1, 0, 2)).reshape(n, r * d)
+    scratch = Z.reshape(n, r * d) if r > 1 else np.empty_like(work)
+    Z = work
     last = max(wanted, default=0) if Y is not None else 0
+    if last:
+        m = Y.shape[1]
+        Y = np.ascontiguousarray(Y.transpose(1, 0, 2)).reshape(m, r * d)
+    mu = np.empty(r * d)
+    sigma = np.empty_like(mu)
     scores = {}
     for i in range(iterations):
-        if i > 0:
-            Z = _fold_matrix(fold, Z, out=Z)
-            if not np.isfinite(Z).all():
-                raise NumericError(f"non-finite working values at iteration {i + 1}")
-        _fit_step(Z, mu, sigma, scratch)
+        # the working values are finite before the fold, so only sqr's
+        # overflow can be suppressed here, and the totals catch it
+        with np.errstate(all="ignore"):
+            if i > 0:
+                Z = _fold_matrix(fold, Z, out=Z)
+            totals = _column_totals(Z)
+        if not np.isfinite(totals).all():
+            _check_finite(Z, i)
+            # finite values whose total overflows: sum again, so that the
+            # overflow warns as it would unsuppressed
+            totals = _column_totals(Z)
+        np.divide(totals, n, out=mu)
         np.subtract(Z, mu, out=Z)
-        np.divide(Z, sigma, out=Z)
-        if not np.isfinite(Z).all():
-            raise NumericError(f"non-finite working values at iteration {i + 1}")
-        if params is not None:
-            params[0][i] = mu[:, 0]
-            params[1][i] = sigma[:, 0]
-        if i < last:
-            # overflow to inf is a legitimate outcome for samples far outside
-            # the training data, as in transform_ref
-            with np.errstate(over="ignore"):
+        # squared deviations may overflow for extreme magnitudes; the resulting
+        # non-finite std is sanitized to 1 just like the zero-variance case.
+        # Z / sigma cannot overflow. In Y, overflow to inf is a legitimate
+        # outcome for samples far outside the training data, as in
+        # transform_ref.
+        with np.errstate(over="ignore"):
+            np.multiply(Z, Z, out=scratch)
+            np.sqrt(_column_totals(scratch) / (n - 1), out=sigma)
+            bounded = np.isfinite(sigma).all()
+            if not (bounded and sigma.all()):
+                sigma[~np.isfinite(sigma) | (sigma <= 0.0)] = 1.0
+            np.divide(Z, sigma, out=Z)
+            if not bounded:
+                _check_finite(Z, i)
+            if params is not None:
+                params[0][i] = mu.reshape(r, d)
+                params[1][i] = sigma.reshape(r, d)
+            if i < last:
                 Y = _replay_step(Y, mu, sigma, fold, i)
                 if i + 1 in wanted:
-                    scores[i + 1] = _distances(Y, dist)
+                    scores[i + 1] = np.ascontiguousarray(
+                        _distances(Y.reshape(m, r, d), dist).T)
     return scores
+
+
+def _check_finite(z: np.ndarray, i: int) -> None:
+    if not np.isfinite(z).all():
+        raise NumericError(f"non-finite working values at iteration {i + 1}")
 
 
 def _fit_rows(X, fit, rows, iterations, fold, depths, dist) -> dict[int, np.ndarray]:

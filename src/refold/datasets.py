@@ -130,7 +130,13 @@ def load_dataset(
         matrix = _parse_rows(data, schema.delimiter, width, cols, path, row_offset)
     labels = []
     if label_idx is not None:
-        labels = [line.split(schema.delimiter)[label_idx].strip() for line in data]
+        # every row has `width` fields by now, so one split bounded at the
+        # label column, from the nearer end, isolates the label cell
+        d, after = schema.delimiter, width - 1 - label_idx
+        if label_idx <= after:
+            labels = [line.split(d, label_idx + 1)[label_idx].strip() for line in data]
+        else:
+            labels = [line.rsplit(d, after + 1)[-after - 1].strip() for line in data]
         if not all(labels):
             lineno = labels.index("") + row_offset + 1
             raise DataFormatError(f"{path}: row {lineno} column {label_idx}: blank label")

@@ -101,8 +101,9 @@ def make_split_plan(
         raise ConfigError(f"train fraction must be in (0, 1), got {train_fraction}")
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
-    target_idx = [i for i, lab in enumerate(labels) if lab == target_class]
-    outlier_idx = [i for i, lab in enumerate(labels) if lab != target_class]
+    target_idx, outlier_idx = [], []
+    for i, lab in enumerate(labels):
+        (target_idx if lab == target_class else outlier_idx).append(i)
     if not target_idx:
         raise ConfigError(f"target class {target_class!r} has no samples")
     if not outlier_idx:

@@ -536,6 +536,15 @@ def test_probe_rejects_degenerate_sizes():
         timing_probe([100], repeats=0)
 
 
+def test_probe_checks_iterations_before_drawing_data(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("probe data generated before iterations was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ConfigError, match="iterations must be an integer >= 1"):
+        timing_probe([400_000], iterations=0)
+
+
 def test_probe_synthetic_inputs_reproducible():
     # same seed, same sizes: identical training results imply identical inputs
     import numpy as np

@@ -16,6 +16,7 @@ from refold.core import (
     RefModel,
     classify,
     distance_to_origin,
+    fit_stack,
     score,
     train_base,
     train_ref,
@@ -26,6 +27,7 @@ from refold.errors import (
     ConfigError,
     InsufficientDataError,
     InvalidInputError,
+    NumericError,
     ShapeError,
 )
 
@@ -587,6 +589,40 @@ def test_sigma_overflow_sanitized_to_one():
     mu, sigma = first_step([[1e200], [-1e200]])
     assert mu[0] == 0.0
     assert sigma[0] == 1.0
+
+
+@pytest.mark.parametrize("X, fold, warned, iteration", [
+    # the first column's total overflows
+    ([[1e308, 1], [1e308, 2], [0, 3]], "abs", ["overflow encountered in reduce"], 1),
+    # the total is finite, a deviation from the mean overflows
+    ([[1.7e308, 1], [-1.7e308, 2], [-1.7e308, 3], [0, 4]], "abs",
+     ["overflow encountered in subtract"], 1),
+    # the squared deviations overflow (std sanitized to 1), then the fold does
+    ([[1e200, 1], [0, 2], [0, 3]], "sqr", [], 2),
+], ids=["total", "deviation", "fold"])
+def test_overflow_warnings_and_first_error(X, fold, warned, iteration):
+    """Which overflow warns, how often, and where the fit fails: the
+    finite-value check through column totals must not change either."""
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError) as exc:
+            train_ref(np.array(X), 5, fold)
+    assert [str(w.message) for w in caught] == warned
+    assert str(exc.value) == f"non-finite working values at iteration {iteration}"
+
+
+def test_fit_stack_checks_fold_before_any_work():
+    Z = np.random.default_rng(2).normal(size=(3, 5, 2))
+    before = Z.copy()
+    for iterations in (1, 3):
+        with pytest.raises(ConfigError, match="unknown fold operation 'nope'"):
+            fit_stack(Z, iterations, "nope")
+    # the fold is checked before the size, and Z (its storage is the kernel's
+    # scratch buffer) is untouched
+    with pytest.raises(ConfigError, match="unknown fold"):
+        fit_stack(np.zeros((2, 1, 2)), 3, "nope")
+    np.testing.assert_array_equal(Z, before)
 
 
 def test_concurrent_scoring_is_safe():

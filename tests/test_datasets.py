@@ -53,6 +53,23 @@ def test_header_and_named_label(tmp_path):
     assert ds.n_dims == 2
 
 
+@pytest.mark.parametrize("label_column", [0, 1, 2, 3, 4, -1, -3, -5])
+def test_label_cell_from_either_end(tmp_path, label_column):
+    """The label is the cell a full split of the row gives, whichever end of
+    the row it is taken from, and a blank one names its row and column."""
+    rows = [[str(10 * r + c) for c in range(5)] for r in range(3)]
+    for row, label in zip(rows, [" x ", "y", "z"]):
+        row[label_column] = label
+    p = write(tmp_path, "".join(",".join(row) + "\n" for row in rows))
+    ds = load_dataset(p, DatasetSchema(label_column=label_column))
+    assert ds.labels == ("x", "y", "z")
+    assert ds.features[1].tolist() == [10 + c for c in range(5) if c != label_column % 5]
+    rows[1][label_column] = " "
+    p = write(tmp_path, "".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(DataFormatError, match=f"row 2 column {label_column % 5}: blank label"):
+        load_dataset(p, DatasetSchema(label_column=label_column))
+
+
 @pytest.mark.parametrize("text, fields, width", [
     ("a,b,c,label\n1,2,3\n", 4, 3),  # wider: the label would index past the row
     ("a,label\n1,2,x\n", 2, 3),  # narrower: the label would shift onto a feature

@@ -309,7 +309,8 @@ def test_matches_oracle_over_generated_shapes(case):
 @st.composite
 def kernel_cases(draw):
     """A stack of fits and rows to score, with constant columns, and at
-    times one slice holding a 1e200 entry, which overflows under sqr."""
+    times one slice holding a 1e200 entry, which overflows under sqr, or a
+    column of +-1.7e308 entries, whose total or deviations overflow."""
     r, n, d, m = (draw(st.integers(1, 4)), draw(st.integers(2, 40)),
                   draw(st.integers(1, 4)), draw(st.integers(1, 5)))
     values = st.floats(-1e3, 1e3)
@@ -320,6 +321,9 @@ def kernel_cases(draw):
             Z[:, :, j] = Z[:, :1, j]
     if draw(st.booleans()):
         Z[draw(st.integers(0, r - 1)), 0, draw(st.integers(0, d - 1))] = 1e200
+    if draw(st.integers(0, 3)) == 0:
+        column = draw(st.lists(st.sampled_from((1.7e308, -1.7e308)), min_size=n, max_size=n))
+        Z[draw(st.integers(0, r - 1)), :, draw(st.integers(0, d - 1))] = column
     fold = draw(st.sampled_from(FOLD_OPS))
     iterations = draw(st.integers(1, 6))
     depths = draw(st.sets(st.integers(1, iterations), min_size=1))
