@@ -14,9 +14,10 @@ A stratified plan gives every repetition of a task the same row counts, so
 the task's fits run as one stacked kernel call (core.fit_stack), which scores
 the test rows of the model and of its baseline in the same pass. Grid mode
 then selects thresholds (evaluation.select_thresholds), adding one call per
-group of threshold-CV fits sharing their fit and validation row counts. The
-test confusion counts of all repetitions of a variant come from one
-evaluation.confusion_counts call. A stack larger than 8 MB is split into
+group of threshold-CV fits sharing their fit and validation row counts, each
+scored as one folds x thresholds Gmean table. The test counts and Gmeans of
+all repetitions of a variant come from one evaluation.confusion_counts and
+one evaluation.gmeans call. A stack larger than 8 MB is split into
 calls of at most that size. Each slice gets the arithmetic of a lone fit, so
 results are bit-identical to fitting repetition by repetition. A task whose
 stacked pass fails or warns is replayed one repetition at a time through the
@@ -56,9 +57,12 @@ from .evaluation import (
     DEFAULT_THRESHOLD_GRID,
     DEFAULT_TRAIN_FRACTION,
     OccTask,
+    check_cv_folds,
     check_grid,
+    check_repetitions,
+    check_train_fraction,
     confusion_counts,
-    gmean,
+    gmeans,
     make_occ_tasks,
     make_split_plan,
     select_thresholds,
@@ -108,12 +112,9 @@ class BenchSpec:
         # every field is checked in both modes: all of them go into the spec hash
         check_threshold(self.threshold)
         check_grid(self.grid)
-        if self.cv_folds < 2:
-            raise ConfigError("cv_folds must be >= 2")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must be in (0, 1)")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
+        check_cv_folds(self.cv_folds)
+        check_train_fraction(self.train_fraction)
+        check_repetitions(self.repetitions)
         check_seed(self.seed)
 
     @property
@@ -403,23 +404,19 @@ def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
         with _stage(seconds, "fit_score"):
             for name, records in runs.items():
                 accepted = scores[name] <= np.asarray(thresholds[name])[:, np.newaxis]
-                for rep, counts in enumerate(confusion_counts(accepted, flags[test])):
+                counts = confusion_counts(accepted, flags[test])
+                _, _, gmean_of = gmeans(counts)
+                for rep, ((tp, fn, tn, fp), g) in enumerate(zip(counts.tolist(),
+                                                                gmean_of.tolist())):
                     records.append(RunRecord(
-                        model=name,
-                        task=task.name,
-                        repetition=rep + 1,
-                        split_seed=split_seeds[rep],
-                        threshold=thresholds[name][rep],
-                        tp=counts.tp,
-                        fn=counts.fn,
-                        tn=counts.tn,
-                        fp=counts.fp,
-                        gmean=gmean(counts).gmean,
+                        model=name, task=task.name, repetition=rep + 1,
+                        split_seed=split_seeds[rep], threshold=thresholds[name][rep],
+                        tp=tp, fn=fn, tn=tn, fp=fp, gmean=g,
                     ))
         timings.extend((task.name, stage, seconds[stage]) for stage in _TIMING_STAGES)
         for name, records in runs.items():
-            gmeans = [100.0 * r.gmean for r in records[-spec.repetitions:]]
-            summaries[name].append(TaskSummary(name, task.name, *mean_std(gmeans)))
+            pct = [100.0 * r.gmean for r in records[-spec.repetitions:]]
+            summaries[name].append(TaskSummary(name, task.name, *mean_std(pct)))
     for name, per_task in summaries.items():
         # overall row: unweighted mean over tasks, in both columns
         overall_mean = sum(s.mean_pct for s in per_task) / len(per_task)
@@ -494,13 +491,13 @@ def learning_curve(
     scores = _fit_rows(ds.features, fit[np.newaxis], rows[np.newaxis], spec.iterations,
                        spec.fold, depths, spec.dist)
     accepted = np.array([scores[d][0] for d in depths]) <= spec.threshold
-    gmeans = tuple(gmean(counts).gmean for counts in confusion_counts(accepted, flags[rows]))
+    _, _, curve = gmeans(confusion_counts(accepted, flags[rows]))
     return LearningCurve(
         task=task.name,
         repetition=repetition,
         threshold=spec.threshold,
         dist=spec.dist,
-        gmeans=gmeans,
+        gmeans=tuple(curve.tolist()),
     )
 
 

@@ -35,7 +35,7 @@ from .datasets import (
 from .errors import ConfigError, RefoldError
 from .evaluation import confusion_from_scores, gmean
 from .model_io import load_model, save_model
-from .textio import write_text
+from .textio import write_stdout, write_text
 
 
 def _add_schema_flags(parser, label_default: str):
@@ -96,7 +96,7 @@ def _cmd_train(args) -> int:
         X = X[ds.class_flags(args.target_class)]
     model = train_ref(X, iterations=args.iters, fold=args.fold)
     save_model(model, args.out)
-    print(f"J={model.iterations} D={model.dim} N={len(X)}")
+    write_stdout(f"J={model.iterations} D={model.dim} N={len(X)}\n")
     return 0
 
 
@@ -106,7 +106,7 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     X = _load(args, labeled=False).features
     scores = score(X, model, args.dist)
-    sys.stdout.write("".join(
+    write_stdout("".join(
         "%d %.17g %s\n" % (i, s, TARGET if s <= threshold else OUTLIER)
         for i, s in enumerate(scores.tolist())
     ))
@@ -121,8 +121,8 @@ def _cmd_eval(args) -> int:
     scores = score(ds.features, model, args.dist)
     result = gmean(confusion_from_scores(scores, flags, args.threshold))
     c = result.counts
-    print(
-        "tp=%d fn=%d tn=%d fp=%d tpr=%.17g tnr=%.17g gmean=%.17g"
+    write_stdout(
+        "tp=%d fn=%d tn=%d fp=%d tpr=%.17g tnr=%.17g gmean=%.17g\n"
         % (c.tp, c.fn, c.tn, c.fp, result.tpr, result.tnr, result.gmean)
     )
     return 0
@@ -133,7 +133,7 @@ def _cmd_bench(args) -> int:
     report = run_benchmark(spec, data_dir=args.data_dir)
     out = args.out or args.spec + ".report.csv"
     write_text(out, report.text())
-    print(out)
+    write_stdout(out + "\n")
     return 0
 
 
@@ -142,7 +142,7 @@ def _cmd_curve(args) -> int:
     curve = learning_curve(spec, args.task, args.rep, data_dir=args.data_dir)
     out = args.out or f"{args.spec}.{args.task}.rep{args.rep}.curve.csv"
     write_text(out, curve.text())
-    print(out)
+    write_stdout(out + "\n")
     return 0
 
 
@@ -153,7 +153,7 @@ def _cmd_probe(args) -> int:
         repeats=args.repeats,
     )
     write_text(args.out, report.text())
-    print(args.out)
+    write_stdout(args.out + "\n")
     return 0
 
 

@@ -7,13 +7,15 @@ Gmean = sqrt(TPR * TNR). When outlier rows are present in the training pool
 they are never used to fit the classifier, only to pick the decision
 threshold by k-fold cross-validation over a fixed candidate grid.
 
+Metrics run on count arrays: confusion_counts gives (tp, fn, tn, fp) along a
+mask's last axis and gmeans holds the one Gmean rule, exact below 2**53.
+
 All randomness flows through the splitmix64 helpers in refold.rng, so every
 split is a pure function of (inputs, seed).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,6 +91,21 @@ def make_occ_tasks(dataset) -> list[OccTask]:
     ]
 
 
+def check_train_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"train_fraction must be in (0, 1), got {fraction}")
+
+
+def check_repetitions(repetitions: int) -> None:
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+
+
+def check_cv_folds(k: int) -> None:
+    if k < 2:
+        raise ConfigError(f"cv_folds must be >= 2, got {k}")
+
+
 def make_split_plan(
     labels: Sequence[str],
     target_class: str,
@@ -97,10 +114,8 @@ def make_split_plan(
     seed: int = 0,
 ) -> SplitPlan:
     """Stratified train/test index splits for one task."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train fraction must be in (0, 1), got {train_fraction}")
-    if repetitions < 1:
-        raise ConfigError("repetitions must be >= 1")
+    check_train_fraction(train_fraction)
+    check_repetitions(repetitions)
     target_idx, outlier_idx = [], []
     for i, lab in enumerate(labels):
         (target_idx if lab == target_class else outlier_idx).append(i)
@@ -127,38 +142,47 @@ def make_split_plan(
     )
 
 
-def gmean(counts: ConfusionCounts) -> EvalResult:
-    """TPR, TNR and their geometric mean; needs both classes in the test set."""
-    pos = counts.tp + counts.fn
-    neg = counts.tn + counts.fp
-    if pos == 0:
-        raise EvaluationError("no target samples in the test set; Gmean undefined")
-    if neg == 0:
-        raise EvaluationError("no outlier samples in the test set; Gmean undefined")
-    tpr = counts.tp / pos
-    tnr = counts.tn / neg
-    return EvalResult(counts=counts, tpr=tpr, tnr=tnr, gmean=math.sqrt(tpr * tnr))
-
-
-def confusion_counts(accepted: np.ndarray, is_target: np.ndarray) -> list[ConfusionCounts]:
-    """Confusion counts of every row of a (K, M) accepted mask against (M,)
-    or (K, M) target flags. Grid selection counts every CV fold, so only tp
-    and the accepted rows are counted; fp, fn and tn follow from the totals."""
+def confusion_counts(accepted: np.ndarray, is_target: np.ndarray) -> np.ndarray:
+    """Integer (..., 4) array of (tp, fn, tn, fp): the counts of an accepted
+    mask along its last axis, against target flags that broadcast against
+    the mask. Only tp and the accepted rows are counted; fn, tn and fp follow
+    from the totals."""
+    is_target = np.broadcast_to(is_target, accepted.shape)
     # add.reduce, not count_nonzero, which wraps it in Python when given an axis
-    tp = np.add.reduce(accepted & is_target, axis=1, dtype=np.intp)
-    fp = np.add.reduce(accepted, axis=1, dtype=np.intp) - tp
+    tp = np.add.reduce(accepted & is_target, axis=-1, dtype=np.intp)
+    fp = np.add.reduce(accepted, axis=-1, dtype=np.intp) - tp
     pos = np.add.reduce(is_target, axis=-1, dtype=np.intp)
-    fn = pos - tp
-    tn = is_target.shape[-1] - pos - fp
-    return [ConfusionCounts(*c) for c in zip(tp.tolist(), fn.tolist(), tn.tolist(), fp.tolist())]
+    return np.stack([tp, pos - tp, accepted.shape[-1] - pos - fp, fp], axis=-1)
+
+
+def gmeans(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """TPR, TNR and Gmean = sqrt(TPR * TNR) of every (tp, fn, tn, fp) row of
+    counts; needs targets and outliers in every row."""
+    tp, fn, tn, fp = np.moveaxis(counts, -1, 0)
+    pos = tp + fn
+    neg = tn + fp
+    if not pos.all():
+        raise EvaluationError("no target samples in the test set; Gmean undefined")
+    if not neg.all():
+        raise EvaluationError("no outlier samples in the test set; Gmean undefined")
+    tpr = tp / pos
+    tnr = tn / neg
+    return tpr, tnr, np.sqrt(tpr * tnr)
+
+
+def gmean(counts: ConfusionCounts) -> EvalResult:
+    """gmeans of one set of counts, each below 2**53."""
+    tpr, tnr, g = gmeans(np.array([counts.tp, counts.fn, counts.tn, counts.fp]))
+    return EvalResult(counts=counts, tpr=float(tpr), tnr=float(tnr), gmean=float(g))
 
 
 def confusion_from_scores(
     scores: np.ndarray, is_target: np.ndarray, threshold: float
 ) -> ConfusionCounts:
     """Threshold scores inclusively (target iff score <= threshold)."""
-    accepted = np.asarray(scores, dtype=np.float64).reshape(1, -1) <= threshold
-    return confusion_counts(accepted, np.asarray(is_target, dtype=bool).reshape(-1))[0]
+    accepted = np.asarray(scores, dtype=np.float64).reshape(-1) <= threshold
+    counts = confusion_counts(accepted, np.asarray(is_target, dtype=bool).reshape(-1))
+    return ConfusionCounts(*counts.tolist())
 
 
 def kfold(
@@ -170,8 +194,7 @@ def kfold(
     extra element.
     """
     items = list(indices)
-    if k < 2:
-        raise ConfigError("k-fold needs k >= 2")
+    check_cv_folds(k)
     if k > len(items):
         raise ConfigError(f"cannot make {k} folds from {len(items)} items")
     rng = SplitMix64(seed)
@@ -230,12 +253,6 @@ def cv_folds(is_target: np.ndarray, k: int, seed: int = 0):
         yield fit, val
 
 
-def fold_gmeans(scores: np.ndarray, is_target: np.ndarray, grid) -> list[float]:
-    """Gmean of one validation fold's scores at every grid threshold."""
-    accepted = scores <= np.asarray(grid)[:, np.newaxis]
-    return [gmean(counts).gmean for counts in confusion_counts(accepted, is_target)]
-
-
 def best_threshold(per_fold: list[list[float]], grid) -> float:
     """The grid threshold with the highest mean Gmean over the folds.
 
@@ -243,6 +260,7 @@ def best_threshold(per_fold: list[list[float]], grid) -> float:
     """
     if not per_fold:
         raise SelectionError("no CV fold had both classes in its validation set")
+    # Python's sum adds left to right; np.mean would reorder the additions
     means = [sum(col) / len(per_fold) for col in zip(*per_fold)]
     best = max(zip(grid, means), key=lambda tm: (tm[1], -abs(tm[0] - 1.0), tm[0]))
     return best[0]
@@ -262,13 +280,17 @@ def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> lis
             groups.setdefault(key, []).append((p, f))
     per_fold = [[None] * len(pool_folds) for pool_folds in folds]
     depth = config.iterations
+    thresholds = np.asarray(grid)[:, np.newaxis]
     for members in groups.values():
         fit = np.array([pools[p][folds[p][f][0]] for p, f in members])
         val = np.array([pools[p][folds[p][f][1]] for p, f in members])
         scores = _fit_rows(features, fit, val, depth, config.fold, (depth,), config.dist)[depth]
-        for (p, f), s, rows in zip(members, scores, val):
-            per_fold[p][f] = fold_gmeans(s, is_target[rows], grid)
-    return [best_threshold(gmeans, grid) for gmeans in per_fold]
+        # (folds, thresholds, validation rows) accepted mask -> folds x thresholds Gmean
+        _, _, table = gmeans(confusion_counts(scores[:, np.newaxis] <= thresholds,
+                                              is_target[val][:, np.newaxis]))
+        for (p, f), row in zip(members, table.tolist()):
+            per_fold[p][f] = row
+    return [best_threshold(rows, grid) for rows in per_fold]
 
 
 def select_threshold(

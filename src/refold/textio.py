@@ -1,11 +1,12 @@
 """UTF-8 text files with LF line endings; floats written at 17 significant
 digits and read back under one strict token rule.
 
-Read and write failures raise RefoldError subclasses that name the path."""
+Failed reads and writes raise RefoldError subclasses naming the path or stdout."""
 
 from __future__ import annotations
 
 import os
+import sys
 
 from .errors import OutputError, RefoldError
 
@@ -50,3 +51,18 @@ def write_text(path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def write_stdout(text: str) -> None:
+    """Write and flush text on stdout; failures raise OutputError."""
+    if sys.stdout is None:  # the process started with file descriptor 1 closed
+        raise OutputError("cannot write to stdout: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # text left in the buffer would fail again at exit: send it to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise OutputError(f"cannot write to stdout: {exc.strerror or exc}") from None

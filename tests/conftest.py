@@ -1,5 +1,6 @@
 """Shared fixtures: repository paths and synthetic benchmark datasets."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,18 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
+
+
+# hypothesis imports this module only to report a falsifying example. Its
+# libcst import raises a DeprecationWarning (mypy_extensions.TypedDict), which
+# the error filter below turns into an INTERNALERROR that ends the session
+# before the example prints. Importing it once here keeps the report working.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def pytest_configure(config):

@@ -1,6 +1,7 @@
 """CLI tests: flag surface, output formats, exit codes."""
 
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -420,6 +421,76 @@ def test_out_in_missing_directory_is_an_output_error(tmp_path, capsys):
     rc = main(["bench", "--spec", str(spec), "--data-dir", str(tmp_path),
                "--out", str(out)])
     assert str(out) in single_error_line(capsys, rc, "OutputError")
+
+
+# ----------------------------------------------------------- stdout failures
+
+def _stdout_command(command, tmp_path):
+    """Arguments of a cheap run of `command` that succeeds and prints."""
+    data = write_iris_subset(tmp_path)
+    model = tmp_path / "m.refold"
+    spec = tmp_path / "iris.spec"
+    if command in ("predict", "eval"):
+        assert main(["train", "--data", data, "--target-class", "setosa", "--iters", "3",
+                     "--out", str(model)]) == 0
+    spec.write_text("datasets = iris\niterations = 3\nrepetitions = 1\n", encoding="utf-8")
+    return {
+        "train": ["train", "--data", data, "--target-class", "setosa", "--iters", "3",
+                  "--out", model],
+        "predict": ["predict", "--model", model, "--data", data, "--label-column", "last"],
+        "eval": ["eval", "--model", model, "--data", data, "--target-class", "setosa"],
+        "bench": ["bench", "--spec", spec, "--data-dir", tmp_path],
+        "curve": ["curve", "--spec", spec, "--task", "Iris1", "--rep", "1",
+                  "--data-dir", tmp_path],
+        "probe": ["probe", "--sizes", "2,3", "--iters", "1", "--repeats", "1",
+                  "--out", tmp_path / "probe.csv"],
+    }[command]
+
+
+def assert_stdout_error(args, stdout, prefix=()):
+    """Run the CLI in a child process with the given stdout: one error line
+    on stderr, exit 1, no traceback and no report from the exit-time flush."""
+    proc = subprocess.run(
+        [*prefix, sys.executable, "-m", "refold", *map(str, args)],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=str(REPO_ROOT),
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("refold: error: OutputError: cannot write to stdout: ")
+    return lines[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["train", "predict", "eval", "bench", "curve", "probe"])
+def test_stdout_on_a_full_device_is_an_output_error(tmp_path, command):
+    args = _stdout_command(command, tmp_path)
+    with open("/dev/full", "w") as full:
+        line = assert_stdout_error(args, full)
+    assert line.endswith("No space left on device")
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_stdout_into_a_closed_pipe_is_an_output_error(tmp_path, command):
+    # train's one short line waits in the buffer and fails at the flush;
+    # predict's rows fail at the write
+    args = _stdout_command(command, tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        line = assert_stdout_error(args, write_end)
+    finally:
+        os.close(write_end)
+    assert line.endswith("Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_closed_stdout_is_an_output_error(tmp_path, command):
+    args = _stdout_command(command, tmp_path)
+    close_stdout = ("/bin/sh", "-c", 'exec "$@" >&-', "sh")
+    line = assert_stdout_error(args, None, close_stdout)
+    assert line.endswith("it is closed")
 
 
 # -------------------------------------------------------------------- probe

@@ -120,6 +120,24 @@ def test_split_plan_errors():
         make_split_plan(["t"] * 5, "t")  # no outliers at all
 
 
+@pytest.mark.parametrize("field, value, message, direct", [
+    ("train_fraction", 1.0, "train_fraction must be in (0, 1), got 1.0",
+     lambda v: make_split_plan(["t", "o"], "t", train_fraction=v)),
+    ("repetitions", 0, "repetitions must be >= 1, got 0",
+     lambda v: make_split_plan(["t", "o"], "t", repetitions=v)),
+    ("cv_folds", 1, "cv_folds must be >= 2, got 1", lambda v: kfold(range(4), v)),
+])
+def test_protocol_rules_give_one_message(field, value, message, direct):
+    # a spec and the protocol function it configures reject a value alike
+    from refold.bench import BenchSpec
+
+    with pytest.raises(ConfigError) as from_spec:
+        BenchSpec(datasets=("iris",), **{field: value})
+    with pytest.raises(ConfigError) as from_protocol:
+        direct(value)
+    assert str(from_spec.value) == str(from_protocol.value) == message
+
+
 # -------------------------------------------------------------------- gmean
 
 def test_gmean_perfect():

@@ -1,8 +1,15 @@
 """Property tests for the text formats (bench specs, models and data files),
-for the stacked fit kernel and for confusion counting."""
+for the stacked fit kernel, for confusion counting, Gmean and threshold
+selection, and a check that a failing property test reports its example."""
 
+import math
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +21,21 @@ from hypothesis.extra.numpy import arrays
 
 from refold.bench import BenchSpec, parse_bench_spec, serialize_bench_spec
 from refold.core import DISTANCES, FOLD_OPS, RefModel, fit_stack, score, train_ref
-from refold import datasets
+from refold import datasets, evaluation
 from refold.datasets import DatasetSchema, load_dataset
-from refold.errors import ConfigError, DataFormatError, ModelFormatError, NumericError
-from refold.evaluation import ConfusionCounts, confusion_counts
+from refold.core import ClassifierConfig
+from refold.errors import (ConfigError, DataFormatError, EvaluationError, ModelFormatError,
+                           NumericError, SelectionError)
+from refold.evaluation import (
+    ConfusionCounts,
+    best_threshold,
+    confusion_counts,
+    confusion_from_scores,
+    cv_folds,
+    gmean,
+    gmeans,
+    select_thresholds,
+)
 from refold.model_io import FORMAT_VERSION, parse_model, serialize_model
 
 import oracle
@@ -379,17 +397,166 @@ def confusion_cases(draw):
     return draw(arrays(bool, (k, m))), draw(arrays(bool, flags_shape))
 
 
+def plain_counts(row, flags):
+    pairs = list(zip(row, flags))
+    return [
+        sum(a and t for a, t in pairs),
+        sum(not a and t for a, t in pairs),
+        sum(not a and not t for a, t in pairs),
+        sum(a and not t for a, t in pairs),
+    ]
+
+
 @PROPERTY_SETTINGS
 @given(confusion_cases())
 def test_confusion_counts_match_a_plain_count(case):
     accepted, is_target = case
-    want = []
-    for row, flags in zip(accepted.tolist(), np.broadcast_to(is_target, accepted.shape).tolist()):
-        pairs = list(zip(row, flags))
-        want.append(ConfusionCounts(
-            tp=sum(a and t for a, t in pairs),
-            fn=sum(not a and t for a, t in pairs),
-            tn=sum(not a and not t for a, t in pairs),
-            fp=sum(a and not t for a, t in pairs),
-        ))
-    assert confusion_counts(accepted, is_target) == want
+    want = [plain_counts(row, flags) for row, flags in
+            zip(accepted.tolist(), np.broadcast_to(is_target, accepted.shape).tolist())]
+    got = confusion_counts(accepted, is_target)
+    assert got.dtype.kind == "i"
+    assert np.array_equal(got, np.array(want, dtype=np.intp).reshape(len(accepted), 4))
+
+
+@st.composite
+def fold_threshold_masks(draw):
+    """A (F, G, M) accepted mask, as grid selection builds for F folds and G
+    thresholds, with flags per fold (F, 1, M) or shared (M,)."""
+    f, g, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 10))
+    flags_shape = draw(st.sampled_from(((f, 1, m), (m,))))
+    return draw(arrays(bool, (f, g, m))), draw(arrays(bool, flags_shape))
+
+
+@PROPERTY_SETTINGS
+@given(fold_threshold_masks())
+def test_confusion_counts_over_fold_threshold_masks(case):
+    accepted, is_target = case
+    flags = np.broadcast_to(is_target, accepted.shape)
+    got = confusion_counts(accepted, is_target)
+    assert got.shape == accepted.shape[:2] + (4,)
+    for f, g in np.ndindex(*accepted.shape[:2]):
+        assert got[f, g].tolist() == plain_counts(accepted[f, g].tolist(), flags[f, g].tolist())
+
+
+# below 2**53 every count and every class total converts to float64 exactly
+class_totals = st.integers(0, 2**53 - 1)
+
+
+@st.composite
+def count_rows(draw):
+    """(tp, fn, tn, fp) with both class totals below 2**53; a total is
+    sometimes 0."""
+    pos, neg = draw(class_totals), draw(class_totals)
+    tp, tn = draw(st.integers(0, pos)), draw(st.integers(0, neg))
+    return [tp, pos - tp, tn, neg - tn]
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(count_rows(), min_size=1, max_size=5))
+def test_gmeans_equal_scalar_arithmetic_bit_for_bit(rows):
+    counts = np.array(rows, dtype=np.int64)
+    if any(tp + fn == 0 for tp, fn, _, _ in rows):
+        with pytest.raises(EvaluationError, match="no target samples"):
+            gmeans(counts)
+        return
+    if any(tn + fp == 0 for _, _, tn, fp in rows):
+        with pytest.raises(EvaluationError, match="no outlier samples"):
+            gmeans(counts)
+        return
+    want_tpr = [tp / (tp + fn) for tp, fn, _, _ in rows]
+    want_tnr = [tn / (tn + fp) for _, _, tn, fp in rows]
+    want_g = [math.sqrt(a * b) for a, b in zip(want_tpr, want_tnr)]
+    tpr, tnr, g = gmeans(counts)
+    assert bits(tpr) == bits(want_tpr)
+    assert bits(tnr) == bits(want_tnr)
+    assert bits(g) == bits(want_g)
+    one = gmean(ConfusionCounts(*rows[0]))
+    assert (type(one.gmean), bits(one.gmean)) == (float, bits(want_g[0]))
+
+
+@st.composite
+def selection_cases(draw):
+    """Pools of rows of one feature matrix with their CV seeds, a grid of 1
+    to 3 thresholds, k up to 10, and whether to replace the grid by scores
+    of the first fold, so that thresholds tie with scores."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(12, 40)), draw(st.integers(1, 3))
+    is_target = rng.random(n) < draw(st.floats(0.4, 0.9))
+    features = rng.normal(size=(n, d)) * np.where(is_target, 1.0, 3.0)[:, np.newaxis]
+    size = draw(st.integers(6, n))
+    pools = [rng.permutation(n)[:draw(st.sampled_from((size, draw(st.integers(6, n)))))]
+             for _ in range(draw(st.integers(1, 3)))]
+    grid = tuple(sorted(draw(st.sets(st.sampled_from((0.3, 0.5, 0.8, 1.0, 1.1, 1.5, 2.5)),
+                                     min_size=1, max_size=3))))
+    config = ClassifierConfig(draw(st.sampled_from(FOLD_OPS)), draw(st.integers(1, 4)),
+                              draw(st.sampled_from(DISTANCES)))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(pools),
+                          max_size=len(pools)))
+    return (features, pools, is_target, config, grid, draw(st.integers(2, 10)), seeds,
+            draw(st.booleans()))
+
+
+def loop_fold_scores(features, pools, is_target, config, k, seeds):
+    """Per pool, (validation scores, validation flags) of every CV fold, from
+    one train_ref per fold; every pool's folds are planned first."""
+    folds = [list(cv_folds(is_target[pool], k, seed)) for pool, seed in zip(pools, seeds)]
+    return [[(score(features[pool[val]],
+                    train_ref(features[pool[fit]], config.iterations, config.fold),
+                    config.dist), is_target[pool[val]]) for fit, val in pool_folds]
+            for pool, pool_folds in zip(pools, folds)]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ConfigError, SelectionError) as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(selection_cases())
+def test_select_thresholds_picks_what_a_gmean_loop_picks(case):
+    """The picks, and the Gmean tables they are picked from, equal those of a
+    loop calling gmean once per (fold, threshold) pair."""
+    features, pools, is_target, config, grid, k, seeds, tie = case
+    fold_scores = outcome(loop_fold_scores, features, pools, is_target, config, k, seeds)
+    if isinstance(fold_scores, tuple):
+        args = (features, pools, is_target, config, grid, k, seeds)
+        assert outcome(select_thresholds, *args) == fold_scores
+        return
+    if tie and fold_scores[0]:
+        grid = tuple(sorted({float(s) for s in fold_scores[0][0][0] if s > 0}))[:3] or grid
+    tables = [[[gmean(confusion_from_scores(s, flags, t)).gmean for t in grid]
+               for s, flags in pool] for pool in fold_scores]
+    want = outcome(lambda: [best_threshold(table, grid) for table in tables])
+    with mock.patch.object(evaluation, "best_threshold", wraps=best_threshold) as spy:
+        got = outcome(select_thresholds, features, pools, is_target, config, grid, k, seeds)
+    assert got == want
+    seen = [bits(c.args[0]) for c in spy.call_args_list]
+    assert seen == [bits(table) for table in tables[:len(seen)]]
+
+
+# ------------------------------------------------------------- suite harness
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    """Under this suite's conftest, whose warning filter makes every warning
+    an error, a failing property test prints its falsifying example and the
+    session goes on to the next test."""
+    shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path / "conftest.py")
+    (tmp_path / "test_sample.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@settings(derandomize=True, database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n\n"
+        "def test_later():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_sample.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "Falsifying example: test_fails(" in proc.stdout, proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
