@@ -14,14 +14,15 @@ A stratified plan gives every repetition of a task the same row counts, so
 the task's fits run as one stacked kernel call (core.fit_stack), which scores
 the test rows of the model and of its baseline in the same pass. Grid mode
 then selects thresholds (evaluation.select_thresholds), adding one call per
-group of threshold-CV fits sharing their fit and validation row counts, each
-scored as one folds x thresholds Gmean table. The test counts and Gmeans of
-all repetitions of a variant come from one evaluation.confusion_counts and
-one evaluation.gmeans call. A stack larger than 8 MB is split into
-calls of at most that size. Each slice gets the arithmetic of a lone fit, so
-results are bit-identical to fitting repetition by repetition. A task whose
-stacked pass fails or warns is replayed one repetition at a time through the
-same path, so that it raises what the first failing repetition raises.
+variant for all of its threshold-CV fits, whose row counts differ: each fit
+is padded with -0.0 rows to the longest, and scored as one folds x
+thresholds Gmean table. The test counts and Gmeans of all repetitions of a
+variant come from one evaluation.confusion_counts and one evaluation.gmeans
+call. A stack larger than 8 MB, padding included, is split into calls of at
+most that size. Each slice gets the arithmetic of a lone fit, so results are
+bit-identical to fitting repetition by repetition. A task whose stacked
+pass fails or warns is replayed one repetition at a time through the same
+path, so that it raises what the first failing repetition raises.
 
 Seed streams, all derived from the master seed with refold.rng.derive_seed:
 split plan of task t -> (t, 1); threshold CV of task t repetition r ->

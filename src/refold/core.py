@@ -226,12 +226,15 @@ def fit_stack(
     depths=(),
     dist: str = DEFAULT_DISTANCE,
     params: tuple[np.ndarray, np.ndarray] | None = None,
+    counts=None,
 ) -> dict[int, np.ndarray]:
     """Fit one model per slice of a stack and score other rows with each.
 
     Z is a C-ordered float64 (R, N, D) stack of finite training rows, slice r
     holding the rows of fit r; Y, when given, is an (R, M, D) stack of rows
-    to score, slice r with model r. Both may be overwritten. Returns, for
+    to score, slice r with model r. Both may be overwritten. Slices may fit
+    different row counts: fit r uses the first counts[r] (2..N, default N)
+    rows of its slice, and the rest, of any value, is padding. Returns, for
     every depth in `depths` (each in 1..iterations), the (R, M) distances of
     Y after that many steps: score(Y[r], model_r.truncated(depth), dist), bit
     for bit. With params = (mu, sigma), two (iterations, R, D) arrays, the
@@ -239,13 +242,17 @@ def fit_stack(
     otherwise no step is kept once the next one is computed.
 
     Every slice gets exactly the arithmetic of a lone fit, and a NumericError
-    names the first iteration at which any slice goes non-finite.
+    names the first iteration at which any slice goes non-finite. Padding
+    rows are set to -0.0 after each fold and after each subtraction of the
+    mean, since adding -0.0 to a running total returns the total unchanged;
+    each column's totals divide by its slice's row count. With every count
+    N there is no padding, and no mask is built.
 
     The stacks are held rows-outer, as (N, R * D) and (M, R * D) matrices.
     A step proves its values finite through its column totals: a non-finite
     entry leaves its running total non-finite, and a finite total of squared
-    deviations bounds every standardized value by sqrt(N - 1). Only a
-    non-finite total leads to a scan.
+    deviations bounds every standardized value by sqrt(n - 1), n being its
+    slice's row count. Only a non-finite total leads to a scan.
     """
     _check_fold(fold)
     _check_distance(dist)
@@ -253,8 +260,9 @@ def fit_stack(
     if not wanted <= set(range(1, iterations + 1)):
         raise ConfigError(f"scoring depths must lie in 1..{iterations}")
     r, n, d = Z.shape
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 training samples, got {n}")
+    rows = n if counts is None else min(counts)
+    if rows < 2:
+        raise InsufficientDataError(f"need at least 2 training samples, got {rows}")
     # rows-outer (a view when R = 1); Z and Y are updated in place and Z's
     # old storage, when there is one, is the scratch buffer, so no iteration
     # allocates and time stays linear in N beyond the CPU cache
@@ -265,6 +273,11 @@ def fit_stack(
     if last:
         m = Y.shape[1]
         Y = np.ascontiguousarray(Y.transpose(1, 0, 2)).reshape(m, r * d)
+    # per-column row counts, and the mask of padding cells, of a ragged stack
+    count, pad = n, None
+    if rows < n:
+        count = np.repeat(np.asarray(counts, dtype=np.float64), d)
+        pad = np.arange(n)[:, np.newaxis] >= count
     mu = np.empty(r * d)
     sigma = np.empty_like(mu)
     scores = {}
@@ -274,14 +287,18 @@ def fit_stack(
         with np.errstate(all="ignore"):
             if i > 0:
                 Z = _fold_matrix(fold, Z, out=Z)
+            if pad is not None:
+                np.copyto(Z, -0.0, where=pad)  # cos and cos_abs map -0.0 to 1
             totals = _column_totals(Z)
         if not np.isfinite(totals).all():
             _check_finite(Z, i)
             # finite values whose total overflows: sum again, so that the
             # overflow warns as it would unsuppressed
             totals = _column_totals(Z)
-        np.divide(totals, n, out=mu)
+        np.divide(totals, count, out=mu)
         np.subtract(Z, mu, out=Z)
+        if pad is not None:
+            np.copyto(Z, -0.0, where=pad)
         # squared deviations may overflow for extreme magnitudes; the resulting
         # non-finite std is sanitized to 1 just like the zero-variance case.
         # Z / sigma cannot overflow. In Y, overflow to inf is a legitimate
@@ -289,7 +306,7 @@ def fit_stack(
         # transform_ref.
         with np.errstate(over="ignore"):
             np.multiply(Z, Z, out=scratch)
-            np.sqrt(_column_totals(scratch) / (n - 1), out=sigma)
+            np.sqrt(_column_totals(scratch) / (count - 1), out=sigma)
             bounded = np.isfinite(sigma).all()
             if not (bounded and sigma.all()):
                 sigma[~np.isfinite(sigma) | (sigma <= 0.0)] = 1.0
@@ -312,11 +329,24 @@ def _check_finite(z: np.ndarray, i: int) -> None:
         raise NumericError(f"non-finite working values at iteration {i + 1}")
 
 
+def _padded(index) -> np.ndarray:
+    """(R, longest) array of R index arrays, each padded at its tail by
+    repeating its last entry."""
+    sizes = np.array([len(a) for a in index])[:, np.newaxis]
+    starts = np.cumsum(sizes)[:, np.newaxis] - sizes
+    return np.concatenate(index)[starts + np.minimum(np.arange(sizes.max()), sizes - 1)]
+
+
 def _fit_rows(X, fit, rows, iterations, fold, depths, dist) -> dict[int, np.ndarray]:
     """fit_stack over the fits of rows fit[r] of X, scoring rows[r] of X, in
-    as few calls as the _STACK_CELLS budget allows."""
+    as few calls as the _STACK_CELLS budget allows, counted on padded sizes.
+    The index arrays may differ in length; row r of each returned (R, M)
+    array starts with the len(rows[r]) scores of rows[r]."""
+    counts = [len(a) for a in fit]
+    fit, rows = _padded(fit), _padded(rows)
     step = max(1, _STACK_CELLS // ((fit.shape[1] + rows.shape[1]) * X.shape[1]))
-    parts = [fit_stack(X[fit[a:a + step]], iterations, fold, X[rows[a:a + step]], depths, dist)
+    parts = [fit_stack(X[fit[a:a + step]], iterations, fold, X[rows[a:a + step]], depths, dist,
+                       counts=counts[a:a + step])
              for a in range(0, len(fit), step)]
     return {d: np.concatenate([p[d] for p in parts]) for d in depths}
 

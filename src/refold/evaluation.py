@@ -269,27 +269,32 @@ def best_threshold(per_fold: list[list[float]], grid) -> float:
 def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> list[float]:
     """select_threshold on every pool of row indices pools[r] of features,
     with CV seed seeds[r]; is_target flags every row of features. All folds
-    are planned first, then fitted with one kernel call per group of folds
-    sharing their fit and validation row counts, each as a lone fit. A lone
-    pool fits one fold per call, so it fails and warns as a fold loop does."""
-    folds = [list(cv_folds(is_target[pool], k, seed)) for pool, seed in zip(pools, seeds)]
-    groups: dict[tuple[int, int] | int, list[tuple[int, int]]] = {}
-    for p, pool_folds in enumerate(folds):
-        for f, (fit, val) in enumerate(pool_folds):
-            key = (len(fit), len(val)) if len(pools) > 1 else f
-            groups.setdefault(key, []).append((p, f))
-    per_fold = [[None] * len(pool_folds) for pool_folds in folds]
+    are planned first, then fitted in one kernel call, each as a lone fit
+    (core._fit_rows pads the folds to the most rows, and splits a stack
+    over its memory budget). A lone pool fits one fold per call, so it fails
+    and warns as a fold loop does."""
+    folds = [(p, pool[fit], pool[val]) for p, (pool, seed) in enumerate(zip(pools, seeds))
+             for fit, val in cv_folds(is_target[pool], k, seed)]
+    per_fold = [[] for _ in pools]
     depth = config.iterations
     thresholds = np.asarray(grid)[:, np.newaxis]
-    for members in groups.values():
-        fit = np.array([pools[p][folds[p][f][0]] for p, f in members])
-        val = np.array([pools[p][folds[p][f][1]] for p, f in members])
-        scores = _fit_rows(features, fit, val, depth, config.fold, (depth,), config.dist)[depth]
-        # (folds, thresholds, validation rows) accepted mask -> folds x thresholds Gmean
-        _, _, table = gmeans(confusion_counts(scores[:, np.newaxis] <= thresholds,
-                                              is_target[val][:, np.newaxis]))
-        for (p, f), row in zip(members, table.tolist()):
-            per_fold[p][f] = row
+    step = max(1, len(folds)) if len(pools) > 1 else 1
+    for a in range(0, len(folds), step):
+        owners, fits, vals = zip(*folds[a:a + step])
+        scores = _fit_rows(features, fits, vals, depth, config.fold, (depth,), config.dist)[depth]
+        # (folds, thresholds, validation rows) accepted mask -> folds x thresholds
+        # Gmean table. Padding rows are neither accepted nor targets, so they
+        # count only as true negatives, which are corrected for them.
+        sizes = np.array([len(val) for val in vals])
+        real = np.arange(scores.shape[1]) < sizes[:, np.newaxis]
+        flags = np.zeros_like(real)
+        flags[real] = is_target[np.concatenate(vals)]
+        counts = confusion_counts((scores[:, np.newaxis] <= thresholds) & real[:, np.newaxis],
+                                  flags[:, np.newaxis])
+        counts[..., 2] -= (scores.shape[1] - sizes)[:, np.newaxis]
+        _, _, table = gmeans(counts)
+        for p, row in zip(owners, table.tolist()):
+            per_fold[p].append(row)
     return [best_threshold(rows, grid) for rows in per_fold]
 
 

@@ -217,7 +217,8 @@ def test_golden_report_and_curve_digests(data_dir):
 
 def test_no_repeated_work(synthetic_csv, monkeypatch):
     """One split plan per task and one kernel call per task, plus in grid
-    mode one per group of CV fits sharing (fit rows, validation rows)."""
+    mode one per (task, variant) for all of its CV fits, whose row counts
+    differ."""
     import refold.bench
     import refold.core
     from refold.datasets import load_dataset
@@ -237,9 +238,8 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
                               ("train", refold.bench, "train_ref")):
         monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
 
-    # the CV fits of each (task, stream), and their distinct sizes
+    # precondition: the CV fits of each (task, variant) come in several sizes
     ds = load_dataset(synthetic_csv)
-    fits, groups = 0, 0
     for ordinal, target in enumerate(ds.class_names):
         plan = make_split_plan(ds.labels, target, 0.7, 4, seed=derive_seed(2, ordinal, 1))
         for stream in (2, 3):
@@ -248,12 +248,10 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
                 flags = [ds.labels[i] == target for i in train]
                 for fit, val in kfold(range(len(train)), 3, derive_seed(2, ordinal, stream, rep)):
                     if len({flags[i] for i in val}) == 2:
-                        fits += 1
                         sizes.add((sum(flags[i] for i in fit), len(val)))
-            groups += len(sizes)
-    assert groups < fits
+            assert len(sizes) > 1
 
-    for mode, kernel_calls in (("fixed", 2), ("grid", 2 + groups)):
+    for mode, kernel_calls in (("fixed", 2), ("grid", 2 + 2 * 2)):
         calls.update(dict.fromkeys(calls, 0))
         spec = BenchSpec(
             datasets=(synthetic_csv,), iterations=11, repetitions=4, seed=2,
@@ -265,20 +263,28 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
 
 
 def test_stack_budget_splits_calls_not_results(synthetic_csv, monkeypatch):
+    """Whole stacks, ragged CV stacks among them, give the reports and
+    curves of one fit per call."""
     import refold.core
 
-    spec = BenchSpec(datasets=(synthetic_csv,), iterations=9, repetitions=3, seed=6,
-                     threshold_mode="grid", cv_folds=3, include_base=True)
-    whole = run_benchmark(spec).deterministic_text()
-    curve = learning_curve(replace(spec, threshold_mode="fixed"), "blob2", 2).text()
     calls = []
-    fit_stack = refold.core.fit_stack
-    monkeypatch.setattr(refold.core, "fit_stack",
-                        lambda Z, *args: calls.append(len(Z)) or fit_stack(Z, *args))
-    monkeypatch.setattr(refold.core, "_STACK_CELLS", 1)  # one fit per call
-    assert run_benchmark(spec).deterministic_text() == whole
-    assert learning_curve(replace(spec, threshold_mode="fixed"), "blob2", 2).text() == curve
-    assert set(calls) == {1} and len(calls) > 2 * 3
+    fit_stack, cells = refold.core.fit_stack, refold.core._STACK_CELLS
+    monkeypatch.setattr(refold.core, "fit_stack", lambda Z, *args, counts=None: (
+        calls.append(counts) or fit_stack(Z, *args, counts=counts)))
+    for fold, dist, cv_folds in (("abs", "l1", 3), ("cos_abs", "l2", 4)):
+        spec = BenchSpec(datasets=(synthetic_csv,), fold=fold, dist=dist, iterations=9,
+                         repetitions=3, seed=6, threshold_mode="grid", cv_folds=cv_folds,
+                         include_base=True)
+        monkeypatch.setattr(refold.core, "_STACK_CELLS", cells)
+        calls.clear()
+        whole = run_benchmark(spec).deterministic_text()
+        curve = learning_curve(replace(spec, threshold_mode="fixed"), "blob2", 2).text()
+        assert any(len(set(counts)) > 1 for counts in calls)  # a padded call ran
+        monkeypatch.setattr(refold.core, "_STACK_CELLS", 1)  # one fit per call
+        calls.clear()
+        assert run_benchmark(spec).deterministic_text() == whole
+        assert learning_curve(replace(spec, threshold_mode="fixed"), "blob2", 2).text() == curve
+        assert {len(counts) for counts in calls} == {1} and len(calls) > 2 * 3
 
 
 def test_report_timing_lines(synthetic_csv):

@@ -364,10 +364,33 @@ def test_select_threshold_plans_every_fold_before_fitting():
         select_threshold(X, flags, ClassifierConfig(iterations=3), k=2, seed=7)
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_select_threshold_raises_the_first_failing_fold(action):
+    """Targets 0 and 1 hold 1e308 in column 1. Under sqr, fold 0 fits one of
+    them and fails at iteration 2; fold 1 fits both, whose total overflows
+    at iteration 1. A lone pool fails as a fold loop does: fold 0 first."""
+    import warnings
+
+    X, flags = _separable_pool(np.random.default_rng(67), n_targets=10, n_outliers=8)
+    X[[0, 1], 1] = 1e308
+    folds = kfold(range(18), 3, seed=23)
+    assert [sorted({0, 1} & set(fit)) for fit, _ in folds[:2]] == [[0], [0, 1]]
+    assert all(0 < flags[list(val)].sum() < len(val) for _, val in folds[:2])
+    config = ClassifierConfig("sqr", 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises((RuntimeWarning, NumericError)) as later:
+            train_ref(X[[i for i in folds[1][0] if flags[i]]], 4, "sqr")
+        assert str(later.value) in ("overflow encountered in reduce",
+                                    "non-finite working values at iteration 1")
+        with pytest.raises(NumericError, match="^non-finite working values at iteration 2$"):
+            select_threshold(X, flags, config, k=3, seed=23)
+
+
 def test_select_thresholds_across_pools_matches_each_pool(monkeypatch):
-    """Pools of different sizes selected together, with CV fits of several
-    pools sharing a kernel call, give each pool's select_threshold pick,
-    which fits its folds one per call."""
+    """Pools of different sizes selected together, with the CV fits of all
+    pools in one kernel call, give each pool's select_threshold pick, which
+    fits its folds one per call."""
     import refold.core
 
     rng = np.random.default_rng(61)
@@ -378,7 +401,8 @@ def test_select_thresholds_across_pools_matches_each_pool(monkeypatch):
     calls = []
     fit_stack = refold.core.fit_stack
     monkeypatch.setattr(refold.core, "fit_stack",
-                        lambda Z, *args: calls.append(len(Z)) or fit_stack(Z, *args))
+                        lambda Z, *args, **kwargs: calls.append(len(Z)) or fit_stack(Z, *args,
+                                                                                  **kwargs))
     for cfg in (ClassifierConfig(iterations=9), ClassifierConfig("sqr", 7, "l2"),
                 ClassifierConfig("tanh", 11, "l1")):
         calls.clear()
@@ -388,4 +412,4 @@ def test_select_thresholds_across_pools_matches_each_pool(monkeypatch):
         assert set(calls) == {1}
         calls.clear()
         assert select_thresholds(X, pools, flags, cfg, grid, 4, seeds) == each
-        assert len(calls) < alone
+        assert len(calls) == 1 and calls[0] == alone

@@ -328,7 +328,8 @@ def test_matches_oracle_over_generated_shapes(case):
 def kernel_cases(draw):
     """A stack of fits and rows to score, with constant columns, and at
     times one slice holding a 1e200 entry, which overflows under sqr, or a
-    column of +-1.7e308 entries, whose total or deviations overflow."""
+    column of +-1.7e308 entries, whose total or deviations overflow. Each
+    slice fits its first 2..n rows; the rows past them are -0.0 padding."""
     r, n, d, m = (draw(st.integers(1, 4)), draw(st.integers(2, 40)),
                   draw(st.integers(1, 4)), draw(st.integers(1, 5)))
     values = st.floats(-1e3, 1e3)
@@ -342,41 +343,45 @@ def kernel_cases(draw):
     if draw(st.integers(0, 3)) == 0:
         column = draw(st.lists(st.sampled_from((1.7e308, -1.7e308)), min_size=n, max_size=n))
         Z[draw(st.integers(0, r - 1)), :, draw(st.integers(0, d - 1))] = column
+    counts = draw(st.lists(st.integers(2, n), min_size=r, max_size=r))
+    for k, count in enumerate(counts):
+        Z[k, count:] = -0.0
     fold = draw(st.sampled_from(FOLD_OPS))
     iterations = draw(st.integers(1, 6))
     depths = draw(st.sets(st.integers(1, iterations), min_size=1))
-    return Z, Y, iterations, fold, depths, draw(st.sampled_from(DISTANCES))
+    return Z, counts, Y, iterations, fold, depths, draw(st.sampled_from(DISTANCES))
 
 
 @PROPERTY_SETTINGS
 @given(kernel_cases())
 def test_fit_stack_matches_per_slice_fits(case):
-    """Bit for bit: the stack's step vectors are each slice's train_ref
-    model, and its distances are score() of that model truncated to each
-    requested depth. When a slice goes non-finite, the stack raises the
+    """Bit for bit: the stack's step vectors are the train_ref model of each
+    slice's rows, and its distances are score() of that model truncated to
+    each requested depth. When a slice goes non-finite, the stack raises the
     NumericError of the earliest failing iteration over the slices; the
     benchmark runner then replays the slices one by one to raise the first
     slice's error."""
-    Z, Y, iterations, fold, depths, dist = case
+    Z, counts, Y, iterations, fold, depths, dist = case
     r, _, d = Z.shape
     models, failed_at = [], []
     # warnings off: far-out rows may overflow or turn NaN in both paths alike
     with np.errstate(all="ignore"):
-        for k in range(r):
+        for k, count in enumerate(counts):
             try:
-                models.append(train_ref(Z[k], iterations, fold))
+                models.append(train_ref(Z[k, :count], iterations, fold))
             except NumericError as exc:
                 failed_at.append(int(str(exc).rsplit(" ", 1)[1]))
         mu = np.empty((iterations, r, d))
         sigma = np.empty_like(mu)
         if failed_at:
             with pytest.raises(NumericError) as exc:
-                fit_stack(Z.copy(), iterations, fold, Y.copy(), depths, dist, (mu, sigma))
+                fit_stack(Z.copy(), iterations, fold, Y.copy(), depths, dist, (mu, sigma), counts)
             assert str(exc.value) == (
                 f"non-finite working values at iteration {min(failed_at)}"
             )
             return
-        scores = fit_stack(Z.copy(), iterations, fold, Y.copy(), depths, dist, (mu, sigma))
+        scores = fit_stack(Z.copy(), iterations, fold, Y.copy(), depths, dist, (mu, sigma),
+                           counts)
         assert set(scores) == depths
         for k, model in enumerate(models):
             assert mu[:, k].tobytes() == model.mu.tobytes()
