@@ -10,19 +10,19 @@ function of (spec, seed) and reproduces byte for byte. The timing section
 gives each task's wall-clock seconds per stage: plan (the split plan), select
 (threshold cross-validation) and fit_score (fitting, scoring, counting).
 
-A stratified plan gives every repetition of a task the same row counts, so
-the task's fits run as one stacked kernel call (core.fit_stack), which scores
-the test rows of the model and of its baseline in the same pass. Grid mode
-then selects thresholds (evaluation.select_thresholds), adding one call per
-variant for all of its threshold-CV fits, whose row counts differ: each fit
-is padded with -0.0 rows to the longest, and scored as one folds x
-thresholds Gmean table. The test counts and Gmeans of all repetitions of a
-variant come from one evaluation.confusion_counts and one evaluation.gmeans
-call. A stack larger than 8 MB, padding included, is split into calls of at
-most that size. Each slice gets the arithmetic of a lone fit, so results are
-bit-identical to fitting repetition by repetition. A task whose stacked
-pass fails or warns is replayed one repetition at a time through the same
-path, so that it raises what the first failing repetition raises.
+A task's fits run as one kernel call (core.fit_stack) on the row indices of
+its repetitions, which scores the test rows of the model and of its baseline
+in the same pass. Grid mode then selects thresholds
+(evaluation.select_thresholds), adding one call per variant for all of its
+threshold-CV fits, whose row counts differ: each fit is padded with -0.0 rows
+to the longest, and scored as one folds x thresholds Gmean table. The test
+counts and Gmeans of all repetitions of a variant come from one
+evaluation.confusion_counts and one evaluation.gmeans call. A call larger
+than 8 MB, padding included, works in blocks of at most that size. Each fit
+gets the arithmetic of a lone fit, so results are bit-identical to fitting
+repetition by repetition. A task whose stacked pass fails or warns is
+replayed one repetition at a time through the same path, so that it raises
+what the first failing repetition raises.
 
 Seed streams, all derived from the master seed with refold.rng.derive_seed:
 split plan of task t -> (t, 1); threshold CV of task t repetition r ->
@@ -46,8 +46,8 @@ from .core import (
     DEFAULT_FOLD,
     DEFAULT_ITERATIONS,
     DEFAULT_THRESHOLD,
-    _fit_rows,
     check_threshold,
+    fit_stack,
     train_ref,
 )
 from .datasets import Dataset, load_dataset, load_registry_dataset, registry, resolve_data_dir
@@ -337,7 +337,7 @@ def _task_stacked(spec, variants, X, train, test, flags, cv_seeds, seconds):
     and scoring before selecting thresholds, as a loop over them would."""
     with _stage(seconds, "fit_score"):
         fit = train[flags[train]].reshape(len(train), -1)
-        scores = _fit_rows(X, fit, test, spec.iterations, spec.fold,
+        scores = fit_stack(X, fit, spec.iterations, spec.fold, test,
                            {depth for _, depth, _ in variants}, spec.dist)
     thresholds = {}
     with _stage(seconds, "select"):
@@ -489,8 +489,8 @@ def learning_curve(
     pool, rows = train[repetition - 1], test[repetition - 1]
     fit = pool[flags[pool]]
     depths = range(1, spec.iterations + 1)
-    scores = _fit_rows(ds.features, fit[np.newaxis], rows[np.newaxis], spec.iterations,
-                       spec.fold, depths, spec.dist)
+    scores = fit_stack(ds.features, [fit], spec.iterations, spec.fold, [rows], depths,
+                       spec.dist)
     accepted = np.array([scores[d][0] for d in depths]) <= spec.threshold
     _, _, curve = gmeans(confusion_counts(accepted, flags[rows]))
     return LearningCurve(

@@ -241,8 +241,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RefoldError as exc:
-        print(f"refold: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (RefoldError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; the line names the builtin
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"refold: error: {kind}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -16,10 +16,10 @@ Numeric conventions, fixed as part of the model format:
   - Column reductions accumulate strictly left to right (running total), so
     results are bit-reproducible and match a plain loop transcription.
 
-fit_stack fits R models at once, rows-outer: their (N, D) matrices sit side
-by side as one (N, R * D) matrix, so each numpy call of a step spans all
-R * D columns. Non-finite working values show in the column totals, which a
-step computes anyway; only a non-finite total leads to a scan of the values.
+fit_stack fits R models on index arrays into one matrix at once, rows-outer:
+their rows sit side by side as one (N, R * D) matrix, so each numpy call of a
+step spans all R * D columns. Non-finite working values show in the column
+totals, which a step computes anyway; only a non-finite total leads to a scan.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ OUTLIER = "outlier"
 
 
 def _column_totals(a: np.ndarray) -> np.ndarray:
-    """Strict left-to-right column sums of an (N, D) matrix, or of every
-    slice of an (R, N, D) stack."""
+    """Strict left-to-right column sums of an (N, D) matrix."""
     # Over the rows of a C-contiguous block with D >= 2, add.reduce adds one
     # row at a time into the accumulator row: the running-total order without
     # materializing an (N, D) cumsum. Starting from -0.0 keeps the first
@@ -219,63 +218,77 @@ def _replay_step(z: np.ndarray, mu, sigma, fold: str, i: int) -> np.ndarray:
 
 
 def fit_stack(
-    Z: np.ndarray,
+    X: np.ndarray,
+    fit,
     iterations: int,
     fold: str,
-    Y: np.ndarray | None = None,
+    rows=None,
     depths=(),
     dist: str = DEFAULT_DISTANCE,
     params: tuple[np.ndarray, np.ndarray] | None = None,
-    counts=None,
 ) -> dict[int, np.ndarray]:
-    """Fit one model per slice of a stack and score other rows with each.
+    """Fit one model on the rows fit[r] of X for each r, and score the rows
+    rows[r] of X with model r.
 
-    Z is a C-ordered float64 (R, N, D) stack of finite training rows, slice r
-    holding the rows of fit r; Y, when given, is an (R, M, D) stack of rows
-    to score, slice r with model r. Both may be overwritten. Slices may fit
-    different row counts: fit r uses the first counts[r] (2..N, default N)
-    rows of its slice, and the rest, of any value, is padding. Returns, for
-    every depth in `depths` (each in 1..iterations), the (R, M) distances of
-    Y after that many steps: score(Y[r], model_r.truncated(depth), dist), bit
-    for bit. With params = (mu, sigma), two (iterations, R, D) arrays, the
-    step vectors are written there, mu[i, r] being step i + 1 of fit r;
-    otherwise no step is kept once the next one is computed.
+    X is an (N, D) float64 matrix of finite rows, and is only read. The index
+    arrays may differ in length and hold any rows in any order; every fit
+    needs 2 or more. Returns, for every depth in `depths` (each in
+    1..iterations), an (R, M) array, M being the longest rows[r], whose row r
+    starts with score(X[rows[r]], model_r.truncated(depth), dist), bit for
+    bit. With params = (mu, sigma), two (iterations, R, D) arrays, mu[i, r]
+    and sigma[i, r] receive step i + 1 of fit r.
 
-    Every slice gets exactly the arithmetic of a lone fit, and a NumericError
-    names the first iteration at which any slice goes non-finite. Padding
-    rows are set to -0.0 after each fold and after each subtraction of the
-    mean, since adding -0.0 to a running total returns the total unchanged;
-    each column's totals divide by its slice's row count. With every count
-    N there is no padding, and no mask is built.
-
-    The stacks are held rows-outer, as (N, R * D) and (M, R * D) matrices.
-    A step proves its values finite through its column totals: a non-finite
-    entry leaves its running total non-finite, and a finite total of squared
-    deviations bounds every standardized value by sqrt(n - 1), n being its
-    slice's row count. Only a non-finite total leads to a scan.
+    The fits run in blocks of at most _STACK_CELLS gathered cells, padding
+    included. Each fit gets the arithmetic of a lone fit, and a NumericError
+    names the first iteration at which a fit of the failing block goes
+    non-finite.
     """
     _check_fold(fold)
     _check_distance(dist)
     wanted = set(depths)
     if not wanted <= set(range(1, iterations + 1)):
         raise ConfigError(f"scoring depths must lie in 1..{iterations}")
-    r, n, d = Z.shape
-    rows = n if counts is None else min(counts)
-    if rows < 2:
-        raise InsufficientDataError(f"need at least 2 training samples, got {rows}")
-    # rows-outer (a view when R = 1); Z and Y are updated in place and Z's
-    # old storage, when there is one, is the scratch buffer, so no iteration
-    # allocates and time stays linear in N beyond the CPU cache
-    work = np.ascontiguousarray(Z.transpose(1, 0, 2)).reshape(n, r * d)
-    scratch = Z.reshape(n, r * d) if r > 1 else np.empty_like(work)
-    Z = work
-    last = max(wanted, default=0) if Y is not None else 0
+    counts = [len(a) for a in fit]
+    if min(counts) < 2:
+        raise InsufficientDataError(f"need at least 2 training samples, got {min(counts)}")
+    fit = _padded(fit)
+    rows = fit[:, :0] if rows is None else _padded(rows)  # (R, 0): nothing to score
+    step = max(1, _STACK_CELLS // ((fit.shape[1] + rows.shape[1]) * X.shape[1]))
+    parts = []
+    for a in range(0, len(fit), step):
+        b = slice(a, a + step)
+        kept = None if params is None else (params[0][:, b], params[1][:, b])
+        parts.append(_fit_block(X, fit[b], counts[b], rows[b], iterations, fold, wanted, dist,
+                                kept))
+    return {d: np.concatenate([p[d] for p in parts]) for d in parts[0]}
+
+
+def _fit_block(X, fit, counts, rows, iterations, fold, wanted, dist, params):
+    """fit_stack on one block of padded (R, n) fit and (R, m) score indices.
+
+    X[fit.T] is (n, R, D), so the block is gathered rows-outer as one
+    (n, R * D) matrix, and each numpy call of a step spans all R * D columns.
+    Rows of fit r past counts[r] are padding: they are set to -0.0 after each
+    fold and after each subtraction of the mean, since adding -0.0 to a
+    running total returns it unchanged, and totals divide by each fit's row
+    count. A step proves its values finite through its column totals: a
+    non-finite entry leaves its total non-finite, and a finite total of
+    squared deviations bounds every standardized value by sqrt(n - 1). Only
+    a non-finite total leads to a scan.
+    """
+    r, n = fit.shape
+    m, d = rows.shape[1], X.shape[1]
+    # the working values and the scores' rows are updated in place, with one
+    # scratch buffer, so no iteration allocates and time stays linear in N
+    # beyond the CPU cache
+    Z = X[fit.T].reshape(n, r * d)
+    scratch = np.empty_like(Z)
+    last = max(wanted, default=0) if m else 0
     if last:
-        m = Y.shape[1]
-        Y = np.ascontiguousarray(Y.transpose(1, 0, 2)).reshape(m, r * d)
-    # per-column row counts, and the mask of padding cells, of a ragged stack
+        Y = X[rows.T].reshape(m, r * d)
+    # per-column row counts, and the mask of padding cells, of a ragged block
     count, pad = n, None
-    if rows < n:
+    if min(counts) < n:
         count = np.repeat(np.asarray(counts, dtype=np.float64), d)
         pad = np.arange(n)[:, np.newaxis] >= count
     mu = np.empty(r * d)
@@ -337,33 +350,19 @@ def _padded(index) -> np.ndarray:
     return np.concatenate(index)[starts + np.minimum(np.arange(sizes.max()), sizes - 1)]
 
 
-def _fit_rows(X, fit, rows, iterations, fold, depths, dist) -> dict[int, np.ndarray]:
-    """fit_stack over the fits of rows fit[r] of X, scoring rows[r] of X, in
-    as few calls as the _STACK_CELLS budget allows, counted on padded sizes.
-    The index arrays may differ in length; row r of each returned (R, M)
-    array starts with the len(rows[r]) scores of rows[r]."""
-    counts = [len(a) for a in fit]
-    fit, rows = _padded(fit), _padded(rows)
-    step = max(1, _STACK_CELLS // ((fit.shape[1] + rows.shape[1]) * X.shape[1]))
-    parts = [fit_stack(X[fit[a:a + step]], iterations, fold, X[rows[a:a + step]], depths, dist,
-                       counts=counts[a:a + step])
-             for a in range(0, len(fit), step)]
-    return {d: np.concatenate([p[d] for p in parts]) for d in depths}
-
-
 def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD) -> RefModel:
     """Fit the folding classifier on target-class rows.
 
     Standardizes X, then repeats fold-and-standardize for iterations-1 more
     rounds, recording each (mean, std) pair. The caller's X is not mutated.
     Work and memory are linear in N * D per iteration; the model itself
-    stores only the J step vectors. This is fit_stack on a stack of one.
+    stores only the J step vectors. This is fit_stack with one fit.
     """
     ClassifierConfig(fold, iterations)  # validates
     z, _ = _as_samples(X, "training data")
     mu = np.empty((iterations, 1, z.shape[1]))
     sigma = np.empty_like(mu)
-    fit_stack(z.copy()[np.newaxis], iterations, fold, params=(mu, sigma))
+    fit_stack(z, [np.arange(len(z))], iterations, fold, params=(mu, sigma))
     return RefModel(mu[:, 0], sigma[:, 0], fold)
 
 
@@ -424,9 +423,7 @@ def distance_to_origin(z, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:
 def score(y, model: RefModel, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:
     """Distance to the origin of the transformed sample(s); always >= 0."""
     _check_distance(dist)
-    z = transform_ref(y, model)
-    out = _distances(np.atleast_2d(z), dist)
-    return float(out[0]) if z.ndim == 1 else out
+    return distance_to_origin(transform_ref(y, model), dist)
 
 
 def classify(

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassifierConfig, _as_samples, _fit_rows
+from .core import ClassifierConfig, _as_samples, fit_stack
 from .errors import ConfigError, EvaluationError, SelectionError
 from .rng import SplitMix64, derive_seed
 
@@ -270,8 +270,8 @@ def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> lis
     """select_threshold on every pool of row indices pools[r] of features,
     with CV seed seeds[r]; is_target flags every row of features. All folds
     are planned first, then fitted in one kernel call, each as a lone fit
-    (core._fit_rows pads the folds to the most rows, and splits a stack
-    over its memory budget). A lone pool fits one fold per call, so it fails
+    (core.fit_stack pads the folds to the most rows, and works in blocks
+    under its memory budget). A lone pool fits one fold per call, so it fails
     and warns as a fold loop does."""
     folds = [(p, pool[fit], pool[val]) for p, (pool, seed) in enumerate(zip(pools, seeds))
              for fit, val in cv_folds(is_target[pool], k, seed)]
@@ -281,7 +281,7 @@ def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> lis
     step = max(1, len(folds)) if len(pools) > 1 else 1
     for a in range(0, len(folds), step):
         owners, fits, vals = zip(*folds[a:a + step])
-        scores = _fit_rows(features, fits, vals, depth, config.fold, (depth,), config.dist)[depth]
+        scores = fit_stack(features, fits, depth, config.fold, vals, (depth,), config.dist)[depth]
         # (folds, thresholds, validation rows) accepted mask -> folds x thresholds
         # Gmean table. Padding rows are neither accepted nor targets, so they
         # count only as true negatives, which are corrected for them.

@@ -215,17 +215,50 @@ def test_golden_report_and_curve_digests(data_dir):
     assert _sha256(curve.text()) == GOLDEN_CURVE_IRIS2_REP3
 
 
+# sha256 over 36 outputs on Iris, pinned before fit_stack took index arrays:
+# per fold and distance, deterministic_text() in fixed and in grid mode and
+# the Iris2 curve; a spec that raises counts as its error's type and message
+GOLDEN_FOLD_DIST_MATRIX = "ff142f6405dcbed6a029e63e736a7b1e34350d3fba3c133b22ff7bbc116e322c"
+
+
+def test_golden_fold_distance_matrix(data_dir):
+    """Every fold and distance, with the baseline and ragged CV stacks:
+    the padding resets act differently per fold."""
+    from refold.core import DISTANCES, FOLD_OPS
+    from refold.errors import RefoldError
+
+    def outcome(fn):
+        try:
+            return fn()
+        except (RefoldError, RuntimeWarning) as exc:
+            return f"{type(exc).__name__}: {exc}\n"
+
+    texts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fold in FOLD_OPS:
+            for dist in DISTANCES:
+                spec = BenchSpec(datasets=("iris",), fold=fold, dist=dist, iterations=21,
+                                 repetitions=3, cv_folds=4, seed=13, include_base=True)
+                for mode in ("fixed", "grid"):
+                    texts.append(outcome(lambda: run_benchmark(
+                        replace(spec, threshold_mode=mode), data_dir).deterministic_text()))
+                texts.append(outcome(lambda: learning_curve(spec, "Iris2", 2, data_dir).text()))
+    assert _sha256("".join(texts)) == GOLDEN_FOLD_DIST_MATRIX
+
+
 def test_no_repeated_work(synthetic_csv, monkeypatch):
     """One split plan per task and one kernel call per task, plus in grid
     mode one per (task, variant) for all of its CV fits, whose row counts
     differ."""
     import refold.bench
     import refold.core
+    import refold.evaluation
     from refold.datasets import load_dataset
     from refold.evaluation import kfold, make_split_plan
     from refold.rng import derive_seed
 
-    calls = {"plan": 0, "kernel": 0, "train": 0}
+    calls = {"plan": 0, "kernel": 0, "block": 0, "train": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -234,7 +267,9 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
         return wrapper
 
     for key, module, name in (("plan", refold.bench, "make_split_plan"),
-                              ("kernel", refold.core, "fit_stack"),
+                              ("kernel", refold.bench, "fit_stack"),
+                              ("kernel", refold.evaluation, "fit_stack"),
+                              ("block", refold.core, "_fit_block"),
                               ("train", refold.bench, "train_ref")):
         monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
 
@@ -259,18 +294,18 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
         )
         report = run_benchmark(spec)
         assert len(report.runs) == 2 * 2 * 4  # 2 tasks, ref and base, 4 reps
-        assert calls == {"plan": 2, "kernel": kernel_calls, "train": 0}
+        assert calls == {"plan": 2, "kernel": kernel_calls, "block": kernel_calls, "train": 0}
 
 
 def test_stack_budget_splits_calls_not_results(synthetic_csv, monkeypatch):
     """Whole stacks, ragged CV stacks among them, give the reports and
-    curves of one fit per call."""
+    curves of one fit per block."""
     import refold.core
 
-    calls = []
-    fit_stack, cells = refold.core.fit_stack, refold.core._STACK_CELLS
-    monkeypatch.setattr(refold.core, "fit_stack", lambda Z, *args, counts=None: (
-        calls.append(counts) or fit_stack(Z, *args, counts=counts)))
+    calls = []  # the row count of every fit, per block
+    fit_block, cells = refold.core._fit_block, refold.core._STACK_CELLS
+    monkeypatch.setattr(refold.core, "_fit_block", lambda X, fit, counts, *args: (
+        calls.append(counts) or fit_block(X, fit, counts, *args)))
     for fold, dist, cv_folds in (("abs", "l1", 3), ("cos_abs", "l2", 4)):
         spec = BenchSpec(datasets=(synthetic_csv,), fold=fold, dist=dist, iterations=9,
                          repetitions=3, seed=6, threshold_mode="grid", cv_folds=cv_folds,
@@ -279,8 +314,8 @@ def test_stack_budget_splits_calls_not_results(synthetic_csv, monkeypatch):
         calls.clear()
         whole = run_benchmark(spec).deterministic_text()
         curve = learning_curve(replace(spec, threshold_mode="fixed"), "blob2", 2).text()
-        assert any(len(set(counts)) > 1 for counts in calls)  # a padded call ran
-        monkeypatch.setattr(refold.core, "_STACK_CELLS", 1)  # one fit per call
+        assert any(len(set(counts)) > 1 for counts in calls)  # a padded block ran
+        monkeypatch.setattr(refold.core, "_STACK_CELLS", 1)  # one fit per block
         calls.clear()
         assert run_benchmark(spec).deterministic_text() == whole
         assert learning_curve(replace(spec, threshold_mode="fixed"), "blob2", 2).text() == curve
@@ -349,11 +384,13 @@ def test_failing_stack_raises_the_per_repetition_error(tmp_path, mode):
 
     want = first_error(loop)
     assert want == (NumericError, "non-finite working values at iteration 2")
-    # precondition: the whole stack fails another way (a later repetition
-    # fits both rows and fails first), so only a per-repetition replay
-    # reproduces the loop's error
-    stacked = first_error(lambda: fit_stack(ds.features[fits], spec.iterations, spec.fold))
-    assert stacked != want
+    # precondition: the whole stack fails at an earlier iteration (a later
+    # repetition fits both rows), so only a per-repetition replay reproduces
+    # the loop's error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stacked = first_error(lambda: fit_stack(ds.features, fits, spec.iterations, spec.fold))
+    assert stacked == (NumericError, "non-finite working values at iteration 1")
     assert first_error(lambda: run_benchmark(spec)) == want
 
 

@@ -279,6 +279,16 @@ def single_error_line(capsys, rc, error_type):
     return lines[0]
 
 
+def test_memory_error_is_one_error_line(tmp_path, capsys):
+    # numpy refuses this 142 PiB matrix before allocating any of it
+    argv = ["probe", "--sizes", "1000000000000000", "--repeats", "1", "--iters", "1",
+            "--out", str(tmp_path / "probe.csv")]
+    line = single_error_line(capsys, main(argv), "MemoryError")
+    assert line.endswith("Unable to allocate 142. PiB for an array with shape "
+                         "(1000000000000000, 20) and data type float64")
+    assert not (tmp_path / "probe.csv").exists()
+
+
 def test_utf16_data_is_a_format_error(tmp_path, capsys):
     data = tmp_path / "iris16.csv"
     data.write_text((REPO_ROOT / "data" / "iris.csv").read_text(), encoding="utf-16")

@@ -613,16 +613,21 @@ def test_overflow_warnings_and_first_error(X, fold, warned, iteration):
 
 
 def test_fit_stack_checks_fold_before_any_work():
-    Z = np.random.default_rng(2).normal(size=(3, 5, 2))
-    before = Z.copy()
+    X = np.random.default_rng(2).normal(size=(5, 2))
+    before = X.copy()
+    fits = [np.arange(5), np.array([4, 0, 0])]
     for iterations in (1, 3):
         with pytest.raises(ConfigError, match="unknown fold operation 'nope'"):
-            fit_stack(Z, iterations, "nope")
-    # the fold is checked before the size, and Z (its storage is the kernel's
-    # scratch buffer) is untouched
+            fit_stack(X, fits, iterations, "nope", fits, (1,))
+    # the fold is checked before the size
     with pytest.raises(ConfigError, match="unknown fold"):
-        fit_stack(np.zeros((2, 1, 2)), 3, "nope")
-    np.testing.assert_array_equal(Z, before)
+        fit_stack(X, [np.array([1])], 3, "nope")
+    with pytest.raises(InsufficientDataError, match="need at least 2 training samples, got 1"):
+        fit_stack(X, [np.arange(5), np.array([1])], 3, "abs")
+    # X is only read, also by a fit that runs
+    X.setflags(write=False)
+    fit_stack(X, fits, 3, "sqr", fits, (1, 3))
+    np.testing.assert_array_equal(X, before)
 
 
 def test_concurrent_scoring_is_safe():

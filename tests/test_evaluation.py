@@ -391,18 +391,17 @@ def test_select_thresholds_across_pools_matches_each_pool(monkeypatch):
     """Pools of different sizes selected together, with the CV fits of all
     pools in one kernel call, give each pool's select_threshold pick, which
     fits its folds one per call."""
-    import refold.core
+    import refold.evaluation
 
     rng = np.random.default_rng(61)
     X, flags = _separable_pool(rng, n_targets=70, n_outliers=40, d=3, radius=3.0)
     pools = [np.sort(rng.choice(len(X), size=n, replace=False)) for n in (40, 41, 43, 47)]
     seeds = [3, 5, 7, 11]
     grid = tuple(np.linspace(0.3, 1.5, 25).tolist())
-    calls = []
-    fit_stack = refold.core.fit_stack
-    monkeypatch.setattr(refold.core, "fit_stack",
-                        lambda Z, *args, **kwargs: calls.append(len(Z)) or fit_stack(Z, *args,
-                                                                                  **kwargs))
+    calls = []  # fits per kernel call
+    fit_stack = refold.evaluation.fit_stack
+    monkeypatch.setattr(refold.evaluation, "fit_stack",
+                        lambda X, fit, *args: calls.append(len(fit)) or fit_stack(X, fit, *args))
     for cfg in (ClassifierConfig(iterations=9), ClassifierConfig("sqr", 7, "l2"),
                 ClassifierConfig("tanh", 11, "l1")):
         calls.clear()

@@ -326,69 +326,70 @@ def test_matches_oracle_over_generated_shapes(case):
 
 @st.composite
 def kernel_cases(draw):
-    """A stack of fits and rows to score, with constant columns, and at
-    times one slice holding a 1e200 entry, which overflows under sqr, or a
-    column of +-1.7e308 entries, whose total or deviations overflow. Each
-    slice fits its first 2..n rows; the rows past them are -0.0 padding."""
-    r, n, d, m = (draw(st.integers(1, 4)), draw(st.integers(2, 40)),
-                  draw(st.integers(1, 4)), draw(st.integers(1, 5)))
-    values = st.floats(-1e3, 1e3)
-    Z = draw(arrays(np.float64, (r, n, d), elements=values))
-    Y = draw(arrays(np.float64, (r, m, d), elements=values))
+    """One read-only matrix, so that any write raises, with constant
+    columns, and at times a 1e200 entry, which overflows under sqr, or a
+    column of +-1.7e308 entries, whose total or deviations overflow. R fits
+    take 2..n of its rows and R score sets 1..6 rows, in any order and with
+    repeats, so both sides are ragged."""
+    r, n, d = draw(st.integers(1, 4)), draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(-1e3, 1e3)))
     for j, constant in enumerate(draw(st.lists(st.booleans(), min_size=d, max_size=d))):
         if constant:
-            Z[:, :, j] = Z[:, :1, j]
+            X[:, j] = X[0, j]
     if draw(st.booleans()):
-        Z[draw(st.integers(0, r - 1)), 0, draw(st.integers(0, d - 1))] = 1e200
+        X[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = 1e200
     if draw(st.integers(0, 3)) == 0:
         column = draw(st.lists(st.sampled_from((1.7e308, -1.7e308)), min_size=n, max_size=n))
-        Z[draw(st.integers(0, r - 1)), :, draw(st.integers(0, d - 1))] = column
-    counts = draw(st.lists(st.integers(2, n), min_size=r, max_size=r))
-    for k, count in enumerate(counts):
-        Z[k, count:] = -0.0
+        X[:, draw(st.integers(0, d - 1))] = column
+    X.setflags(write=False)
+
+    def index_arrays(low, high):
+        index = st.lists(st.integers(0, n - 1), min_size=low, max_size=high)
+        return [np.array(a) for a in draw(st.lists(index, min_size=r, max_size=r))]
+
+    fit, rows = index_arrays(2, n), index_arrays(1, 6)
     fold = draw(st.sampled_from(FOLD_OPS))
     iterations = draw(st.integers(1, 6))
     depths = draw(st.sets(st.integers(1, iterations), min_size=1))
-    return Z, counts, Y, iterations, fold, depths, draw(st.sampled_from(DISTANCES))
+    return X, fit, rows, iterations, fold, depths, draw(st.sampled_from(DISTANCES))
 
 
 @PROPERTY_SETTINGS
 @given(kernel_cases())
 def test_fit_stack_matches_per_slice_fits(case):
     """Bit for bit: the stack's step vectors are the train_ref model of each
-    slice's rows, and its distances are score() of that model truncated to
-    each requested depth. When a slice goes non-finite, the stack raises the
-    NumericError of the earliest failing iteration over the slices; the
-    benchmark runner then replays the slices one by one to raise the first
-    slice's error."""
-    Z, counts, Y, iterations, fold, depths, dist = case
-    r, _, d = Z.shape
+    fit's rows, and its distances are score() of each score set with that
+    model truncated to each requested depth. When a fit goes non-finite, the
+    stack raises the NumericError of the earliest failing iteration over the
+    fits; the benchmark runner then replays the fits one by one to raise the
+    first fit's error."""
+    X, fit, rows, iterations, fold, depths, dist = case
     models, failed_at = [], []
     # warnings off: far-out rows may overflow or turn NaN in both paths alike
     with np.errstate(all="ignore"):
-        for k, count in enumerate(counts):
+        for index in fit:
             try:
-                models.append(train_ref(Z[k, :count], iterations, fold))
+                models.append(train_ref(X[index], iterations, fold))
             except NumericError as exc:
                 failed_at.append(int(str(exc).rsplit(" ", 1)[1]))
-        mu = np.empty((iterations, r, d))
+        mu = np.empty((iterations, len(fit), X.shape[1]))
         sigma = np.empty_like(mu)
         if failed_at:
             with pytest.raises(NumericError) as exc:
-                fit_stack(Z.copy(), iterations, fold, Y.copy(), depths, dist, (mu, sigma), counts)
+                fit_stack(X, fit, iterations, fold, rows, depths, dist, (mu, sigma))
             assert str(exc.value) == (
                 f"non-finite working values at iteration {min(failed_at)}"
             )
             return
-        scores = fit_stack(Z.copy(), iterations, fold, Y.copy(), depths, dist, (mu, sigma),
-                           counts)
+        scores = fit_stack(X, fit, iterations, fold, rows, depths, dist, (mu, sigma))
         assert set(scores) == depths
         for k, model in enumerate(models):
             assert mu[:, k].tobytes() == model.mu.tobytes()
             assert sigma[:, k].tobytes() == model.sigma.tobytes()
             for depth in depths:
-                want = score(Y[k], model.truncated(depth), dist)
-                assert scores[depth][k].tobytes() == want.tobytes()
+                assert scores[depth].shape == (len(fit), max(map(len, rows)))
+                want = score(X[rows[k]], model.truncated(depth), dist)
+                assert scores[depth][k, :len(rows[k])].tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- confusion counting
