@@ -308,7 +308,7 @@ def _resolve_tasks(spec: BenchSpec, data_dir):
 def _plan_arrays(spec: BenchSpec, ds: Dataset, task: OccTask, ordinal: int):
     """The task's split plan as arrays: per-repetition split seeds, the
     (R, n_train) and (R, n_test) dataset row indices, and the per-row target
-    flags. A stratified plan gives every repetition the same sizes."""
+    flags."""
     plan = make_split_plan(
         ds.labels,
         task.target_class,
@@ -316,11 +316,7 @@ def _plan_arrays(spec: BenchSpec, ds: Dataset, task: OccTask, ordinal: int):
         spec.repetitions,
         seed=derive_seed(spec.seed, ordinal, _SPLIT_STREAM),
     )
-    seeds = [derive_seed(plan.seed, rep) for rep in range(plan.repetitions)]
-    train = np.array([train for train, _ in plan.splits], dtype=np.intp)
-    test = np.array([test for _, test in plan.splits], dtype=np.intp)
-    flags = ds.class_flags(task.target_class)
-    return seeds, train, test, flags
+    return plan.split_seeds, plan.train, plan.test, ds.class_flags(task.target_class)
 
 
 @contextmanager

@@ -11,7 +11,9 @@ Metrics run on count arrays: confusion_counts gives (tp, fn, tn, fp) along a
 mask's last axis and gmeans holds the one Gmean rule, exact below 2**53.
 
 All randomness flows through the splitmix64 helpers in refold.rng, so every
-split is a pure function of (inputs, seed).
+split is a pure function of (inputs, seed). Planning is batched: the split
+plans of all repetitions, and the CV folds of all pools of one length, are
+each drawn by one vectorized shuffle.
 """
 
 from __future__ import annotations
@@ -60,20 +62,29 @@ class EvalResult:
     gmean: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitPlan:
     """Seeded train/test index splits, one pair per repetition.
 
     Stratified: the train fraction applies within the target class and
-    within the outlier pool separately, sized by floor(fraction * n).
-    Repetition r uses the stream seeded with derive_seed(seed, r); targets
-    are shuffled first, then outliers, on that single stream.
+    within the outlier pool separately, sized by floor(fraction * n), so
+    every repetition has the same sizes. Repetition r uses the stream seeded
+    with split_seeds[r] = derive_seed(seed, r); targets are shuffled first,
+    then outliers, on that single stream. train and test are read-only
+    (repetitions, n) arrays of sorted row indices; splits views them as
+    (train, test) tuples.
     """
 
     seed: int
     train_fraction: float
     repetitions: int
-    splits: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    split_seeds: tuple[int, ...]
+    train: np.ndarray
+    test: np.ndarray
+
+    @property
+    def splits(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        return tuple(zip(map(tuple, self.train.tolist()), map(tuple, self.test.tolist())))
 
 
 def make_occ_tasks(dataset) -> list[OccTask]:
@@ -113,32 +124,36 @@ def make_split_plan(
     repetitions: int = DEFAULT_REPETITIONS,
     seed: int = 0,
 ) -> SplitPlan:
-    """Stratified train/test index splits for one task."""
+    """Stratified train/test index splits for one task.
+
+    Planning is batched: the targets of all repetitions are shuffled in one
+    SplitMix64.shuffle call, one stream per repetition, and then the
+    outliers in a second call on the same streams.
+    """
     check_train_fraction(train_fraction)
     check_repetitions(repetitions)
-    target_idx, outlier_idx = [], []
-    for i, lab in enumerate(labels):
-        (target_idx if lab == target_class else outlier_idx).append(i)
-    if not target_idx:
+    is_target = np.array([lab == target_class for lab in labels], dtype=bool)
+    if not is_target.any():
         raise ConfigError(f"target class {target_class!r} has no samples")
-    if not outlier_idx:
+    if is_target.all():
         raise ConfigError(f"no outlier samples besides class {target_class!r}")
 
-    splits = []
-    for rep in range(repetitions):
-        rng = SplitMix64(derive_seed(seed, rep))
-        tgt = rng.shuffle(list(target_idx))
-        out = rng.shuffle(list(outlier_idx))
-        n_t = int(train_fraction * len(tgt))
-        n_o = int(train_fraction * len(out))
-        train = tuple(sorted(tgt[:n_t] + out[:n_o]))
-        test = tuple(sorted(tgt[n_t:] + out[n_o:]))
-        splits.append((train, test))
+    split_seeds = tuple(derive_seed(seed, rep) for rep in range(repetitions))
+    rng = SplitMix64(split_seeds)
+    tgt = rng.shuffle(np.tile(np.flatnonzero(is_target), (repetitions, 1)))
+    out = rng.shuffle(np.tile(np.flatnonzero(~is_target), (repetitions, 1)))
+    n_t = int(train_fraction * tgt.shape[1])
+    n_o = int(train_fraction * out.shape[1])
+    train = np.sort(np.concatenate([tgt[:, :n_t], out[:, :n_o]], axis=1), axis=1)
+    test = np.sort(np.concatenate([tgt[:, n_t:], out[:, n_o:]], axis=1), axis=1)
+    train.flags.writeable = test.flags.writeable = False
     return SplitPlan(
         seed=seed,
         train_fraction=train_fraction,
         repetitions=repetitions,
-        splits=tuple(splits),
+        split_seeds=split_seeds,
+        train=train,
+        test=test,
     )
 
 
@@ -191,27 +206,39 @@ def kfold(
     """Seeded k-fold partition: disjoint validation folds covering indices.
 
     Fold sizes differ by at most one; the first (n mod k) folds take the
-    extra element.
+    extra element. This is the one-pool case of the batched fold planner
+    that select_thresholds uses.
     """
-    items = list(indices)
+    items = np.array(list(indices), dtype=np.intp)
     check_cv_folds(k)
     if k > len(items):
         raise ConfigError(f"cannot make {k} folds from {len(items)} items")
-    rng = SplitMix64(seed)
-    rng.shuffle(items)
-    base, extra = divmod(len(items), k)
-    folds = []
-    start = 0
-    for f in range(k):
-        size = base + (1 if f < extra else 0)
-        folds.append(items[start : start + size])
-        start += size
-    out = []
-    for f in range(k):
-        val = tuple(folds[f])
-        train = tuple(x for g in range(k) if g != f for x in folds[g])
-        out.append((train, val))
-    return out
+    return [(tuple(items[train].tolist()), tuple(items[val].tolist()))
+            for train, val in _kfolds([len(items)], k, [seed])[0]]
+
+
+def _kfolds(lengths, k: int, seeds) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """kfold's (training, validation) positions for every pool p whose
+    length lengths[p] is at least k (k >= 2), on stream seeds[p].
+
+    Planning is batched: the pools of one length are shuffled together, in
+    one SplitMix64.shuffle call, and cut into folds by column slices.
+    """
+    by_length: dict[int, list[int]] = {}
+    for p, n in enumerate(lengths):
+        if 2 <= k <= n:
+            by_length.setdefault(n, []).append(p)
+    folds = {}
+    for n, members in by_length.items():
+        order = SplitMix64([seeds[p] for p in members]).shuffle(
+            np.tile(np.arange(n), (len(members), 1)))
+        base, extra = divmod(n, k)
+        ends = np.cumsum([base + (f < extra) for f in range(k)]).tolist()
+        cuts = [(np.concatenate([order[:, :a], order[:, b:]], axis=1), order[:, a:b])
+                for a, b in zip([0] + ends, ends)]
+        for row, p in enumerate(members):
+            folds[p] = [(train[row], val[row]) for train, val in cuts]
+    return folds
 
 
 def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
@@ -224,33 +251,50 @@ def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
 
 
 def cv_folds(is_target: np.ndarray, k: int, seed: int = 0):
-    """Yield select_threshold's (fit rows, validation rows) index arrays.
+    """select_threshold's (fit rows, validation rows) index arrays.
 
     One pair per CV fold of the pool, in fold order: the fold's training
     targets (the only rows a model is fit on) and its validation rows.
     Folds whose validation rows hold a single class are skipped, since Gmean
     is undefined there. Raises SelectionError on a pool without both classes
-    and, on reaching it, on a fold with fewer than 2 training targets.
+    and on a fold with fewer than 2 training targets. This is the one-pool
+    case of the batched planner of select_thresholds.
     """
-    if not is_target.any():
-        raise SelectionError("training pool has no target samples")
-    if is_target.all():
-        raise SelectionError(
-            "training pool has no outliers for validation; "
-            "use the default threshold T=1 instead of grid selection"
-        )
-    for fold_train, fold_val in kfold(range(len(is_target)), k, seed):
-        fold_train = np.array(fold_train)
-        fit = fold_train[is_target[fold_train]]
-        if len(fit) < 2:
+    return [(fit, val) for _, fit, val in
+            _cv_plan([np.arange(len(is_target))], is_target, k, [seed])]
+
+
+def _cv_plan(pools, is_target, k: int, seeds) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(pool p, fit rows, validation rows) of every CV fold that cv_folds
+    gives pool pools[p] with seed seeds[p], in pool and fold order, as row
+    indices of is_target. The folds of all pools are planned first, in one
+    shuffle per distinct pool length, then checked pool by pool, so that the
+    error raised is that of a loop over the pools."""
+    folds = _kfolds([len(pool) for pool in pools], k, seeds)
+    plan = []
+    for p, pool in enumerate(pools):
+        flags = is_target[pool]
+        if not flags.any():
+            raise SelectionError("training pool has no target samples")
+        if flags.all():
             raise SelectionError(
-                f"a CV fold has {len(fit)} target training rows; need >= 2"
+                "training pool has no outliers for validation; "
+                "use the default threshold T=1 instead of grid selection"
             )
-        val = np.array(fold_val)
-        val_flags = is_target[val]
-        if val_flags.all() or not val_flags.any():
-            continue
-        yield fit, val
+        check_cv_folds(k)
+        if k > len(pool):
+            raise ConfigError(f"cannot make {k} folds from {len(pool)} items")
+        for fold_train, val in folds[p]:
+            fit = fold_train[flags[fold_train]]
+            if len(fit) < 2:
+                raise SelectionError(
+                    f"a CV fold has {len(fit)} target training rows; need >= 2"
+                )
+            val_flags = flags[val]
+            if val_flags.all() or not val_flags.any():
+                continue
+            plan.append((p, pool[fit], pool[val]))
+    return plan
 
 
 def best_threshold(per_fold: list[list[float]], grid) -> float:
@@ -269,12 +313,12 @@ def best_threshold(per_fold: list[list[float]], grid) -> float:
 def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> list[float]:
     """select_threshold on every pool of row indices pools[r] of features,
     with CV seed seeds[r]; is_target flags every row of features. All folds
-    are planned first, then fitted in one kernel call, each as a lone fit
+    are planned first, batched (one shuffle per distinct pool length), then
+    fitted in one kernel call, each as a lone fit
     (core.fit_stack pads the folds to the most rows, and works in blocks
     under its memory budget). A lone pool fits one fold per call, so it fails
     and warns as a fold loop does."""
-    folds = [(p, pool[fit], pool[val]) for p, (pool, seed) in enumerate(zip(pools, seeds))
-             for fit, val in cv_folds(is_target[pool], k, seed)]
+    folds = _cv_plan(pools, is_target, k, seeds)
     per_fold = [[] for _ in pools]
     depth = config.iterations
     thresholds = np.asarray(grid)[:, np.newaxis]

@@ -95,3 +95,83 @@ def score(y, mus, sigmas, op, dist):
 
 def label(y, mus, sigmas, op, dist, threshold):
     return "target" if score(y, mus, sigmas, op, dist) <= threshold else "outlier"
+
+
+# ------------------------------------------------------------- splitmix64
+# One stream at a time, with Python ints masked to 64 bits: the reference
+# for the vectorized streams, split plans and CV folds.
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(state):
+    z = (state + GOLDEN) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+class Stream:
+    """Output k of the stream seeded with s is mix64(s + k * GOLDEN)."""
+
+    def __init__(self, seed):
+        self.state = seed & MASK64
+
+    def next(self):
+        out = mix64(self.state)
+        self.state = (self.state + GOLDEN) & MASK64
+        return out
+
+    def below(self, n, highest=None):
+        """Uniform in [0, n): draws above highest(n), by default
+        2**64 - (2**64 mod n) - 1, are rejected and drawn again."""
+        top = (1 << 64) - (1 << 64) % n - 1 if highest is None else highest(n)
+        while True:
+            r = self.next()
+            if r <= top:
+                return r % n
+
+    def shuffle(self, items, highest=None):
+        """Fisher-Yates, highest index first, in place."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1, highest)
+            items[i], items[j] = items[j], items[i]
+        return items
+
+
+def derive_seed(seed, *path):
+    s = seed & MASK64
+    for component in path:
+        s = mix64((s + component) & MASK64)
+    return s
+
+
+def split_plan(labels, target, fraction, repetitions, seed):
+    """(split seed, sorted train rows, sorted test rows) per repetition:
+    targets shuffled, then outliers, on the repetition's stream."""
+    targets = [i for i, lab in enumerate(labels) if lab == target]
+    outliers = [i for i, lab in enumerate(labels) if lab != target]
+    plan = []
+    for rep in range(repetitions):
+        split_seed = derive_seed(seed, rep)
+        stream = Stream(split_seed)
+        tgt = stream.shuffle(list(targets))
+        out = stream.shuffle(list(outliers))
+        n_t = int(fraction * len(tgt))
+        n_o = int(fraction * len(out))
+        plan.append((split_seed, sorted(tgt[:n_t] + out[:n_o]), sorted(tgt[n_t:] + out[n_o:])))
+    return plan
+
+
+def kfold(items, k, seed):
+    """(training, validation) lists per fold of the shuffled items; the
+    first len(items) mod k folds hold one extra item."""
+    items = Stream(seed).shuffle(list(items))
+    base, extra = divmod(len(items), k)
+    folds, start = [], 0
+    for f in range(k):
+        size = base + (1 if f < extra else 0)
+        folds.append(items[start:start + size])
+        start += size
+    return [([x for g in range(k) if g != f for x in folds[g]], folds[f]) for f in range(k)]

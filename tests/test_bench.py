@@ -247,18 +247,59 @@ def test_golden_fold_distance_matrix(data_dir):
     assert _sha256("".join(texts)) == GOLDEN_FOLD_DIST_MATRIX
 
 
+# sha256 over Iris split plans and CV fold orders, pinned at the code that
+# shuffled one repetition and one CV pool at a time: per seed and task, the
+# splits of 100 repetitions, each training pool's kfold, and the CV fits and
+# validation rows select_thresholds hands the kernel for all 100 pools
+GOLDEN_PLANS = "eb2a0369d2680560161ed63ff94c43c893873fcf7e139101d0e9ccd58bc41853"
+
+
+def test_golden_split_plans_and_cv_folds(data_dir, monkeypatch):
+    import refold.evaluation
+    from refold.core import ClassifierConfig
+    from refold.datasets import load_registry_dataset
+    from refold.evaluation import kfold, make_split_plan, select_thresholds
+    from refold.rng import derive_seed
+
+    texts = []
+    fit_stack = refold.evaluation.fit_stack
+
+    def spy(X, fits, *args):
+        texts.extend(f"cv {fit.tolist()} {val.tolist()}\n" for fit, val in zip(fits, args[2]))
+        return fit_stack(X, fits, *args)
+
+    monkeypatch.setattr(refold.evaluation, "fit_stack", spy)
+    ds = load_registry_dataset("iris", data_dir)
+    for seed in (0, 2**63 + 5, 2**64 - 1):
+        for t, target in enumerate(ds.class_names):
+            plan = make_split_plan(ds.labels, target, 0.7, 100, seed=seed)
+            texts.extend(f"split {list(train)} {list(test)}\n" for train, test in plan.splits)
+            seeds = [derive_seed(seed, t, rep) for rep in range(100)]
+            for (train, _), cv_seed in zip(plan.splits, seeds):
+                texts.extend(f"kfold {list(fit)} {list(val)}\n"
+                             for fit, val in kfold(train, 5, cv_seed))
+            select_thresholds(ds.features, [np.array(train) for train, _ in plan.splits],
+                              ds.class_flags(target), ClassifierConfig(iterations=1), (1.0,),
+                              5, seeds)
+    assert len(texts) == 9899
+    assert _sha256("".join(texts)) == GOLDEN_PLANS
+
+
 def test_no_repeated_work(synthetic_csv, monkeypatch):
     """One split plan per task and one kernel call per task, plus in grid
     mode one per (task, variant) for all of its CV fits, whose row counts
-    differ."""
+    differ. A plan shuffles twice (targets, then outliers of every
+    repetition), and the CV folds of a (task, variant) once per distinct
+    pool length, which a stratified plan makes one."""
     import refold.bench
     import refold.core
     import refold.evaluation
+    import refold.rng
     from refold.datasets import load_dataset
     from refold.evaluation import kfold, make_split_plan
     from refold.rng import derive_seed
 
-    calls = {"plan": 0, "kernel": 0, "block": 0, "train": 0}
+    calls = {"plan": 0, "kernel": 0, "block": 0, "train": 0, "shuffle": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -270,7 +311,8 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
                               ("kernel", refold.bench, "fit_stack"),
                               ("kernel", refold.evaluation, "fit_stack"),
                               ("block", refold.core, "_fit_block"),
-                              ("train", refold.bench, "train_ref")):
+                              ("train", refold.bench, "train_ref"),
+                              ("shuffle", refold.rng.SplitMix64, "shuffle")):
         monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
 
     # precondition: the CV fits of each (task, variant) come in several sizes
@@ -286,7 +328,7 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
                         sizes.add((sum(flags[i] for i in fit), len(val)))
             assert len(sizes) > 1
 
-    for mode, kernel_calls in (("fixed", 2), ("grid", 2 + 2 * 2)):
+    for mode, kernel_calls, shuffles in (("fixed", 2, 2 * 2), ("grid", 2 + 2 * 2, 4 + 2 * 2)):
         calls.update(dict.fromkeys(calls, 0))
         spec = BenchSpec(
             datasets=(synthetic_csv,), iterations=11, repetitions=4, seed=2,
@@ -294,7 +336,8 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
         )
         report = run_benchmark(spec)
         assert len(report.runs) == 2 * 2 * 4  # 2 tasks, ref and base, 4 reps
-        assert calls == {"plan": 2, "kernel": kernel_calls, "block": kernel_calls, "train": 0}
+        assert calls == {"plan": 2, "kernel": kernel_calls, "block": kernel_calls, "train": 0,
+                         "shuffle": shuffles}
 
 
 def test_stack_budget_splits_calls_not_results(synthetic_csv, monkeypatch):

@@ -1,6 +1,7 @@
 """Property tests for the text formats (bench specs, models and data files),
 for the stacked fit kernel, for confusion counting, Gmean and threshold
-selection, and a check that a failing property test reports its example."""
+selection, for the split streams, plans and CV folds against tests/oracle.py,
+and a check that a failing property test reports its example."""
 
 import math
 import os
@@ -34,9 +35,11 @@ from refold.evaluation import (
     cv_folds,
     gmean,
     gmeans,
+    make_split_plan,
     select_thresholds,
 )
 from refold.model_io import FORMAT_VERSION, parse_model, serialize_model
+from refold.rng import SplitMix64
 
 import oracle
 
@@ -540,6 +543,62 @@ def test_select_thresholds_picks_what_a_gmean_loop_picks(case):
     assert got == want
     seen = [bits(c.args[0]) for c in spy.call_args_list]
     assert seen == [bits(table) for table in tables[:len(seen)]]
+
+
+# ------------------------------------------------------ split plans and folds
+
+seeds64 = st.integers(0, 2**64 - 1)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(seeds64, min_size=1, max_size=6), st.integers(1, 40), st.integers(0, 12),
+       st.integers(0, 2**32 - 1))
+def test_stream_shuffles_match_the_reference(seeds, n, m, values):
+    """Each row of an (R, n) shuffle, then of an (R, m) shuffle on the same
+    streams, is one reference stream shuffling that row."""
+    rows = np.random.default_rng(values).integers(-50, 50, size=(len(seeds), n))
+    refs = [oracle.Stream(seed) for seed in seeds]
+    g = SplitMix64(seeds)
+    for items in (rows, np.tile(np.arange(m), (len(seeds), 1))):
+        want = [ref.shuffle(row) for ref, row in zip(refs, items.tolist())]
+        assert g.shuffle(items).tolist() == want
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.booleans(), min_size=2, max_size=40).filter(lambda f: 0 < sum(f) < len(f)),
+       st.floats(0.05, 0.95), st.integers(1, 6), seeds64)
+def test_split_plans_match_the_reference(flags, fraction, repetitions, seed):
+    labels = ["t" if f else "o" for f in flags]
+    plan = make_split_plan(labels, "t", fraction, repetitions, seed)
+    want = oracle.split_plan(labels, "t", fraction, repetitions, seed)
+    assert plan.split_seeds == tuple(s for s, _, _ in want)
+    assert plan.train.tolist() == [train for _, train, _ in want]
+    assert plan.test.tolist() == [test for _, _, test in want]
+    assert plan.splits == tuple((tuple(train), tuple(test)) for _, train, test in want)
+
+
+@st.composite
+def fold_cases(draw):
+    """k, and pools whose lengths repeat and include k itself, with seeds."""
+    k = draw(st.integers(2, 6))
+    lengths = draw(st.lists(st.one_of(st.just(k), st.integers(1, 20)), min_size=1,
+                            max_size=6))
+    return k, lengths, draw(st.lists(seeds64, min_size=len(lengths), max_size=len(lengths)))
+
+
+@PROPERTY_SETTINGS
+@given(fold_cases())
+def test_batched_folds_match_the_reference(case):
+    """The folds of pools planned together, one shuffle per distinct length,
+    are each pool's reference kfold; pools shorter than k get none."""
+    k, lengths, seeds = case
+    folds = evaluation._kfolds(lengths, k, seeds)
+    assert sorted(folds) == [p for p, n in enumerate(lengths) if n >= k]
+    for p, pool_folds in folds.items():
+        want = oracle.kfold(range(lengths[p]), k, seeds[p])
+        assert [(train.tolist(), val.tolist()) for train, val in pool_folds] == want
+        assert evaluation.kfold(range(lengths[p]), k, seeds[p]) == [
+            (tuple(train), tuple(val)) for train, val in want]
 
 
 # ------------------------------------------------------------- suite harness
