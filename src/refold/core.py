@@ -230,10 +230,9 @@ def fit_stack(
     """Fit one model on the rows fit[r] of X for each r, and score the rows
     rows[r] of X with model r.
 
-    X is an (N, D) float64 matrix of finite rows, and is only read. fit and
-    rows are sequences of index arrays, or (R, n) arrays, used as they are.
-    The index arrays may differ in length and hold any rows in any order;
-    every fit needs 2 or more. Returns, for every depth in `depths` (each in
+    X is an (N, D) float64 matrix of finite rows, and is only read. The index
+    arrays may differ in length and hold any rows in any order; every fit
+    needs 2 or more. Returns, for every depth in `depths` (each in
     1..iterations), an (R, M) array, M being the longest rows[r], whose row r
     starts with score(X[rows[r]], model_r.truncated(depth), dist), bit for
     bit. With params = (mu, sigma), two (iterations, R, D) arrays, mu[i, r]
@@ -345,9 +344,7 @@ def _check_finite(z: np.ndarray, i: int) -> None:
 
 def _padded(index) -> np.ndarray:
     """(R, longest) array of R index arrays, each padded at its tail by
-    repeating its last entry. A 2-D array is returned as it is."""
-    if isinstance(index, np.ndarray) and index.ndim == 2:
-        return index
+    repeating its last entry."""
     sizes = np.array([len(a) for a in index])[:, np.newaxis]
     starts = np.cumsum(sizes)[:, np.newaxis] - sizes
     return np.concatenate(index)[starts + np.minimum(np.arange(sizes.max()), sizes - 1)]
@@ -365,7 +362,7 @@ def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD)
     z, _ = _as_samples(X, "training data")
     mu = np.empty((iterations, 1, z.shape[1]))
     sigma = np.empty_like(mu)
-    fit_stack(z, np.arange(len(z))[np.newaxis], iterations, fold, params=(mu, sigma))
+    fit_stack(z, [np.arange(len(z))], iterations, fold, params=(mu, sigma))
     return RefModel(mu[:, 0], sigma[:, 0], fold)
 
 

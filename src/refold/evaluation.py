@@ -62,7 +62,7 @@ class EvalResult:
     gmean: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SplitPlan:
     """Seeded train/test index splits, one pair per repetition.
 
@@ -72,7 +72,7 @@ class SplitPlan:
     with split_seeds[r] = derive_seed(seed, r); targets are shuffled first,
     then outliers, on that single stream. train and test are read-only
     (repetitions, n) arrays of sorted row indices; splits views them as
-    (train, test) tuples.
+    (train, test) tuples. Plans compare by value.
     """
 
     seed: int
@@ -81,6 +81,18 @@ class SplitPlan:
     split_seeds: tuple[int, ...]
     train: np.ndarray
     test: np.ndarray
+
+    def _key(self):
+        return self.seed, self.train_fraction, self.repetitions, self.split_seeds
+
+    def __eq__(self, other):
+        if not isinstance(other, SplitPlan):
+            return NotImplemented
+        return (self._key() == other._key() and np.array_equal(self.train, other.train)
+                and np.array_equal(self.test, other.test))
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def splits(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -250,26 +262,18 @@ def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
-def cv_folds(is_target: np.ndarray, k: int, seed: int = 0):
-    """select_threshold's (fit rows, validation rows) index arrays.
-
-    One pair per CV fold of the pool, in fold order: the fold's training
-    targets (the only rows a model is fit on) and its validation rows.
-    Folds whose validation rows hold a single class are skipped, since Gmean
-    is undefined there. Raises SelectionError on a pool without both classes
-    and on a fold with fewer than 2 training targets. This is the one-pool
-    case of the batched planner of select_thresholds.
-    """
-    return [(fit, val) for _, fit, val in
-            _cv_plan([np.arange(len(is_target))], is_target, k, [seed])]
-
-
 def _cv_plan(pools, is_target, k: int, seeds) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(pool p, fit rows, validation rows) of every CV fold that cv_folds
-    gives pool pools[p] with seed seeds[p], in pool and fold order, as row
-    indices of is_target. The folds of all pools are planned first, in one
-    shuffle per distinct pool length, then checked pool by pool, so that the
-    error raised is that of a loop over the pools."""
+    """(pool p, fit rows, validation rows) of every CV fold of each pool
+    pools[p] of row indices of is_target, on seed seeds[p], in pool and fold
+    order: the fold's training targets (the only rows a model is fit on)
+    and its validation rows.
+
+    Folds whose validation rows hold a single class are skipped, since
+    Gmean is undefined there. Raises SelectionError on a pool without both
+    classes and on a fold with fewer than 2 training targets. Planning is
+    batched: the folds of all pools are planned first, in one shuffle per
+    distinct pool length, then checked pool by pool, so that the error
+    raised is that of a loop over the pools."""
     folds = _kfolds([len(pool) for pool in pools], k, seeds)
     plan = []
     for p, pool in enumerate(pools):

@@ -118,7 +118,8 @@ class SplitMix64:
         expression, and each stream advances by n - 1 steps. A row with a
         rejected draw is redone from its starting state by stepping below,
         which advances its stream by every draw it takes. The swaps run as a
-        loop over positions, each on a whole (R,) column.
+        loop over positions: each swaps a whole (R,) column with the drawn
+        entries in one assignment through precomputed flat indices.
         """
         n = items.shape[1]
         if n < 2:
@@ -134,10 +135,15 @@ class SplitMix64:
             for t, bound in enumerate(range(n, 1, -1)):
                 draws[rejected, t] = stepper.below(bound)
             self._state[rejected] = stepper._state
-        every = np.arange(len(items))
-        for t, i in enumerate(range(n - 1, 0, -1)):
-            j = draws[:, t]
-            held = items[every, j]
-            items[every, j] = items[:, i]
-            items[:, i] = held
+        flat = items.ravel()  # a view if items is C-contiguous, else a copy
+        starts = np.arange(0, flat.size, n)
+        slots = starts + np.arange(n - 1, 0, -1)[:, np.newaxis]  # (n - 1, R)
+        picks = starts + draws.T
+        # row t of into and source swaps position n - 1 - t with draw t in
+        # every row; the right side is read before any entry is written
+        into = np.concatenate([slots, picks], axis=1)
+        source = np.concatenate([picks, slots], axis=1)
+        for a, b in zip(into, source):
+            flat[a] = flat[b]
+        items[...] = flat.reshape(items.shape)
         return items

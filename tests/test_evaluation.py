@@ -102,6 +102,17 @@ def test_split_plan_deterministic():
     assert p3.splits != p1.splits
 
 
+def test_split_plans_compare_by_value():
+    labels = ["t"] * 20 + ["o"] * 30
+    p1 = make_split_plan(labels, "t", seed=42)
+    p2 = make_split_plan(labels, "t", seed=42)
+    assert p1 == p2 and hash(p1) == hash(p2)
+    assert p1 != make_split_plan(labels, "t", seed=43)
+    assert p1 != make_split_plan(labels, "t", train_fraction=0.5, seed=42)
+    assert p1 != make_split_plan(labels, "t", repetitions=2, seed=42)
+    assert p1 != p1.splits
+
+
 def test_split_plan_repetitions_differ():
     labels = ["t"] * 20 + ["o"] * 30
     plan = make_split_plan(labels, "t", repetitions=3, seed=0)

@@ -32,7 +32,6 @@ from refold.evaluation import (
     best_threshold,
     confusion_counts,
     confusion_from_scores,
-    cv_folds,
     gmean,
     gmeans,
     make_split_plan,
@@ -507,12 +506,12 @@ def selection_cases(draw):
 
 def loop_fold_scores(features, pools, is_target, config, k, seeds):
     """Per pool, (validation scores, validation flags) of every CV fold, from
-    one train_ref per fold; every pool's folds are planned first."""
-    folds = [list(cv_folds(is_target[pool], k, seed)) for pool, seed in zip(pools, seeds)]
-    return [[(score(features[pool[val]],
-                    train_ref(features[pool[fit]], config.iterations, config.fold),
-                    config.dist), is_target[pool[val]]) for fit, val in pool_folds]
-            for pool, pool_folds in zip(pools, folds)]
+    one train_ref per fold; every pool's folds are planned first, one pool
+    at a time."""
+    folds = [evaluation._cv_plan([pool], is_target, k, [seed]) for pool, seed in zip(pools, seeds)]
+    return [[(score(features[val], train_ref(features[fit], config.iterations, config.fold),
+                    config.dist), is_target[val]) for _, fit, val in pool_folds]
+            for pool_folds in folds]
 
 
 def outcome(fn, *args):

@@ -60,6 +60,13 @@ def test_shuffle_deterministic():
     assert shuffled(11) != shuffled(12)
 
 
+def test_shuffle_works_in_place_on_a_strided_array():
+    strided = np.arange(40).reshape(20, 2).T
+    want = SplitMix64([3, 4]).shuffle(strided.copy())
+    assert SplitMix64([3, 4]).shuffle(strided) is strided
+    assert strided.tolist() == want.tolist()
+
+
 def test_derive_seed_composes():
     assert derive_seed(5, 1, 2) == derive_seed(derive_seed(5, 1), 2)
     assert derive_seed(5) == 5
