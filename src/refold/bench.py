@@ -354,21 +354,23 @@ def _task_results(spec, variants, X, train, test, flags, cv_seeds, seconds):
     non-finite working value, a CV fold that cannot be planned, an overflow),
     the task is replayed through _task_stacked once per repetition, on
     stacks of one, which raises or warns as a loop over the repetitions
-    does, first failure first.
+    does, first failure first. Its fits are lone fits, as the stacked
+    pass's are, so when it raises nothing, what the stacked pass gave stands.
     """
+    error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             result = _task_stacked(spec, variants, X, train, test, flags, cv_seeds, seconds)
-        except RefoldError:
-            result = None
-    if result is not None and not caught:
-        return result
-    parts = [_task_stacked(spec, variants, X, train[r:r + 1], test[r:r + 1], flags,
-                           {name: seeds[r:r + 1] for name, seeds in cv_seeds.items()}, seconds)
-             for r in range(len(train))]
-    return ({name: [t for part, _ in parts for t in part[name]] for name in cv_seeds},
-            {name: np.concatenate([part[name] for _, part in parts]) for name in cv_seeds})
+        except RefoldError as exc:
+            error = exc
+    if error is not None or caught:
+        for r in range(len(train)):
+            _task_stacked(spec, variants, X, train[r:r + 1], test[r:r + 1], flags,
+                          {name: seeds[r:r + 1] for name, seeds in cv_seeds.items()}, seconds)
+    if error is not None:
+        raise error
+    return result
 
 
 def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:

@@ -7,17 +7,15 @@ ASCII digits only, and any malformed cell fails with its row and column
 named. A well-formed file is read in one vectorized pass; any other goes
 through the row-by-row parse, which alone decides what is rejected and how.
 There is no network access anywhere; benchmark files are supplied locally
-and checked against the packaged manifest (expected class/sample/dimension
+and checked against the registry table below (expected class/sample/dimension
 counts) so a wrong or modified file fails loudly instead of skewing results.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -225,7 +223,12 @@ def _resolve_label(schema, header_names, width, path) -> int | None:
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """Manifest record for one benchmark dataset: file, schema, expected shape."""
+    """One benchmark dataset: its file under the data directory (see
+    data/README.md for how to obtain it), how to parse it (by default comma
+    delimited, no header, label last), the task name prefix, and the
+    class/sample/dimension counts the loader verifies. note is free text
+    surfaced in benchmark report headers.
+    """
 
     name: str
     filename: str
@@ -233,53 +236,40 @@ class RegistryEntry:
     classes: int
     samples: int
     dims: int
-    schema: DatasetSchema
+    schema: DatasetSchema = DatasetSchema()
     note: str = ""
 
 
-_registry_cache: dict[str, RegistryEntry] | None = None
+_REGISTRY = {entry.name: entry for entry in (
+    RegistryEntry("iris", "iris.csv", "Iris", classes=3, samples=150, dims=4),
+    RegistryEntry(
+        "seeds", "seeds.csv", "Seed", classes=3, samples=210, dims=7,
+        note="converted from the tab-separated original: collapse runs of tabs to single "
+             "commas",
+    ),
+    RegistryEntry(
+        "ionosphere", "ionosphere.csv", "Ion", classes=2, samples=351, dims=32,
+        schema=DatasetSchema(drop_columns=(0, 1)),
+        note="raw columns 0 (binary) and 1 (always zero) dropped to get the 32 continuous "
+             "pulse features",
+    ),
+    RegistryEntry("sonar", "sonar.csv", "Son", classes=2, samples=208, dims=60),
+    RegistryEntry(
+        "bankruptcy", "bankruptcy.csv", "Bank", classes=2, samples=250, dims=6,
+        note="qualitative P/A/N ratings encoded as 2/1/0; any equally spaced increasing "
+             "encoding gives identical scores",
+    ),
+    RegistryEntry(
+        "happiness", "happiness.csv", "Happ", classes=2, samples=143, dims=6,
+        schema=DatasetSchema(label_column=0),
+        note="survey file re-encoded from UTF-16 to UTF-8; label (D) is the first column",
+    ),
+)}
 
 
 def registry() -> dict[str, RegistryEntry]:
-    """Benchmark datasets from the packaged manifest, keyed by name."""
-    global _registry_cache
-    if _registry_cache is None:
-        text = resources.files("refold").joinpath("manifest.txt").read_text("utf-8")
-        _registry_cache = parse_manifest(text)
-    return _registry_cache
-
-
-def parse_manifest(text: str) -> dict[str, RegistryEntry]:
-    """Parse the key-value manifest listing expected (C, N, D) per dataset."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text)
-    entries = {}
-    for section in parser.sections():
-        sec = parser[section]
-        try:
-            drop = tuple(
-                int(c) for c in sec.get("drop_columns", "").split(",") if c.strip()
-            )
-            label_raw = sec.get("label_column", "-1").strip()
-            schema = DatasetSchema(
-                delimiter=sec.get("delimiter", ","),
-                label_column=int(label_raw),
-                drop_columns=drop,
-                header=sec.getboolean("header", False),
-            )
-            entries[section] = RegistryEntry(
-                name=section,
-                filename=sec["file"],
-                task_prefix=sec["prefix"],
-                classes=sec.getint("classes"),
-                samples=sec.getint("samples"),
-                dims=sec.getint("dims"),
-                schema=schema,
-                note=sec.get("note", ""),
-            )
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"manifest section [{section}]: {exc}") from None
-    return entries
+    """The benchmark datasets, keyed by name."""
+    return _REGISTRY
 
 
 def resolve_data_dir(data_dir: str | None = None) -> str:
@@ -288,7 +278,7 @@ def resolve_data_dir(data_dir: str | None = None) -> str:
 
 
 def load_registry_dataset(name: str, data_dir: str | None = None) -> Dataset:
-    """Load a manifest dataset and verify its (C, N, D) against expectations."""
+    """Load a registry dataset and verify its (C, N, D) against expectations."""
     reg = registry()
     if name not in reg:
         raise DataFormatError(
@@ -312,7 +302,7 @@ def load_registry_dataset(name: str, data_dir: str | None = None) -> Dataset:
 
 
 def dataset_available(name: str, data_dir: str | None = None) -> bool:
-    """True if the manifest dataset's file exists locally."""
+    """True if the registry dataset's file exists locally."""
     entry = registry().get(name)
     if entry is None:
         return False

@@ -34,7 +34,7 @@ class SelectionError(RefoldError):
 
 
 class DataFormatError(RefoldError):
-    """A dataset file does not parse or does not match its manifest."""
+    """A dataset file does not parse or does not match its registry entry."""
 
 
 class ModelFormatError(RefoldError):

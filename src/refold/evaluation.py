@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import ClassifierConfig, _as_samples, fit_stack
 from .errors import ConfigError, EvaluationError, SelectionError
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, check_seed, derive_seed
 
 DEFAULT_TRAIN_FRACTION = 0.7
 DEFAULT_REPETITIONS = 5
@@ -144,6 +144,7 @@ def make_split_plan(
     """
     check_train_fraction(train_fraction)
     check_repetitions(repetitions)
+    check_seed(seed)
     is_target = np.array([lab == target_class for lab in labels], dtype=bool)
     if not is_target.any():
         raise ConfigError(f"target class {target_class!r} has no samples")
@@ -221,8 +222,11 @@ def kfold(
     extra element. This is the one-pool case of the batched fold planner
     that select_thresholds uses.
     """
-    items = np.array(list(indices), dtype=np.intp)
+    items = np.array(list(indices))
+    if items.size and not np.issubdtype(items.dtype, np.integer):
+        raise ConfigError(f"kfold indices must be integers, got dtype {items.dtype}")
     check_cv_folds(k)
+    check_seed(seed)
     if k > len(items):
         raise ConfigError(f"cannot make {k} folds from {len(items)} items")
     return [(tuple(items[train].tolist()), tuple(items[val].tolist()))
@@ -362,10 +366,11 @@ def select_threshold(
     outliers; without them there is nothing to validate against and the
     caller should fall back to the default threshold 1.
 
-    The arguments (grid, shapes, finite features) are checked before any
-    fold is planned; this is select_thresholds on one pool.
+    The arguments (grid, seed, shapes, finite features) are checked before
+    any fold is planned; this is select_thresholds on one pool.
     """
     grid = check_grid(grid)
+    check_seed(seed)
     features = np.asarray(features, dtype=np.float64)
     flags = np.asarray(is_target, dtype=bool)
     if features.ndim != 2 or len(flags) != len(features):

@@ -59,7 +59,9 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 def check_seed(seed: int) -> None:
-    """Reject a seed that derive_seed, working modulo 2**64, would alias."""
+    """Reject a non-integral seed, and one that derive_seed (mod 2**64) would alias."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise ConfigError("seed must be in 0..2**64-1")
 

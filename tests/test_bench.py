@@ -480,6 +480,71 @@ def test_failing_task_fits_before_selecting(tmp_path):
         assert first_error(lambda: run_benchmark(spec)) == want
 
 
+def _warning_csv(path, targets=20, outliers=20):
+    """Targets whose column 0 spreads about 1e-150, and outliers at 1e300
+    there: fits on targets stay finite, while standardizing an outlier
+    overflows to inf, which the cos fold turns into NaN with a warning."""
+    rng = np.random.default_rng(7)
+    rows = np.vstack([rng.normal(size=(targets, 3)), rng.normal(size=(outliers, 3)) + 3.0])
+    rows[:targets, 0] = rng.normal(size=targets) * 1e-150
+    rows[targets:, 0] = 1e300
+    labels = ["t"] * targets + ["o"] * outliers
+    path.write_text("".join(",".join(map(repr, row.tolist())) + f",{lab}\n"
+                            for row, lab in zip(rows, labels)), encoding="utf-8")
+    return str(path)
+
+
+def _recorded(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# sha256 of deterministic_text() of the warning task in grid mode with the
+# baseline, pinned when a warning task's results were rebuilt from its replay
+GOLDEN_WARNING_GRID = "d9eaf49352d6464f08eb979ba052b456831c3c7db12843487d6acbff795a8e02"
+
+
+def test_warning_task_matches_a_plain_loop(tmp_path):
+    """A task whose stacked pass only warns reports what a train_ref and
+    score loop over its repetitions gives, and warns as that loop does."""
+    from refold.core import score, train_ref
+    from refold.datasets import load_dataset
+    from refold.evaluation import confusion_from_scores, make_split_plan
+    from refold.rng import derive_seed
+
+    # named relative to the data directory, so that the spec hash is fixed
+    path = _warning_csv(tmp_path / "warn.csv")
+    spec = BenchSpec(datasets=("warn.csv",), fold="cos", iterations=5, repetitions=4, seed=3,
+                     cv_folds=3)
+    ds = load_dataset(path)
+    plan = make_split_plan(ds.labels, "t", 0.7, 4, seed=derive_seed(3, 0, 1))
+    flags = np.array(ds.labels) == "t"
+
+    def loop():
+        counts = []
+        for train, test in plan.splits:
+            model = train_ref(ds.features[[i for i in train if flags[i]]], 5, "cos")
+            c = confusion_from_scores(score(ds.features[list(test)], model, spec.dist),
+                                      flags[list(test)], spec.threshold)
+            counts.append((c.tp, c.fn, c.tn, c.fp))
+        return counts
+
+    want, want_warnings = _recorded(loop)
+    assert want_warnings == [(RuntimeWarning, "invalid value encountered in cos")] * 4
+    report, got_warnings = _recorded(lambda: run_benchmark(spec, str(tmp_path)))
+    assert got_warnings == want_warnings
+    runs = [r for r in report.runs if r.task == "warn1"]  # warn2 targets the outliers
+    assert [(r.tp, r.fn, r.tn, r.fp) for r in runs] == want
+    assert [r.split_seed for r in runs] == list(plan.split_seeds)
+
+    grid = replace(spec, threshold_mode="grid", include_base=True)
+    report, got_warnings = _recorded(lambda: run_benchmark(grid, str(tmp_path)))
+    assert got_warnings == [(RuntimeWarning, "invalid value encountered in cos")] * 16
+    assert _sha256(report.deterministic_text()) == GOLDEN_WARNING_GRID
+
+
 def test_grid_mode_records_selected_thresholds(synthetic_csv):
     spec = BenchSpec(
         datasets=(synthetic_csv,), iterations=11, repetitions=2, seed=4,

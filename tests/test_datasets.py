@@ -1,4 +1,4 @@
-"""Tests for dataset parsing, schema handling, and the registry manifest."""
+"""Tests for dataset parsing, schema handling, and the benchmark registry."""
 
 from pathlib import Path
 
@@ -9,11 +9,9 @@ from refold import datasets
 from refold.datasets import (
     Dataset,
     DatasetSchema,
-    RegistryEntry,
     dataset_available,
     load_dataset,
     load_registry_dataset,
-    parse_manifest,
     registry,
 )
 from refold.errors import ConfigError, DataFormatError
@@ -317,24 +315,25 @@ def test_dataset_available():
     assert not dataset_available("nope", data_dir=str(DATA_DIR))
 
 
-def test_parse_manifest_roundtrip():
-    entries = parse_manifest(
-        "[toy]\nfile = toy.csv\nprefix = Toy\nclasses = 2\nsamples = 10\ndims = 3\n"
-    )
-    assert entries["toy"] == RegistryEntry(
-        name="toy",
-        filename="toy.csv",
-        task_prefix="Toy",
-        classes=2,
-        samples=10,
-        dims=3,
-        schema=DatasetSchema(),
-    )
+def test_registry_table_invariants():
+    reg = registry()
+    assert all(key == entry.name for key, entry in reg.items())
+    prefixes = [entry.task_prefix for entry in reg.values()]
+    assert len(set(prefixes)) == len(prefixes)
+    for entry in reg.values():
+        assert entry.classes >= 2
+        assert entry.samples > entry.classes
+        assert entry.dims >= 1
 
 
-def test_parse_manifest_bad_section():
-    with pytest.raises(DataFormatError, match=r"\[broken\]"):
-        parse_manifest("[broken]\nprefix = X\n")
+def test_data_readme_table_matches_registry():
+    # rows of the file table: | file | source file | classes | samples | feature dims |
+    lines = (DATA_DIR / "README.md").read_text(encoding="utf-8").splitlines()
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in lines if line.startswith("| ") and ".csv" in line.split("|")[1]]
+    documented = [(f, int(c), int(n), int(d.split()[0])) for f, _, c, n, d in rows]
+    assert documented == [(e.filename, e.classes, e.samples, e.dims)
+                          for e in registry().values()]
 
 
 def test_task_prefix_defaults_to_name(tmp_path):

@@ -234,6 +234,35 @@ def test_kfold_errors():
         kfold(range(3), 5)
 
 
+@pytest.mark.parametrize("indices", [[0.5, 1.7, 2.2], ["a"], [True, False]])
+def test_kfold_rejects_non_integer_indices(indices):
+    with pytest.raises(ConfigError, match="kfold indices must be integers"):
+        kfold(indices, 2, 0)
+
+
+def test_kfold_of_nothing_keeps_its_error():
+    with pytest.raises(ConfigError, match="cannot make 3 folds from 0 items"):
+        kfold([], 3)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, r"seed must be in 0..2\*\*64-1"),
+    (2 ** 64, r"seed must be in 0..2\*\*64-1"),
+    (1.5, "seed must be an integer, got 1.5"),
+])
+@pytest.mark.parametrize("planner", ["make_split_plan", "kfold", "select_threshold"])
+def test_seeded_planners_reject_aliasing_seeds(planner, seed, message):
+    rng = np.random.default_rng(5)
+    X, flags = _separable_pool(rng, n_targets=20, n_outliers=10)
+    call = {
+        "make_split_plan": lambda: make_split_plan(["t"] * 10 + ["o"] * 10, "t", seed=seed),
+        "kfold": lambda: kfold(range(10), 3, seed=seed),
+        "select_threshold": lambda: select_threshold(X, flags, ClassifierConfig(), seed=seed),
+    }[planner]
+    with pytest.raises(ConfigError, match=message):
+        call()
+
+
 # -------------------------------------------------- threshold selection
 
 def _separable_pool(rng, n_targets=60, n_outliers=30, d=2, radius=10.0):
