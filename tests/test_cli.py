@@ -192,6 +192,32 @@ def test_eval_reports_counts_and_gmean(trained_model, capsys):
     assert 0.0 <= float(fields["gmean"]) <= 1.0
 
 
+# sha256 of `refold eval` stdout over the runs of the test below, pinned at
+# the code that counted through one-row ConfusionCounts/EvalResult objects
+GOLDEN_EVAL = "845d9f5925959dc723e66b13360f53ff93432c278023cdc5c0928fe70145a3ee"
+
+
+def test_eval_golden_bytes(trained_model, tmp_path, capsys):
+    # the fixture's versicolor model on its own labeled file, one run per
+    # Iris class (setosa gives tpr=0 and gmean=0), then a 101-iteration
+    # versicolor model under the l2 distance and threshold 0.1
+    model_path, data = trained_model
+    runs = [[model_path, c, "l1", "1.0"] for c in ("setosa", "versicolor", "virginica")]
+    model_101 = str(tmp_path / "m101.refold")
+    assert main(["train", "--data", data, "--target-class", "versicolor",
+                 "--out", model_101]) == 0
+    runs += [[model_101, c, "l2", "0.1"] for c in ("setosa", "versicolor", "virginica")]
+    capsys.readouterr()
+    out = ""
+    for model, target, dist, threshold in runs:
+        assert main(["eval", "--model", model, "--data", data, "--target-class", target,
+                     "--dist", dist, "--threshold", threshold]) == 0
+        out += capsys.readouterr().out
+    assert out.count("\n") == 6
+    assert out.startswith("tp=0 fn=50 ")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_EVAL
+
+
 # ------------------------------------------------------------- bench, curve
 
 def test_bench_and_curve_roundtrip(tmp_path, capsys):
