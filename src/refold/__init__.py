@@ -39,12 +39,8 @@ from .errors import (
 )
 from .evaluation import (
     DEFAULT_THRESHOLD_GRID,
-    ConfusionCounts,
-    EvalResult,
     OccTask,
     SplitPlan,
-    confusion_from_scores,
-    gmean,
     kfold,
     make_occ_tasks,
     make_split_plan,

@@ -284,7 +284,7 @@ def resolve_benchmark_dataset(name: str, data_dir: str | None = None) -> Dataset
         if os.path.isfile(path):
             return load_dataset(path)
     raise DataFormatError(
-        f"dataset {name!r} is neither a manifest name ({', '.join(sorted(registry()))}) "
+        f"dataset {name!r} is neither a registry name ({', '.join(sorted(registry()))}) "
         "nor an existing file"
     )
 

@@ -33,7 +33,7 @@ from .datasets import (
     resolve_data_dir,
 )
 from .errors import ConfigError, RefoldError
-from .evaluation import confusion_from_scores, gmean
+from .evaluation import confusion_counts, gmeans
 from .model_io import load_model, save_model
 from .textio import write_stdout, write_text
 
@@ -118,12 +118,11 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     ds = _load(args)
     flags = ds.class_flags(args.target_class)
-    scores = score(ds.features, model, args.dist)
-    result = gmean(confusion_from_scores(scores, flags, args.threshold))
-    c = result.counts
+    counts = confusion_counts(score(ds.features, model, args.dist) <= args.threshold, flags)
+    tpr, tnr, g = gmeans(counts)
     write_stdout(
         "tp=%d fn=%d tn=%d fp=%d tpr=%.17g tnr=%.17g gmean=%.17g\n"
-        % (c.tp, c.fn, c.tn, c.fp, result.tpr, result.tnr, result.gmean)
+        % (*counts.tolist(), tpr, tnr, g)
     )
     return 0
 

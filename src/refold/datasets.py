@@ -282,7 +282,7 @@ def load_registry_dataset(name: str, data_dir: str | None = None) -> Dataset:
     reg = registry()
     if name not in reg:
         raise DataFormatError(
-            f"unknown dataset {name!r}; manifest lists: {', '.join(sorted(reg))}"
+            f"unknown dataset {name!r}; registry lists: {', '.join(sorted(reg))}"
         )
     entry = reg[name]
     path = os.path.join(resolve_data_dir(data_dir), entry.filename)
@@ -296,14 +296,6 @@ def load_registry_dataset(name: str, data_dir: str | None = None) -> Dataset:
         problems.append(f"dims {ds.n_dims} != {entry.dims}")
     if problems:
         raise DataFormatError(
-            f"{path} does not match the manifest for {name!r}: " + "; ".join(problems)
+            f"{path} does not match the registry for {name!r}: " + "; ".join(problems)
         )
     return ds
-
-
-def dataset_available(name: str, data_dir: str | None = None) -> bool:
-    """True if the registry dataset's file exists locally."""
-    entry = registry().get(name)
-    if entry is None:
-        return False
-    return os.path.isfile(os.path.join(resolve_data_dir(data_dir), entry.filename))

@@ -43,26 +43,6 @@ class OccTask:
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fn: int
-    tn: int
-    fp: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fn, self.tn, self.fp) < 0:
-            raise EvaluationError("confusion counts must be non-negative")
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    counts: ConfusionCounts
-    tpr: float
-    tnr: float
-    gmean: float
-
-
-@dataclass(frozen=True)
 class SplitPlan:
     """Seeded train/test index splits, one pair per repetition.
 
@@ -196,21 +176,6 @@ def gmeans(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tpr = tp / pos
     tnr = tn / neg
     return tpr, tnr, np.sqrt(tpr * tnr)
-
-
-def gmean(counts: ConfusionCounts) -> EvalResult:
-    """gmeans of one set of counts, each below 2**53."""
-    tpr, tnr, g = gmeans(np.array([counts.tp, counts.fn, counts.tn, counts.fp]))
-    return EvalResult(counts=counts, tpr=float(tpr), tnr=float(tnr), gmean=float(g))
-
-
-def confusion_from_scores(
-    scores: np.ndarray, is_target: np.ndarray, threshold: float
-) -> ConfusionCounts:
-    """Threshold scores inclusively (target iff score <= threshold)."""
-    accepted = np.asarray(scores, dtype=np.float64).reshape(-1) <= threshold
-    counts = confusion_counts(accepted, np.asarray(is_target, dtype=bool).reshape(-1))
-    return ConfusionCounts(*counts.tolist())
 
 
 def kfold(

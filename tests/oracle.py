@@ -1,11 +1,12 @@
-"""Straight-line reference implementation used as an independent oracle.
+"""Straight-line reference implementations used as independent oracles.
 
 Deliberately primitive: Python lists, the math module, explicit loops, no
 numpy and no imports from the package under test. Training standardizes,
 then alternates element-wise folding with re-standardization; testing
 replays the recorded (mean, std) pairs and thresholds the distance to the
 origin. Sums accumulate left to right; std uses the N-1 divisor; a zero or
-non-finite std is replaced by 1.
+non-finite std is replaced by 1. Confusion counts accept a row iff its
+score <= threshold; Gmean = sqrt(TPR * TNR).
 """
 
 import math
@@ -175,3 +176,29 @@ def kfold(items, k, seed):
         folds.append(items[start:start + size])
         start += size
     return [([x for g in range(k) if g != f for x in folds[g]], folds[f]) for f in range(k)]
+
+
+# ----------------------------------------------------------- counts, Gmean
+# One row at a time: the reference for confusion counting and Gmean.
+
+def confusion(scores, flags, threshold):
+    """(tp, fn, tn, fp): a row is accepted as target iff its score <= threshold."""
+    tp = fn = tn = fp = 0
+    for s, is_target in zip(scores, flags):
+        if s <= threshold:
+            if is_target:
+                tp += 1
+            else:
+                fp += 1
+        elif is_target:
+            fn += 1
+        else:
+            tn += 1
+    return tp, fn, tn, fp
+
+
+def gmean(tp, fn, tn, fp):
+    """(TPR, TNR, sqrt(TPR * TNR)); a class with no rows divides by zero."""
+    tpr = tp / (tp + fn)
+    tnr = tn / (tn + fp)
+    return tpr, tnr, math.sqrt(tpr * tnr)

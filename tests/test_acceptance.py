@@ -10,6 +10,7 @@ The master seed for all benchmark-based criteria is fixed a priori.
 
 import functools
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from refold.core import (
     train_ref,
     transform_ref,
 )
-from refold.datasets import dataset_available
+from refold.datasets import registry
 from refold.model_io import load_model, save_model
 from refold.rng import derive_seed
 
@@ -71,7 +72,8 @@ def _skip(criterion: str, reason: str):
 
 
 def _missing(datasets):
-    return [d for d in datasets if not dataset_available(d, DATA_DIR)]
+    return [d for d in datasets
+            if not os.path.isfile(os.path.join(DATA_DIR, registry()[d].filename))]
 
 
 # --------------------------------------------------------------- criterion 1

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from refold.bench import (
     _SPEC_FIELDS,
     BenchSpec,
@@ -511,7 +512,7 @@ def test_warning_task_matches_a_plain_loop(tmp_path):
     score loop over its repetitions gives, and warns as that loop does."""
     from refold.core import score, train_ref
     from refold.datasets import load_dataset
-    from refold.evaluation import confusion_from_scores, make_split_plan
+    from refold.evaluation import make_split_plan
     from refold.rng import derive_seed
 
     # named relative to the data directory, so that the spec hash is fixed
@@ -526,9 +527,9 @@ def test_warning_task_matches_a_plain_loop(tmp_path):
         counts = []
         for train, test in plan.splits:
             model = train_ref(ds.features[[i for i in train if flags[i]]], 5, "cos")
-            c = confusion_from_scores(score(ds.features[list(test)], model, spec.dist),
-                                      flags[list(test)], spec.threshold)
-            counts.append((c.tp, c.fn, c.tn, c.fp))
+            scores = score(ds.features[list(test)], model, spec.dist)
+            counts.append(oracle.confusion(scores.tolist(), flags[list(test)].tolist(),
+                                           spec.threshold))
         return counts
 
     want, want_warnings = _recorded(loop)

@@ -218,6 +218,19 @@ def test_eval_golden_bytes(trained_model, tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_EVAL
 
 
+def test_eval_boundary_score_is_target(tmp_path, capsys):
+    # J=1 model over {-1,0,1}: the row 1 scores exactly 1.0 -> inclusive target
+    data = tmp_path / "t.csv"
+    data.write_text("-1,a\n0,a\n1,a\n5,b\n-5,b\n", encoding="utf-8")
+    model = str(tmp_path / "m.refold")
+    assert main(["train", "--data", str(data), "--target-class", "a", "--iters", "1",
+                 "--out", model]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", model, "--data", str(data), "--target-class", "a",
+                 "--threshold", "1.0"]) == 0
+    assert capsys.readouterr().out == "tp=3 fn=0 tn=2 fp=0 tpr=1 tnr=1 gmean=1\n"
+
+
 # ------------------------------------------------------------- bench, curve
 
 def test_bench_and_curve_roundtrip(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for dataset parsing, schema handling, and the benchmark registry."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ from refold import datasets
 from refold.datasets import (
     Dataset,
     DatasetSchema,
-    dataset_available,
     load_dataset,
     load_registry_dataset,
     registry,
@@ -302,17 +302,18 @@ def test_registry_unknown_name():
 
 
 def test_registry_mismatch_fails_loudly(tmp_path):
-    # an iris file with a row missing must be rejected by the manifest check
+    # an iris file with a row missing must be rejected by the registry check
     truncated = (DATA_DIR / "iris.csv").read_text().splitlines()[:-1]
     write(tmp_path, "\n".join(truncated) + "\n", name="iris.csv")
-    with pytest.raises(DataFormatError, match="does not match the manifest"):
+    with pytest.raises(DataFormatError, match="does not match the registry"):
         load_registry_dataset("iris", data_dir=str(tmp_path))
 
 
 def test_dataset_available():
-    assert dataset_available("iris", data_dir=str(DATA_DIR))
-    assert not dataset_available("iris", data_dir="/nonexistent")
-    assert not dataset_available("nope", data_dir=str(DATA_DIR))
+    filename = registry()["iris"].filename
+    assert os.path.isfile(os.path.join(DATA_DIR, filename))
+    assert not os.path.isfile(os.path.join("/nonexistent", filename))
+    assert "nope" not in registry()
 
 
 def test_registry_table_invariants():

@@ -18,9 +18,8 @@ from refold.errors import (
 )
 from refold.evaluation import (
     DEFAULT_THRESHOLD_GRID,
-    ConfusionCounts,
-    confusion_from_scores,
-    gmean,
+    confusion_counts,
+    gmeans,
     kfold,
     make_occ_tasks,
     make_split_plan,
@@ -151,51 +150,51 @@ def test_protocol_rules_give_one_message(field, value, message, direct):
 
 # -------------------------------------------------------------------- gmean
 
+def one_row(tp, fn, tn, fp):
+    """gmeans of one (tp, fn, tn, fp) row, as Python floats."""
+    return tuple(float(x) for x in gmeans(np.array([tp, fn, tn, fp])))
+
+
 def test_gmean_perfect():
-    res = gmean(ConfusionCounts(tp=10, fn=0, tn=20, fp=0))
-    assert (res.tpr, res.tnr, res.gmean) == (1.0, 1.0, 1.0)
+    assert one_row(tp=10, fn=0, tn=20, fp=0) == (1.0, 1.0, 1.0)
 
 
 def test_gmean_zero_factor():
-    res = gmean(ConfusionCounts(tp=0, fn=10, tn=15, fp=5))
-    assert res.tpr == 0.0
-    assert res.gmean == 0.0
+    tpr, _, g = one_row(tp=0, fn=10, tn=15, fp=5)
+    assert tpr == 0.0
+    assert g == 0.0
 
 
 def test_gmean_derived_value():
-    res = gmean(ConfusionCounts(tp=9, fn=1, tn=16, fp=9))
-    assert res.tpr == pytest.approx(0.9, abs=0)
-    assert res.tnr == pytest.approx(0.64, abs=0)
+    tpr, tnr, g = one_row(tp=9, fn=1, tn=16, fp=9)
+    assert tpr == pytest.approx(0.9, abs=0)
+    assert tnr == pytest.approx(0.64, abs=0)
     # direct formula evaluation as the oracle
-    assert res.gmean == math.sqrt(0.9 * (16 / 25))
-    assert res.gmean == pytest.approx(0.758946638440411, abs=1e-12)
+    assert g == math.sqrt(0.9 * (16 / 25))
+    assert g == pytest.approx(0.758946638440411, abs=1e-12)
 
 
 def test_gmean_range_property():
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        tp, fn, tn, fp = (int(x) for x in rng.integers(0, 40, size=4))
-        if tp + fn == 0 or tn + fp == 0:
-            continue
-        res = gmean(ConfusionCounts(tp=tp, fn=fn, tn=tn, fp=fp))
-        assert 0.0 <= res.gmean <= 1.0
-        assert (res.gmean == 0.0) == (res.tpr == 0.0 or res.tnr == 0.0)
+    rows = np.array([rng.integers(0, 40, size=4) for _ in range(200)])
+    rows = rows[(rows[:, 0] + rows[:, 1] > 0) & (rows[:, 2] + rows[:, 3] > 0)]
+    tpr, tnr, g = gmeans(rows)
+    assert ((0.0 <= g) & (g <= 1.0)).all()
+    assert ((g == 0.0) == ((tpr == 0.0) | (tnr == 0.0))).all()
 
 
 def test_gmean_empty_pools_rejected():
-    with pytest.raises(EvaluationError):
-        gmean(ConfusionCounts(tp=0, fn=0, tn=5, fp=5))
-    with pytest.raises(EvaluationError):
-        gmean(ConfusionCounts(tp=5, fn=5, tn=0, fp=0))
-    with pytest.raises(EvaluationError):
-        ConfusionCounts(tp=-1, fn=0, tn=1, fp=0)
+    with pytest.raises(EvaluationError, match="no target samples"):
+        gmeans(np.array([0, 0, 5, 5]))
+    with pytest.raises(EvaluationError, match="no outlier samples"):
+        gmeans(np.array([5, 5, 0, 0]))
 
 
-def test_confusion_from_scores_inclusive():
-    counts = confusion_from_scores(
-        np.array([0.5, 1.0, 1.5]), np.array([True, True, False]), threshold=1.0
-    )
-    assert (counts.tp, counts.fn, counts.tn, counts.fp) == (2, 0, 1, 0)
+def test_confusion_counts_inclusive():
+    # a score equal to the threshold is accepted as target
+    scores, flags = np.array([0.5, 1.0, 1.5]), np.array([True, True, False])
+    for threshold, want in [(0.5, [1, 1, 1, 0]), (1.0, [2, 0, 1, 0]), (1.5, [2, 0, 0, 1])]:
+        assert confusion_counts(scores <= threshold, flags).tolist() == want
 
 
 # -------------------------------------------------------------------- kfold

@@ -28,11 +28,8 @@ from refold.core import ClassifierConfig
 from refold.errors import (ConfigError, DataFormatError, EvaluationError, ModelFormatError,
                            NumericError, SelectionError)
 from refold.evaluation import (
-    ConfusionCounts,
     best_threshold,
     confusion_counts,
-    confusion_from_scores,
-    gmean,
     gmeans,
     make_split_plan,
     select_thresholds,
@@ -478,8 +475,7 @@ def test_gmeans_equal_scalar_arithmetic_bit_for_bit(rows):
     assert bits(tpr) == bits(want_tpr)
     assert bits(tnr) == bits(want_tnr)
     assert bits(g) == bits(want_g)
-    one = gmean(ConfusionCounts(*rows[0]))
-    assert (type(one.gmean), bits(one.gmean)) == (float, bits(want_g[0]))
+    assert bits(gmeans(counts[0])) == bits(oracle.gmean(*rows[0]))
 
 
 @st.composite
@@ -525,7 +521,7 @@ def outcome(fn, *args):
 @given(selection_cases())
 def test_select_thresholds_picks_what_a_gmean_loop_picks(case):
     """The picks, and the Gmean tables they are picked from, equal those of a
-    loop calling gmean once per (fold, threshold) pair."""
+    loop calling the oracle's count and Gmean once per (fold, threshold) pair."""
     features, pools, is_target, config, grid, k, seeds, tie = case
     fold_scores = outcome(loop_fold_scores, features, pools, is_target, config, k, seeds)
     if isinstance(fold_scores, tuple):
@@ -534,8 +530,8 @@ def test_select_thresholds_picks_what_a_gmean_loop_picks(case):
         return
     if tie and fold_scores[0]:
         grid = tuple(sorted({float(s) for s in fold_scores[0][0][0] if s > 0}))[:3] or grid
-    tables = [[[gmean(confusion_from_scores(s, flags, t)).gmean for t in grid]
-               for s, flags in pool] for pool in fold_scores]
+    tables = [[[oracle.gmean(*oracle.confusion(s.tolist(), flags.tolist(), t))[2]
+                for t in grid] for s, flags in pool] for pool in fold_scores]
     want = outcome(lambda: [best_threshold(table, grid) for table in tables])
     with mock.patch.object(evaluation, "best_threshold", wraps=best_threshold) as spy:
         got = outcome(select_thresholds, features, pools, is_target, config, grid, k, seeds)
