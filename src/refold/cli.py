@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
+
+import numpy as np
 
 from .bench import learning_curve, read_bench_spec, run_benchmark, timing_probe
 from .core import (
@@ -91,12 +94,12 @@ def _load(args, labeled: bool = True):
 
 def _cmd_train(args) -> int:
     ds = _load(args)
-    X = ds.features
+    rows = np.arange(ds.n_samples)
     if args.target_class is not None:
-        X = X[ds.class_flags(args.target_class)]
-    model = train_ref(X, iterations=args.iters, fold=args.fold)
+        rows = np.flatnonzero(ds.class_flags(args.target_class))
+    model = train_ref(ds.features, iterations=args.iters, fold=args.fold, rows=rows)
     save_model(model, args.out)
-    write_stdout(f"J={model.iterations} D={model.dim} N={len(X)}\n")
+    write_stdout(f"J={model.iterations} D={model.dim} N={len(rows)}\n")
     return 0
 
 
@@ -238,13 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (RefoldError, MemoryError) as exc:
-        # numpy raises a private MemoryError subclass; the line names the builtin
-        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        print(f"refold: error: {kind}: {exc}", file=sys.stderr)
-        return 1
+    # a warning prints as one refold line, with no source; library callers keep numpy's
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"refold: warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (RefoldError, MemoryError) as exc:
+            # numpy raises a private MemoryError subclass; the line names the builtin
+            kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            print(f"refold: error: {kind}: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

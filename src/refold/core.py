@@ -350,10 +350,12 @@ def _padded(index) -> np.ndarray:
     return np.concatenate(index)[starts + np.minimum(np.arange(sizes.max()), sizes - 1)]
 
 
-def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD) -> RefModel:
-    """Fit the folding classifier on target-class rows.
+def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD,
+              rows=None) -> RefModel:
+    """Fit the folding classifier on target-class rows: all of X, or the rows
+    that the index array `rows` names.
 
-    Standardizes X, then repeats fold-and-standardize for iterations-1 more
+    Standardizes them, then repeats fold-and-standardize for iterations-1 more
     rounds, recording each (mean, std) pair. The caller's X is not mutated.
     Work and memory are linear in N * D per iteration; the model itself
     stores only the J step vectors. This is fit_stack with one fit.
@@ -362,7 +364,8 @@ def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD)
     z, _ = _as_samples(X, "training data")
     mu = np.empty((iterations, 1, z.shape[1]))
     sigma = np.empty_like(mu)
-    fit_stack(z, [np.arange(len(z))], iterations, fold, params=(mu, sigma))
+    fit = np.arange(len(z)) if rows is None else rows
+    fit_stack(z, [fit], iterations, fold, params=(mu, sigma))
     return RefModel(mu[:, 0], sigma[:, 0], fold)
 
 

@@ -4,7 +4,8 @@ Files are plain delimited text (default comma), one sample per row, at most
 one label column, every other kept column a numeric feature. Parsing is
 deliberately strict: the delimiter is taken literally, decimal points only,
 ASCII digits only, and any malformed cell fails with its row and column
-named. A well-formed file is read in one vectorized pass; any other goes
+named. The file is read in chunks of lines, so only one chunk's text is held
+at a time. A well-formed chunk is read in one vectorized pass; any other goes
 through the row-by-row parse, which alone decides what is rejected and how.
 There is no network access anywhere; benchmark files are supplied locally
 and checked against the registry table below (expected class/sample/dimension
@@ -15,15 +16,20 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .textio import parse_float, read_text
+from .textio import parse_float, read_lines
 
 DATA_DIR_ENV = "REFOLD_DATA_DIR"
 DEFAULT_DATA_DIR = "data"
+
+# lines parsed per np.loadtxt call: the text held at once stays one chunk's,
+# and larger chunks peak higher on np.loadtxt's own temporaries
+_CHUNK_LINES = 8192
 
 
 @dataclass(frozen=True)
@@ -92,60 +98,82 @@ def load_dataset(
     """
     schema = schema or DatasetSchema()
     path = os.fspath(path)
-    lines = read_text(path, DataFormatError).split("\n")
-    # allow trailing blank lines only
-    while lines and lines[-1] == "":
-        lines.pop()
+    d = schema.delimiter
+    # closed on return or raise, not when the generator is collected
+    with closing(_chunks(path)) as chunks:
+        lines = next(chunks, [])
+        row_offset = 0
+        header_names: list[str] | None = None
+        if schema.header:
+            if not lines:
+                raise DataFormatError(f"{path}: empty file, header expected")
+            header_names = [c.strip() for c in lines.pop(0).split(d)]
+            row_offset = 1
+            lines = lines or next(chunks, [])
 
-    row_offset = 0
-    header_names: list[str] | None = None
-    if schema.header:
         if not lines:
-            raise DataFormatError(f"{path}: empty file, header expected")
-        header_names = [c.strip() for c in lines[0].split(schema.delimiter)]
-        row_offset = 1
+            raise DataFormatError(f"{path}: no data rows")
 
-    if not lines[row_offset:]:
-        raise DataFormatError(f"{path}: no data rows")
+        width = len(lines[0].split(d))
+        if header_names is not None and len(header_names) != width:
+            raise DataFormatError(
+                f"{path}: header has {len(header_names)} fields, first data row has {width}"
+            )
+        label_idx = _resolve_label(schema, header_names, width, path)
+        for c in schema.drop_columns:
+            if not 0 <= c < width:
+                raise DataFormatError(f"{path}: drop column {c} outside 0..{width - 1}")
+        dropped = set(schema.drop_columns)
+        cols = [c for c in range(width) if c != label_idx and c not in dropped]
+        if not cols:
+            raise DataFormatError(f"{path}: no feature columns left after selection")
 
-    width = len(lines[row_offset].split(schema.delimiter))
-    if header_names is not None and len(header_names) != width:
-        raise DataFormatError(
-            f"{path}: header has {len(header_names)} fields, first data row has {width}"
-        )
-    label_idx = _resolve_label(schema, header_names, width, path)
-    for c in schema.drop_columns:
-        if not 0 <= c < width:
-            raise DataFormatError(f"{path}: drop column {c} outside 0..{width - 1}")
-    dropped = set(schema.drop_columns)
-    cols = [c for c in range(width) if c != label_idx and c not in dropped]
-    if not cols:
-        raise DataFormatError(f"{path}: no feature columns left after selection")
-
-    data = lines[row_offset:]
-    matrix = _loadtxt(data, schema.delimiter, width, cols)
-    if matrix is None:
-        matrix = _parse_rows(data, schema.delimiter, width, cols, path, row_offset)
-    labels = []
-    if label_idx is not None:
-        # every row has `width` fields by now, so one split bounded at the
-        # label column, from the nearer end, isolates the label cell
-        d, after = schema.delimiter, width - 1 - label_idx
-        if label_idx <= after:
-            labels = [line.split(d, label_idx + 1)[label_idx].strip() for line in data]
-        else:
-            labels = [line.rsplit(d, after + 1)[-after - 1].strip() for line in data]
-        if not all(labels):
-            lineno = labels.index("") + row_offset + 1
-            raise DataFormatError(f"{path}: row {lineno} column {label_idx}: blank label")
+        parts, labels, names = [], [], {}
+        row = row_offset
+        while lines:
+            matrix = _loadtxt(lines, d, width, cols)
+            if matrix is None:
+                matrix = _parse_rows(lines, d, width, cols, path, row)
+            parts.append(matrix)
+            if label_idx is not None:
+                # every row has `width` fields by now, so one split bounded at
+                # the label column, from the nearer end, isolates the label cell
+                after = width - 1 - label_idx
+                if label_idx <= after:
+                    cells = (line.split(d, label_idx + 1)[label_idx] for line in lines)
+                else:
+                    cells = (line.rsplit(d, after + 1)[-after - 1] for line in lines)
+                # one string object per class, however many rows carry it
+                labels += [names.setdefault(x, x) for x in map(str.strip, cells)]
+            row += len(lines)
+            lines = next(chunks, [])
+    # checked once every chunk's cells are, as a whole-file parse would order them
+    if "" in names:
+        lineno = labels.index("") + row_offset + 1
+        raise DataFormatError(f"{path}: row {lineno} column {label_idx}: blank label")
+    matrix = np.concatenate(parts)
     matrix.setflags(write=False)
     return Dataset(
         name=name or os.path.splitext(os.path.basename(path))[0],
         features=matrix,
         labels=tuple(labels),
-        class_names=tuple(dict.fromkeys(labels)),
+        class_names=tuple(names),
         task_prefix=task_prefix,
     )
+
+
+def _chunks(path):
+    """The file's lines in lists of at most _CHUNK_LINES, without trailing
+    blank lines: blank lines are held back until a later line follows them."""
+    held: list[str] = []
+    for lines in read_lines(path, DataFormatError, _CHUNK_LINES):
+        lines = held + lines
+        end = len(lines)
+        while end and lines[end - 1] == "":
+            end -= 1
+        held = lines[end:]
+        if end:
+            yield lines[:end]
 
 
 def _loadtxt(lines, delimiter, width, cols) -> np.ndarray | None:

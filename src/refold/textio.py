@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import islice
 
 from .errors import OutputError, RefoldError
 
@@ -41,6 +42,20 @@ def read_text(path, error: type[RefoldError]) -> str:
         raise error(f"file not found: {path}") from None
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def read_lines(path, error: type[RefoldError], count: int):
+    """The UTF-8 file's lines, universal newlines stripped, in lists of at
+    most `count`. A failed read raises `error` through read_text, so a
+    non-UTF-8 byte is named by its offset from the start of the file."""
+    path = os.fspath(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            while lines := [line.rstrip("\n") for line in islice(fh, count)]:
+                yield lines
+    except (UnicodeDecodeError, OSError):
+        read_text(path, error)
+        raise
 
 
 def write_text(path, text: str) -> None:

@@ -328,6 +328,26 @@ def test_memory_error_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "probe.csv").exists()
 
 
+def test_overflow_warning_is_one_refold_line(tmp_path):
+    """numpy's overflow warning prints as one refold line, without its source
+    path and line, and the error line follows; run as a child process, so the
+    interpreter's own warning filters apply."""
+    data = tmp_path / "huge.csv"
+    data.write_text("1.7e308,1,t\n1.7e308,2,t\n1,3,t\n", encoding="utf-8")
+    out = tmp_path / "m.refold"
+    proc = subprocess.run(
+        [sys.executable, "-m", "refold", "train", "--data", str(data), "--out", str(out)],
+        capture_output=True, text=True, cwd=str(REPO_ROOT),
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "refold: warning: overflow encountered in reduce\n"
+        "refold: error: NumericError: non-finite working values at iteration 1\n"
+    )
+    assert not out.exists()
+
+
 def test_utf16_data_is_a_format_error(tmp_path, capsys):
     data = tmp_path / "iris16.csv"
     data.write_text((REPO_ROOT / "data" / "iris.csv").read_text(), encoding="utf-16")

@@ -186,6 +186,18 @@ def test_train_does_not_mutate_input():
     np.testing.assert_array_equal(X, before)
 
 
+@pytest.mark.parametrize("fold", ["abs", "cos_abs"])
+def test_train_on_row_indices_equals_train_on_the_rows(fold):
+    X = np.random.default_rng(5).normal(size=(40, 3))
+    rows = np.flatnonzero(np.arange(40) % 3 != 1)
+    got = train_ref(X, iterations=9, fold=fold, rows=rows)
+    want = train_ref(X[rows], iterations=9, fold=fold)
+    assert got.mu.tobytes() == want.mu.tobytes()
+    assert got.sigma.tobytes() == want.sigma.tobytes()
+    with pytest.raises(InsufficientDataError, match="got 1"):
+        train_ref(X, rows=np.array([4]))
+
+
 def test_train_rejects_bad_inputs():
     with pytest.raises(InsufficientDataError):
         train_ref([[1.0, 2.0]])

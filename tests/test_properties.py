@@ -286,6 +286,32 @@ def test_fast_parse_agrees_with_row_parse(case):
     assert fast == strict
 
 
+@st.composite
+def chunked_files(draw):
+    """(text, schema) as fast_path_files gives, with up to three more
+    trailing blank lines and any universal line end."""
+    text, schema = draw(fast_path_files())
+    text += "\n" * draw(st.integers(0, 3))
+    return text.replace("\n", draw(st.sampled_from(("\n", "\r\n", "\r")))), schema
+
+
+@PROPERTY_SETTINGS
+@given(chunked_files())
+def test_chunk_size_does_not_change_the_outcome(case):
+    """Chunks of 1, 2 or 3 lines give the bits, labels and class names, or
+    the error, that one chunk holding the whole file gives."""
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        whole = load_outcome(path, schema)
+        for chunk_lines in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(datasets, "_CHUNK_LINES", chunk_lines)
+                assert load_outcome(path, schema) == whole, chunk_lines
+
+
 # ------------------------------------------------------------------ oracle
 
 # values on a 1/8 grid in [-1000, 1000]: a column's std is then 0 (and
