@@ -290,8 +290,8 @@ def resolve_benchmark_dataset(name: str, data_dir: str | None = None) -> Dataset
 
 
 def _resolve_tasks(spec: BenchSpec, data_dir):
-    """Datasets and their tasks in spec order, with global task ordinals."""
-    resolved = []
+    """Datasets and their tasks in spec order, with global task ordinals; a
+    dataset is loaded only once the tasks before it are consumed."""
     seen = set()
     ordinal = 0
     for name in spec.datasets:
@@ -300,9 +300,8 @@ def _resolve_tasks(spec: BenchSpec, data_dir):
             if task.name in seen:
                 raise ConfigError(f"duplicate task name {task.name!r} in spec datasets")
             seen.add(task.name)
-            resolved.append((ordinal, ds, task))
+            yield ordinal, ds, task
             ordinal += 1
-    return resolved
 
 
 def _plan_arrays(spec: BenchSpec, ds: Dataset, task: OccTask, ordinal: int):
@@ -388,7 +387,8 @@ def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
     runs: dict[str, list[RunRecord]] = {name: [] for name, _, _ in variants}
     summaries: dict[str, list[TaskSummary]] = {name: [] for name, _, _ in variants}
     timings = []
-    for ordinal, ds, task in _resolve_tasks(spec, data_dir):
+    # every dataset resolved before the first task runs, so a bad spec fails fast
+    for ordinal, ds, task in list(_resolve_tasks(spec, data_dir)):
         seconds = dict.fromkeys(_TIMING_STAGES, 0.0)
         with _stage(seconds, "plan"):
             split_seeds, train, test, flags = _plan_arrays(spec, ds, task, ordinal)

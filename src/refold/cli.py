@@ -241,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a warning prints as one refold line, with no source; library callers keep numpy's
+    # a warning prints as one refold line, no source; under -W error it is the error line
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(
             f"refold: warning: {message}", file=sys.stderr)
         try:
             return args.func(args)
-        except (RefoldError, MemoryError) as exc:
+        except (RefoldError, MemoryError, Warning) as exc:
             # numpy raises a private MemoryError subclass; the line names the builtin
             kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
             print(f"refold: error: {kind}: {exc}", file=sys.stderr)

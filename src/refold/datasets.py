@@ -4,9 +4,10 @@ Files are plain delimited text (default comma), one sample per row, at most
 one label column, every other kept column a numeric feature. Parsing is
 deliberately strict: the delimiter is taken literally, decimal points only,
 ASCII digits only, and any malformed cell fails with its row and column
-named. The file is read in chunks of lines, so only one chunk's text is held
-at a time. A well-formed chunk is read in one vectorized pass; any other goes
-through the row-by-row parse, which alone decides what is rejected and how.
+named. Lines come from textio.read_lines a chunk at a time, trailing blank
+lines dropped, so one chunk's text is held at once. A well-formed chunk is
+read in one vectorized pass; any other goes through the row-by-row parse,
+which alone decides what is rejected and how.
 There is no network access anywhere; benchmark files are supplied locally
 and checked against the registry table below (expected class/sample/dimension
 counts) so a wrong or modified file fails loudly instead of skewing results.
@@ -100,7 +101,7 @@ def load_dataset(
     path = os.fspath(path)
     d = schema.delimiter
     # closed on return or raise, not when the generator is collected
-    with closing(_chunks(path)) as chunks:
+    with closing(read_lines(path, DataFormatError, _CHUNK_LINES)) as chunks:
         lines = next(chunks, [])
         row_offset = 0
         header_names: list[str] | None = None
@@ -160,20 +161,6 @@ def load_dataset(
         class_names=tuple(names),
         task_prefix=task_prefix,
     )
-
-
-def _chunks(path):
-    """The file's lines in lists of at most _CHUNK_LINES, without trailing
-    blank lines: blank lines are held back until a later line follows them."""
-    held: list[str] = []
-    for lines in read_lines(path, DataFormatError, _CHUNK_LINES):
-        lines = held + lines
-        end = len(lines)
-        while end and lines[end - 1] == "":
-            end -= 1
-        held = lines[end:]
-        if end:
-            yield lines[:end]
 
 
 def _loadtxt(lines, delimiter, width, cols) -> np.ndarray | None:

@@ -1,7 +1,9 @@
 """UTF-8 text files with LF line endings; floats written at 17 significant
 digits and read back under one strict token rule.
 
-Failed reads and writes raise RefoldError subclasses naming the path or stdout."""
+read_lines is the one reader: data, model and spec files are all opened,
+decoded and split there. Failed reads and writes raise RefoldError
+subclasses naming the path or stdout."""
 
 from __future__ import annotations
 
@@ -27,35 +29,44 @@ def parse_float(token: str) -> float:
     return float(token)
 
 
-def read_text(path, error: type[RefoldError]) -> str:
-    """Whole UTF-8 file; an unreadable or non-UTF-8 file raises `error`."""
+def read_lines(path, error: type[RefoldError], count: int):
+    """The UTF-8 file's lines, universal newlines stripped, in lists of
+    `count` lines plus the blank lines held back from the list before: a
+    blank line waits for a later line, so trailing blank lines are dropped.
+
+    A missing, unreadable or non-UTF-8 file raises `error`. A bad byte is
+    named by its offset from the start of the file, or, on a pipe, which
+    cannot tell its position, by no offset."""
     path = os.fspath(path)
+    held: list[str] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise error(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start}); "
-            "re-encode the file as UTF-8"
-        ) from None
+            try:
+                while lines := [line.rstrip("\n") for line in islice(fh, count)]:
+                    lines = held + lines
+                    end = len(lines)
+                    while end and lines[end - 1] == "":
+                        end -= 1
+                    held = lines[end:]
+                    if end:
+                        yield lines[:end]
+            except UnicodeDecodeError as exc:
+                # exc.object is the decoder's input, which ends at the buffer's position
+                try:
+                    at = f" at byte {fh.buffer.tell() - len(exc.object) + exc.start}"
+                except OSError:
+                    at = ""
+                raise error(f"{path}: not UTF-8 text ({exc.reason}{at}); "
+                            "re-encode the file as UTF-8") from None
     except FileNotFoundError:
         raise error(f"file not found: {path}") from None
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def read_lines(path, error: type[RefoldError], count: int):
-    """The UTF-8 file's lines, universal newlines stripped, in lists of at
-    most `count`. A failed read raises `error` through read_text, so a
-    non-UTF-8 byte is named by its offset from the start of the file."""
-    path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            while lines := [line.rstrip("\n") for line in islice(fh, count)]:
-                yield lines
-    except (UnicodeDecodeError, OSError):
-        read_text(path, error)
-        raise
+def read_text(path, error: type[RefoldError]) -> str:
+    """The lines of read_lines joined by LF: no trailing blank lines."""
+    return "\n".join(line for lines in read_lines(path, error, 8192) for line in lines)
 
 
 def write_text(path, text: str) -> None:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracle
+from refold import bench
 from refold.bench import (
     _SPEC_FIELDS,
     BenchSpec,
@@ -135,6 +136,23 @@ def test_read_bench_spec(tmp_path):
     p = tmp_path / "run.spec"
     p.write_text("datasets = iris\nseed = 5\n", encoding="utf-8")
     assert read_bench_spec(p).seed == 5
+
+
+def test_spec_line_ends_blank_lines_and_bad_bytes(tmp_path):
+    text = "datasets = iris\n# note\n\nseed = 5\n"
+    p = tmp_path / "run.spec"
+    for variant in (text, text + "\n\n", text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+        p.write_bytes(variant.encode("utf-8"))
+        assert read_bench_spec(p) == parse_bench_spec(text)
+    # blank lines count towards the line a message names
+    p.write_bytes(b"datasets = iris\r\n\r\nbogus\r\n\r\n")
+    with pytest.raises(ConfigError, match="^spec line 3: expected 'key = value', got 'bogus'$"):
+        read_bench_spec(p)
+    p.write_bytes(b"datasets = iris\n\nseed = \xff\n")
+    with pytest.raises(ConfigError) as exc:
+        read_bench_spec(p)
+    assert str(exc.value) == (f"{p}: not UTF-8 text (invalid start byte at byte 24); "
+                              "re-encode the file as UTF-8")
 
 
 # ----------------------------------------------------------------- running
@@ -646,6 +664,24 @@ def test_curve_grid_mode_rejected(synthetic_csv):
     spec = BenchSpec(datasets=(synthetic_csv,), threshold_mode="grid", cv_folds=3)
     with pytest.raises(ConfigError, match="fixed"):
         learning_curve(spec, "blob1", 1)
+
+
+def test_curve_loads_datasets_only_up_to_its_task(data_dir, synthetic_csv, tmp_path,
+                                                 monkeypatch):
+    missing = str(tmp_path / "absent.csv")
+    spec = BenchSpec(datasets=("iris",), iterations=5, repetitions=2, seed=4)
+    expected = learning_curve(spec, "Iris1", 2, data_dir)
+    after = replace(spec, datasets=("iris", missing))
+    assert learning_curve(after, "Iris1", 2, data_dir) == expected
+    with pytest.raises(DataFormatError, match="neither a registry name"):
+        learning_curve(replace(spec, datasets=(missing, "iris")), "Iris1", 2, data_dir)
+    with pytest.raises(ConfigError, match="duplicate task"):
+        learning_curve(replace(spec, datasets=(synthetic_csv, synthetic_csv, "iris")),
+                       "Iris1", 2, data_dir)
+    # bench still resolves every dataset before it plans its first task
+    monkeypatch.setattr(bench, "_plan_arrays", None)
+    with pytest.raises(DataFormatError, match="neither a registry name"):
+        run_benchmark(after, data_dir)
 
 
 def test_curve_unknown_task_or_rep(synthetic_csv):

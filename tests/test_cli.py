@@ -348,6 +348,40 @@ def test_overflow_warning_is_one_refold_line(tmp_path):
     assert not out.exists()
 
 
+def run_module(args, **kwargs):
+    """`python <args>` in a child process, with refold importable."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, cwd=str(REPO_ROOT),
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}, **kwargs,
+    )
+
+
+def test_overflow_under_w_error_is_one_error_line(tmp_path):
+    """With -W error the overflow warning is raised, not printed: it ends
+    the command as its one error line."""
+    data = tmp_path / "huge.csv"
+    data.write_text("1.7e308,1,t\n1.7e308,2,t\n1,3,t\n", encoding="utf-8")
+    out = tmp_path / "m.refold"
+    proc = run_module(["-W", "error", "-m", "refold", "train", "--data", str(data),
+                       "--out", str(out)], text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "refold: error: RuntimeWarning: overflow encountered in reduce\n"
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_non_utf8_on_a_pipe_is_one_error_line(tmp_path):
+    """A pipe cannot tell its position, so the message names no offset."""
+    model = tmp_path / "m.refold"
+    model.write_text("refold-model-v1\nfold=abs\niterations=1\ndim=2\n0 0 1 1\n",
+                     encoding="utf-8")
+    proc = run_module(["-m", "refold", "predict", "--model", str(model),
+                       "--data", "/dev/stdin"], input=b"1,2\n\xff,3\n")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (b"refold: error: DataFormatError: /dev/stdin: not UTF-8 text "
+                           b"(invalid start byte); re-encode the file as UTF-8\n")
+
+
 def test_utf16_data_is_a_format_error(tmp_path, capsys):
     data = tmp_path / "iris16.csv"
     data.write_text((REPO_ROOT / "data" / "iris.csv").read_text(), encoding="utf-16")

@@ -394,6 +394,27 @@ def test_parse_peak_memory_stays_near_the_matrix(tmp_path):
     assert peak < 3 * ds.features.nbytes, peak / ds.features.nbytes
 
 
+def test_failed_parse_peak_memory_stays_near_the_matrix(tmp_path):
+    """A trailing non-UTF-8 byte fails the same 50,000 x 20 parse below 3x
+    the matrix it would have given: the byte is named from the decoder's
+    position, not by reading the whole file again (which took 9.1x)."""
+    import tracemalloc
+
+    values = np.random.default_rng(0).standard_normal((1000, 20))
+    block = "".join(",".join("%.17g" % v for v in row) + (",a\n" if i % 2 else ",b\n")
+                    for i, row in enumerate(values.tolist()))
+    p = tmp_path / "data.csv"
+    p.write_bytes((block * 50).encode("utf-8") + b"\xff")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match=rf"at byte {len(block) * 50}\);"):
+            load_dataset(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 50_000 * 20 * 8, peak / (50_000 * 20 * 8)
+
+
 # ----------------------------------------------------------------- registry
 
 def test_registry_lists_six_benchmarks():

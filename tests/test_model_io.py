@@ -137,6 +137,28 @@ def test_missing_file():
         load_model("/nonexistent/model.refold")
 
 
+def test_line_ends_and_trailing_blank_lines_read_alike(tmp_path):
+    text = serialize_model(train_ref(np.arange(12.0).reshape(4, 3), iterations=2))
+    p = tmp_path / "m.refold"
+    for variant in (text, text + "\n\n\n", text.replace("\n", "\r\n"),
+                    text.replace("\n", "\r") + "\r\r"):
+        p.write_bytes(variant.encode("utf-8"))
+        assert serialize_model(load_model(p)) == text
+    p.write_bytes(text.replace("\n", "\n\n", 1).encode("utf-8"))
+    with pytest.raises(ModelFormatError, match="^expected fold=... header line, got ''$"):
+        load_model(p)
+
+
+def test_non_utf8_byte_named_by_its_offset(tmp_path):
+    text = serialize_model(train_ref(np.arange(12.0).reshape(4, 3), iterations=2))
+    p = tmp_path / "m.refold"
+    p.write_bytes(text.encode("utf-8") + b"\n\xc3(\n")
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(p)
+    assert str(exc.value) == (f"{p}: not UTF-8 text (invalid continuation byte at byte "
+                              f"{len(text) + 1}); re-encode the file as UTF-8")
+
+
 def test_fuzzed_corruption_always_clean_error():
     # arbitrary corruption must surface as ModelFormatError, never as an
     # unrelated exception or a silently wrong model

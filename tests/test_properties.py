@@ -1,8 +1,11 @@
 """Property tests for the text formats (bench specs, models and data files),
+for the reader's byte offsets, for the one-line errors of the command line,
 for the stacked fit kernel, for confusion counting, Gmean and threshold
 selection, for the split streams, plans and CV folds against tests/oracle.py,
 and a check that a failing property test reports its example."""
 
+import contextlib
+import io
 import math
 import os
 import shutil
@@ -17,12 +20,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from refold.bench import BenchSpec, parse_bench_spec, serialize_bench_spec
 from refold.core import DISTANCES, FOLD_OPS, RefModel, fit_stack, score, train_ref
-from refold import datasets, evaluation
+from refold import cli, datasets, evaluation
 from refold.datasets import DatasetSchema, load_dataset
 from refold.core import ClassifierConfig
 from refold.errors import (ConfigError, DataFormatError, EvaluationError, ModelFormatError,
@@ -36,6 +39,7 @@ from refold.evaluation import (
 )
 from refold.model_io import FORMAT_VERSION, parse_model, serialize_model
 from refold.rng import SplitMix64
+from refold.textio import read_lines
 
 import oracle
 
@@ -310,6 +314,104 @@ def test_chunk_size_does_not_change_the_outcome(case):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(datasets, "_CHUNK_LINES", chunk_lines)
                 assert load_outcome(path, schema) == whole, chunk_lines
+
+
+# a bad byte anywhere in text with multibyte characters and every line end,
+# long enough to cross the text layer's 8 KB read blocks
+utf8_pieces = st.sampled_from(("1.5,", "a\n", "\u00e9", "\u20ac", "\U0001f600", "\r\n",
+                               "\r", "\n", "x,y"))
+bad_sequences = st.sampled_from((b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98",
+                                 b"\xed\xa0\x80", b"\xc0\xaf", b"\xc3("))
+
+
+@st.composite
+def non_utf8_files(draw):
+    unit = "".join(draw(st.lists(utf8_pieces, min_size=1, max_size=12))).encode("utf-8")
+    data = unit * draw(st.integers(1, 20_000 // len(unit)))
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(bad_sequences) + data[at:]
+
+
+@PROPERTY_SETTINGS
+@given(non_utf8_files(), st.integers(1, 5000))
+def test_non_utf8_byte_offset_matches_a_whole_file_decode(data, count):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(UnicodeDecodeError) as ref:
+            with open(path, encoding="utf-8") as fh:
+                fh.read()
+        with pytest.raises(DataFormatError) as exc:
+            for _ in read_lines(path, DataFormatError, count):
+                pass
+    assert str(exc.value) == (f"{path}: not UTF-8 text ({ref.value.reason} at byte "
+                              f"{ref.value.start}); re-encode the file as UTF-8")
+
+
+# ------------------------------------------------------------ CLI boundary
+
+cli_cells = st.one_of(
+    st.sampled_from(("1", "-2.5", "1.7e308", "-1.7e308", "1e-300", "0", "", " ", "x",
+                     "nan")),
+    st.floats(-1.7e308, 1.7e308).map(repr),
+)
+
+
+@st.composite
+def cli_data_files(draw):
+    """Rows of numeric cells and a t/o label, with blank, ragged and
+    non-numeric cells, blank lines, and maybe a stray 0xff byte."""
+    width = draw(st.integers(1, 3))
+    lines = [
+        ",".join(draw(st.lists(cli_cells, min_size=width, max_size=width))
+                 + [draw(st.sampled_from(("t", "o", "")))])
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "1,t"))))
+    data = "\n".join(lines).encode("utf-8") + draw(st.sampled_from((b"", b"\n", b"\n\n")))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+train_flags = st.builds(
+    lambda target, fold, iters: [*target, "--fold", fold, "--iters", str(iters)],
+    st.sampled_from(([], ["--target-class", "t"])), st.sampled_from(FOLD_OPS),
+    st.integers(1, 4),
+)
+use_flags = st.builds(
+    lambda command, dist, threshold, label: [
+        command, "--dist", dist, "--threshold", threshold, "--label-column", label,
+        *(["--target-class", "t"] if command == "eval" else [])],
+    st.sampled_from(("predict", "eval")), st.sampled_from(DISTANCES),
+    st.sampled_from(("1", "0.5", "0", "inf", "nan")), st.sampled_from(("last", "none", "0")),
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(cli_data_files(), train_flags, use_flags)
+@example(b"1.7e308,1,t\n1.7e308,2,t\n1,3,t\n", ["--iters", "2"],
+         ["predict", "--label-column", "last"])
+def test_cli_failures_are_one_error_line(data, train, use):
+    """train on generated rows, then predict or eval with the model: each
+    command returns 0 or 1, raises nothing, and writes only refold lines on
+    stderr, one error line exactly when it fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, model = os.path.join(tmp, "rows.csv"), os.path.join(tmp, "m.refold")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for argv in (["train", "--data", path, "--out", model, *train],
+                     [use[0], "--model", model, "--data", path, *use[1:]]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(argv)
+            lines = err.getvalue().splitlines()
+            assert rc in (0, 1)
+            assert all(line.startswith("refold: ") for line in lines), lines
+            assert sum(line.startswith("refold: error: ") for line in lines) == rc, lines
 
 
 # ------------------------------------------------------------------ oracle
@@ -630,7 +732,7 @@ def test_failing_property_test_reports_its_example(tmp_path):
     session goes on to the next test."""
     shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path / "conftest.py")
     (tmp_path / "test_sample.py").write_text(
-        "from hypothesis import given, settings, strategies as st\n\n"
+        "from hypothesis import example, given, settings, strategies as st\n\n"
         "@settings(derandomize=True, database=None)\n"
         "@given(st.integers())\n"
         "def test_fails(x):\n"
