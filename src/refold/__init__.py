@@ -41,10 +41,8 @@ from .evaluation import (
     DEFAULT_THRESHOLD_GRID,
     OccTask,
     SplitPlan,
-    kfold,
     make_occ_tasks,
     make_split_plan,
-    select_threshold,
 )
 from .datasets import (
     Dataset,

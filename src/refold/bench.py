@@ -22,7 +22,8 @@ than 8 MB, padding included, works in blocks of at most that size. Each fit
 gets the arithmetic of a lone fit, so results are bit-identical to fitting
 repetition by repetition. A task whose stacked pass fails or warns is
 replayed one repetition at a time through the same path, so that it raises
-what the first failing repetition raises.
+what the first failing repetition raises; select_thresholds fits a lone
+pool one CV fold per call, so the replay also fails fold by fold.
 
 Seed streams, all derived from the master seed with refold.rng.derive_seed:
 split plan of task t -> (t, 1); threshold CV of task t repetition r ->
@@ -511,7 +512,8 @@ class ProbeRow:
 
     @property
     def median_seconds(self) -> float:
-        return sorted(self.times)[len(self.times) // 2]
+        # np.median, not statistics.median, whose decimal import would slow every start-up
+        return float(np.median(self.times))
 
 
 @dataclass(frozen=True)

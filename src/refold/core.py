@@ -35,6 +35,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
+from .rng import check_integer
 
 FOLD_OPS = ("abs", "sqr", "cos_abs", "cos", "sin", "tanh")
 DISTANCES = ("l1", "l2")
@@ -177,7 +178,8 @@ class ClassifierConfig:
     def __post_init__(self):
         _check_fold(self.fold)
         _check_distance(self.dist)
-        if not (isinstance(self.iterations, int) and self.iterations >= 1):
+        check_integer("iterations", self.iterations)
+        if self.iterations < 1:
             raise ConfigError("iterations must be an integer >= 1")
 
 

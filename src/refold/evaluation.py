@@ -9,6 +9,8 @@ threshold by k-fold cross-validation over a fixed candidate grid.
 
 Metrics run on count arrays: confusion_counts gives (tp, fn, tn, fp) along a
 mask's last axis and gmeans holds the one Gmean rule, exact below 2**53.
+select_thresholds is the one threshold-selection entry: it cross-validates
+any number of training pools, and a single pool is the one-element case.
 
 All randomness flows through the splitmix64 helpers in refold.rng, so every
 split is a pure function of (inputs, seed). Planning is batched: the split
@@ -23,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassifierConfig, _as_samples, fit_stack
+from .core import fit_stack
 from .errors import ConfigError, EvaluationError, SelectionError
-from .rng import SplitMix64, check_seed, derive_seed
+from .rng import SplitMix64, check_integer, check_seed, derive_seed
 
 DEFAULT_TRAIN_FRACTION = 0.7
 DEFAULT_REPETITIONS = 5
@@ -100,11 +102,13 @@ def check_train_fraction(fraction: float) -> None:
 
 
 def check_repetitions(repetitions: int) -> None:
+    check_integer("repetitions", repetitions)
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
 
 
 def check_cv_folds(k: int) -> None:
+    check_integer("cv_folds", k)
     if k < 2:
         raise ConfigError(f"cv_folds must be >= 2, got {k}")
 
@@ -178,32 +182,15 @@ def gmeans(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tpr, tnr, np.sqrt(tpr * tnr)
 
 
-def kfold(
-    indices: Sequence[int], k: int, seed: int = 0
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Seeded k-fold partition: disjoint validation folds covering indices.
-
-    Fold sizes differ by at most one; the first (n mod k) folds take the
-    extra element. This is the one-pool case of the batched fold planner
-    that select_thresholds uses.
-    """
-    items = np.array(list(indices))
-    if items.size and not np.issubdtype(items.dtype, np.integer):
-        raise ConfigError(f"kfold indices must be integers, got dtype {items.dtype}")
-    check_cv_folds(k)
-    check_seed(seed)
-    if k > len(items):
-        raise ConfigError(f"cannot make {k} folds from {len(items)} items")
-    return [(tuple(items[train].tolist()), tuple(items[val].tolist()))
-            for train, val in _kfolds([len(items)], k, [seed])[0]]
-
-
 def _kfolds(lengths, k: int, seeds) -> dict[int, list[tuple[np.ndarray, np.ndarray]]]:
-    """kfold's (training, validation) positions for every pool p whose
+    """Seeded k-fold (training, validation) positions for every pool p whose
     length lengths[p] is at least k (k >= 2), on stream seeds[p].
 
-    Planning is batched: the pools of one length are shuffled together, in
-    one SplitMix64.shuffle call, and cut into folds by column slices.
+    The shuffled positions 0..n-1 are cut into k disjoint validation folds
+    that cover them; fold sizes differ by at most one, and the first n mod k
+    folds get one extra row. Planning is batched: the pools of one length
+    are shuffled together, in one SplitMix64.shuffle call, and cut into
+    folds by column slices.
     """
     by_length: dict[int, list[int]] = {}
     for p, n in enumerate(lengths):
@@ -242,7 +229,11 @@ def _cv_plan(pools, is_target, k: int, seeds) -> list[tuple[int, np.ndarray, np.
     classes and on a fold with fewer than 2 training targets. Planning is
     batched: the folds of all pools are planned first, in one shuffle per
     distinct pool length, then checked pool by pool, so that the error
-    raised is that of a loop over the pools."""
+    raised is that of a loop over the pools. Only k's type and the seeds,
+    which the planning itself would misread, are checked before it."""
+    check_integer("cv_folds", k)
+    for seed in seeds:
+        check_seed(seed)
     folds = _kfolds([len(pool) for pool in pools], k, seeds)
     plan = []
     for p, pool in enumerate(pools):
@@ -284,10 +275,20 @@ def best_threshold(per_fold: list[list[float]], grid) -> float:
 
 
 def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> list[float]:
-    """select_threshold on every pool of row indices pools[r] of features,
-    with CV seed seeds[r]; is_target flags every row of features. All folds
-    are planned first, batched (one shuffle per distinct pool length), then
-    fitted in one kernel call, each as a lone fit
+    """The decision threshold of each pool of row indices pools[r] of
+    features, picked from grid by k-fold cross-validation on CV seed
+    seeds[r]; is_target flags every row of features.
+
+    Each fold's model is fit on the fold's training targets only; the
+    fold's outliers serve purely for scoring the candidates. The pick is
+    the grid value with the highest mean Gmean over the folds whose
+    validation rows hold both classes; ties break toward the value closest
+    to 1.0, then toward the larger value. A pool must hold targets and
+    outliers: without outliers there is nothing to validate against, and
+    the caller should use the default threshold 1 instead.
+
+    All folds are planned first, batched (one shuffle per distinct pool
+    length), then fitted in one kernel call, each as a lone fit
     (core.fit_stack pads the folds to the most rows, and works in blocks
     under its memory budget). A lone pool fits one fold per call, so it fails
     and warns as a fold loop does."""
@@ -313,33 +314,3 @@ def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> lis
         for p, row in zip(owners, table.tolist()):
             per_fold[p].append(row)
     return [best_threshold(rows, grid) for rows in per_fold]
-
-
-def select_threshold(
-    features: np.ndarray,
-    is_target: Sequence[bool],
-    config: ClassifierConfig,
-    grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
-    k: int = DEFAULT_CV_FOLDS,
-    seed: int = 0,
-) -> float:
-    """Pick the grid threshold maximizing mean Gmean over k CV folds.
-
-    Models are fit on each fold's training targets only; fold outliers serve
-    purely for scoring the candidates. Ties break toward the value closest
-    to 1.0, then toward the larger value. The training pool must contain
-    outliers; without them there is nothing to validate against and the
-    caller should fall back to the default threshold 1.
-
-    The arguments (grid, seed, shapes, finite features) are checked before
-    any fold is planned; this is select_thresholds on one pool.
-    """
-    grid = check_grid(grid)
-    check_seed(seed)
-    features = np.asarray(features, dtype=np.float64)
-    flags = np.asarray(is_target, dtype=bool)
-    if features.ndim != 2 or len(flags) != len(features):
-        raise ConfigError("features must be (N, D) with one is_target flag per row")
-    _as_samples(features, "training data")
-    return select_thresholds(features, [np.arange(len(flags))], flags, config, grid, k,
-                             [seed])[0]

@@ -14,6 +14,7 @@ from refold import bench
 from refold.bench import (
     _SPEC_FIELDS,
     BenchSpec,
+    ProbeRow,
     learning_curve,
     mean_std,
     parse_bench_spec,
@@ -89,6 +90,14 @@ def test_spec_validation():
     for grid in ("nan", "0.5, nan, 1.0"):
         with pytest.raises(ConfigError, match="grid"):
             parse_bench_spec(f"datasets = iris\nthreshold_mode = grid\ngrid = {grid}\n")
+    # a bool or a fraction would serialize as text the parser cannot read back
+    for field in ("seed", "iterations", "repetitions", "cv_folds"):
+        for value in (True, 2.5):
+            with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value}$"):
+                BenchSpec(datasets=("iris",), **{field: value})
+    spec = BenchSpec(datasets=("iris",), seed=np.uint64(5), iterations=np.int64(7),
+                     repetitions=np.int32(2), cv_folds=np.int16(3))
+    assert parse_bench_spec(serialize_bench_spec(spec)) == spec
 
 
 @pytest.mark.parametrize("mode", ["fixed", "grid"])
@@ -277,7 +286,7 @@ def test_golden_split_plans_and_cv_folds(data_dir, monkeypatch):
     import refold.evaluation
     from refold.core import ClassifierConfig
     from refold.datasets import load_registry_dataset
-    from refold.evaluation import kfold, make_split_plan, select_thresholds
+    from refold.evaluation import make_split_plan, select_thresholds
     from refold.rng import derive_seed
 
     texts = []
@@ -296,7 +305,7 @@ def test_golden_split_plans_and_cv_folds(data_dir, monkeypatch):
             seeds = [derive_seed(seed, t, rep) for rep in range(100)]
             for (train, _), cv_seed in zip(plan.splits, seeds):
                 texts.extend(f"kfold {list(fit)} {list(val)}\n"
-                             for fit, val in kfold(train, 5, cv_seed))
+                             for fit, val in oracle.kfold(train, 5, cv_seed))
             select_thresholds(ds.features, [np.array(train) for train, _ in plan.splits],
                               ds.class_flags(target), ClassifierConfig(iterations=1), (1.0,),
                               5, seeds)
@@ -315,7 +324,7 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
     import refold.evaluation
     import refold.rng
     from refold.datasets import load_dataset
-    from refold.evaluation import kfold, make_split_plan
+    from refold.evaluation import make_split_plan
     from refold.rng import derive_seed
 
     calls = {"plan": 0, "kernel": 0, "block": 0, "train": 0, "shuffle": 0}
@@ -342,7 +351,8 @@ def test_no_repeated_work(synthetic_csv, monkeypatch):
             sizes = set()
             for rep, (train, _) in enumerate(plan.splits):
                 flags = [ds.labels[i] == target for i in train]
-                for fit, val in kfold(range(len(train)), 3, derive_seed(2, ordinal, stream, rep)):
+                for fit, val in oracle.kfold(range(len(train)), 3,
+                                             derive_seed(2, ordinal, stream, rep)):
                     if len({flags[i] for i in val}) == 2:
                         sizes.add((sum(flags[i] for i in fit), len(val)))
             assert len(sizes) > 1
@@ -462,7 +472,7 @@ def test_failing_task_fits_before_selecting(tmp_path):
     from refold.core import train_ref
     from refold.datasets import load_dataset
     from refold.errors import SelectionError
-    from refold.evaluation import make_split_plan, select_threshold
+    from refold.evaluation import make_split_plan, select_thresholds
     from refold.rng import derive_seed
 
     path = _overflow_csv(tmp_path / "overflow.csv", targets=4, big=range(4))
@@ -483,10 +493,9 @@ def test_failing_task_fits_before_selecting(tmp_path):
 
     # precondition: selecting first would raise another error, since a
     # 2-fold split of 2 training targets leaves a fold with fewer than 2
-    pool = list(plan.splits[0][0])
-    selected = first_error(lambda: select_threshold(
-        ds.features[pool], flags[pool], spec.config, spec.grid, spec.cv_folds,
-        derive_seed(1, 0, 2, 0)))
+    selected = first_error(lambda: select_thresholds(
+        ds.features, [plan.train[0]], flags, spec.config, spec.grid, spec.cv_folds,
+        [derive_seed(1, 0, 2, 0)]))
     assert selected[0] is SelectionError
     # under the suite's filter the overflow warning is raised first
     want = first_error(loop)
@@ -572,6 +581,30 @@ def test_grid_mode_records_selected_thresholds(synthetic_csv):
     report = run_benchmark(spec)
     for r in report.runs:
         assert r.threshold in DEFAULT_THRESHOLD_GRID
+
+
+@pytest.mark.parametrize("mode", ["fixed", "grid"])
+def test_one_repetition_runs_as_the_first_of_five(data_dir, mode, monkeypatch):
+    """A one-repetition run selects its thresholds on a lone pool, one CV fold
+    per kernel call; its rows are the first repetition's rows of the same
+    spec with five repetitions, whose CV fits are batched per variant."""
+    import refold.evaluation
+
+    calls = []
+    fit_stack = refold.evaluation.fit_stack
+    monkeypatch.setattr(refold.evaluation, "fit_stack",
+                        lambda X, fit, *args: calls.append(len(fit)) or fit_stack(X, fit, *args))
+    spec = BenchSpec(datasets=("iris",), repetitions=5, include_base=True, threshold_mode=mode)
+    five = run_benchmark(spec, data_dir).runs
+    batched = list(calls)
+    calls.clear()
+    one = run_benchmark(replace(spec, repetitions=1), data_dir).runs
+    if mode == "grid":
+        # 3 tasks x 2 variants: one call each, or one per fold of 5
+        assert len(batched) == 6 and min(batched) > 1
+        assert calls == [1] * 30
+    assert len(one) == 6
+    assert one == tuple(r for r in five if r.repetition == 1)
 
 
 def test_iris_benchmark_runs(data_dir):
@@ -713,6 +746,11 @@ def test_probe_rows_and_determinism():
         assert row.median_seconds == sorted(row.times)[1]
     text = report.text()
     assert text.startswith("# refold-probe-v1")
+
+
+def test_probe_median_of_an_even_count_is_the_mean_of_the_middle_two():
+    assert ProbeRow(n=2, dim=1, iterations=1, times=(1.0, 3.0)).median_seconds == 2.0
+    assert ProbeRow(n=2, dim=1, iterations=1, times=(3.0, 1.0, 2.0)).median_seconds == 2.0
 
 
 def test_probe_rejects_degenerate_sizes():

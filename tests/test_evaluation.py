@@ -19,11 +19,10 @@ from refold.errors import (
 from refold.evaluation import (
     DEFAULT_THRESHOLD_GRID,
     confusion_counts,
+    _kfolds,
     gmeans,
-    kfold,
     make_occ_tasks,
     make_split_plan,
-    select_threshold,
     select_thresholds,
 )
 
@@ -135,7 +134,19 @@ def test_split_plan_errors():
      lambda v: make_split_plan(["t", "o"], "t", train_fraction=v)),
     ("repetitions", 0, "repetitions must be >= 1, got 0",
      lambda v: make_split_plan(["t", "o"], "t", repetitions=v)),
-    ("cv_folds", 1, "cv_folds must be >= 2, got 1", lambda v: kfold(range(4), v)),
+    ("cv_folds", 1, "cv_folds must be >= 2, got 1", lambda v: _select_on_a_small_pool(k=v)),
+    ("repetitions", True, "repetitions must be an integer, got True",
+     lambda v: make_split_plan(["t", "o"], "t", repetitions=v)),
+    ("repetitions", 2.5, "repetitions must be an integer, got 2.5",
+     lambda v: make_split_plan(["t", "o"], "t", repetitions=v)),
+    ("cv_folds", True, "cv_folds must be an integer, got True",
+     lambda v: _select_on_a_small_pool(k=v)),
+    ("cv_folds", 2.5, "cv_folds must be an integer, got 2.5",
+     lambda v: _select_on_a_small_pool(k=v)),
+    ("iterations", True, "iterations must be an integer, got True",
+     lambda v: ClassifierConfig(iterations=v)),
+    ("iterations", 2.5, "iterations must be an integer, got 2.5",
+     lambda v: ClassifierConfig(iterations=v)),
 ])
 def test_protocol_rules_give_one_message(field, value, message, direct):
     # a spec and the protocol function it configures reject a value alike
@@ -199,21 +210,26 @@ def test_confusion_counts_inclusive():
 
 # -------------------------------------------------------------------- kfold
 
+def kfold(n, k, seed):
+    """The library's (training, validation) position lists of one pool of n."""
+    return [(train.tolist(), val.tolist()) for train, val in _kfolds([n], k, [seed])[0]]
+
+
 def test_kfold_exact_division():
-    folds = kfold(range(10), 5, seed=1)
+    folds = kfold(10, 5, seed=1)
     assert len(folds) == 5
     assert all(len(val) == 2 for _, val in folds)
 
 
 def test_kfold_remainder_rule():
-    folds = kfold(range(11), 5, seed=1)
+    folds = kfold(11, 5, seed=1)
     sizes = sorted((len(val) for _, val in folds), reverse=True)
     assert sizes == [3, 2, 2, 2, 2]
 
 
 def test_kfold_disjoint_union():
     idx = list(range(23))
-    folds = kfold(idx, 4, seed=7)
+    folds = kfold(23, 4, seed=7)
     all_val = [i for _, val in folds for i in val]
     assert sorted(all_val) == idx
     for train, val in folds:
@@ -222,40 +238,39 @@ def test_kfold_disjoint_union():
 
 
 def test_kfold_deterministic():
-    assert kfold(range(17), 5, seed=3) == kfold(range(17), 5, seed=3)
-    assert kfold(range(17), 5, seed=3) != kfold(range(17), 5, seed=4)
+    assert kfold(17, 5, seed=3) == kfold(17, 5, seed=3)
+    assert kfold(17, 5, seed=3) != kfold(17, 5, seed=4)
 
 
 def test_kfold_errors():
-    with pytest.raises(ConfigError):
-        kfold(range(10), 1)
-    with pytest.raises(ConfigError):
-        kfold(range(3), 5)
-
-
-@pytest.mark.parametrize("indices", [[0.5, 1.7, 2.2], ["a"], [True, False]])
-def test_kfold_rejects_non_integer_indices(indices):
-    with pytest.raises(ConfigError, match="kfold indices must be integers"):
-        kfold(indices, 2, 0)
+    with pytest.raises(ConfigError, match="cv_folds must be >= 2, got 1"):
+        _select_on_a_small_pool(k=1)
+    with pytest.raises(ConfigError, match="cannot make 5 folds from 3 items"):
+        _select_on_a_small_pool(k=5)
 
 
 def test_kfold_of_nothing_keeps_its_error():
-    with pytest.raises(ConfigError, match="cannot make 3 folds from 0 items"):
-        kfold([], 3)
+    # a pool shorter than k is planned no folds, and selecting on it says why
+    assert _kfolds([0, 2], 3, [0, 0]) == {}
+    with pytest.raises(ConfigError, match="cannot make 4 folds from 3 items"):
+        _select_on_a_small_pool(k=4)
 
 
 @pytest.mark.parametrize("seed, message", [
     (-1, r"seed must be in 0..2\*\*64-1"),
     (2 ** 64, r"seed must be in 0..2\*\*64-1"),
     (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
 ])
-@pytest.mark.parametrize("planner", ["make_split_plan", "kfold", "select_threshold"])
+@pytest.mark.parametrize("planner", ["make_split_plan", "BenchSpec", "select_threshold"])
 def test_seeded_planners_reject_aliasing_seeds(planner, seed, message):
+    from refold.bench import BenchSpec
+
     rng = np.random.default_rng(5)
     X, flags = _separable_pool(rng, n_targets=20, n_outliers=10)
     call = {
         "make_split_plan": lambda: make_split_plan(["t"] * 10 + ["o"] * 10, "t", seed=seed),
-        "kfold": lambda: kfold(range(10), 3, seed=seed),
+        "BenchSpec": lambda: BenchSpec(datasets=("iris",), seed=seed),
         "select_threshold": lambda: select_threshold(X, flags, ClassifierConfig(), seed=seed),
     }[planner]
     with pytest.raises(ConfigError, match=message):
@@ -263,6 +278,18 @@ def test_seeded_planners_reject_aliasing_seeds(planner, seed, message):
 
 
 # -------------------------------------------------- threshold selection
+
+def select_threshold(X, flags, config, grid=DEFAULT_THRESHOLD_GRID, k=5, seed=0):
+    """select_thresholds on the one pool of every row of X."""
+    flags = np.asarray(flags, dtype=bool)
+    return select_thresholds(X, [np.arange(len(X))], flags, config, grid, k, [seed])[0]
+
+
+def _select_on_a_small_pool(k):
+    """select_threshold with k folds on a pool of 2 targets and 1 outlier."""
+    X, flags = _separable_pool(np.random.default_rng(3), n_targets=2, n_outliers=1)
+    return select_threshold(X, flags, ClassifierConfig(iterations=3), k=k)
+
 
 def _separable_pool(rng, n_targets=60, n_outliers=30, d=2, radius=10.0):
     targets = rng.normal(size=(n_targets, d))
@@ -302,7 +329,7 @@ def test_select_threshold_matches_brute_force_reevaluation():
     # independent re-evaluation: same folds, but scoring through the
     # straight-line oracle implementation
     per_t = {t: [] for t in DEFAULT_THRESHOLD_GRID}
-    for fold_train, fold_val in kfold(range(len(X)), 5, seed=seed):
+    for fold_train, fold_val in oracle.kfold(range(len(X)), 5, seed):
         fit = [i for i in fold_train if flags[i]]
         val = list(fold_val)
         val_flags = flags[val]
@@ -341,21 +368,6 @@ def test_select_threshold_requires_outliers():
         select_threshold(X, [False] * 30, ClassifierConfig())
 
 
-def test_select_threshold_grid_validation():
-    rng = np.random.default_rng(43)
-    X, flags = _separable_pool(rng, n_targets=20, n_outliers=10)
-    cfg = ClassifierConfig(iterations=3)
-    with pytest.raises(ConfigError):
-        select_threshold(X, flags, cfg, grid=())
-    with pytest.raises(ConfigError):
-        select_threshold(X, flags, cfg, grid=(0.5, 0.4))
-    with pytest.raises(ConfigError):
-        select_threshold(X, flags, cfg, grid=(-0.1, 0.5))
-    for grid in ((float("nan"),), (0.5, float("nan"), 1.0)):
-        with pytest.raises(ConfigError):
-            select_threshold(X, flags, cfg, grid=grid)
-
-
 def test_select_threshold_deterministic():
     rng = np.random.default_rng(47)
     X, flags = _separable_pool(rng)
@@ -365,28 +377,6 @@ def test_select_threshold_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("row", [0, 50], ids=["target", "outlier"])
-def test_select_threshold_rejects_non_finite_features(row, value):
-    # the outlier row is only ever scored, never fitted; it is rejected all
-    # the same, and with the message of training data
-    X, flags = _separable_pool(np.random.default_rng(53), n_targets=40, n_outliers=20)
-    X[row, 1] = value
-    with pytest.raises(InvalidInputError, match="^training data contains non-finite values$"):
-        select_threshold(X, flags, ClassifierConfig(iterations=5))
-
-
-def test_select_threshold_checks_features_before_the_pool():
-    # a pool without outliers cannot be cross-validated, but the features
-    # are checked first
-    X = np.random.default_rng(59).normal(size=(30, 2))
-    X[3, 0] = np.nan
-    with pytest.raises(InvalidInputError, match="^training data contains non-finite values$"):
-        select_threshold(X, [True] * 30, ClassifierConfig())
-    with pytest.raises(ShapeError, match="at least one feature dimension"):
-        select_threshold(np.empty((30, 0)), [True] * 15 + [False] * 15, ClassifierConfig())
-
-
 def test_select_threshold_plans_every_fold_before_fitting():
     # targets 1e308, -1e308, 1e308 in column 0: fold 0 fits the two equal
     # ones, whose sum overflows, and fold 1 has one training target; a pool
@@ -394,7 +384,7 @@ def test_select_threshold_plans_every_fold_before_fitting():
     X = np.vstack([[[1e308, 0.1], [-1e308, 0.2], [1e308, 0.3]],
                    np.random.default_rng(0).normal(size=(8, 2)) + 4.0])
     flags = np.array([True] * 3 + [False] * 8)
-    fit = [i for i in kfold(range(11), 2, seed=7)[0][0] if flags[i]]
+    fit = [i for i in oracle.kfold(range(11), 2, 7)[0][0] if flags[i]]
     assert fit == [0, 2]
     # a warning under the suite's filter, the NumericError without it
     with pytest.raises((RuntimeWarning, NumericError)):
@@ -412,7 +402,7 @@ def test_select_threshold_raises_the_first_failing_fold(action):
 
     X, flags = _separable_pool(np.random.default_rng(67), n_targets=10, n_outliers=8)
     X[[0, 1], 1] = 1e308
-    folds = kfold(range(18), 3, seed=23)
+    folds = oracle.kfold(range(18), 3, 23)
     assert [sorted({0, 1} & set(fit)) for fit, _ in folds[:2]] == [[0], [0, 1]]
     assert all(0 < flags[list(val)].sum() < len(val) for _, val in folds[:2])
     config = ClassifierConfig("sqr", 4)
@@ -428,8 +418,8 @@ def test_select_threshold_raises_the_first_failing_fold(action):
 
 def test_select_thresholds_across_pools_matches_each_pool(monkeypatch):
     """Pools of different sizes selected together, with the CV fits of all
-    pools in one kernel call, give each pool's select_threshold pick, which
-    fits its folds one per call."""
+    pools in one kernel call, give each pool's pick when selected alone,
+    which fits its folds one per call."""
     import refold.evaluation
 
     rng = np.random.default_rng(61)

@@ -720,8 +720,6 @@ def test_batched_folds_match_the_reference(case):
     for p, pool_folds in folds.items():
         want = oracle.kfold(range(lengths[p]), k, seeds[p])
         assert [(train.tolist(), val.tolist()) for train, val in pool_folds] == want
-        assert evaluation.kfold(range(lengths[p]), k, seeds[p]) == [
-            (tuple(train), tuple(val)) for train, val in want]
 
 
 # ------------------------------------------------------------- suite harness
