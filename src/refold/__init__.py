@@ -1,7 +1,8 @@
 """One-class classification by repeated element-wise folding.
 
-Train on target-class data only; classify new samples by their distance to
-the origin after replaying the trained standardize/fold sequence. Includes
+Train on target-class data only; score new samples by their distance to
+the origin after replaying the trained standardize/fold sequence, a target
+iff the score <= the threshold. Includes
 the evaluation protocol (stratified splits, cross-validated threshold
 selection, Gmean), a benchmark runner with reproducible reports, and model
 persistence.
@@ -15,12 +16,9 @@ from .core import (
     DISTANCES,
     FOLD_OPS,
     ClassifierConfig,
-    Prediction,
     RefModel,
-    classify,
     distance_to_origin,
     score,
-    train_base,
     train_ref,
     transform_ref,
 )

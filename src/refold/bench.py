@@ -69,7 +69,7 @@ from .evaluation import (
     make_split_plan,
     select_thresholds,
 )
-from .rng import GENERATOR_NAME, check_seed, derive_seed
+from .rng import GENERATOR_NAME, check_integer, check_seed, derive_seed
 from .textio import format_float as _fmt, read_text
 
 REPORT_VERSION = "refold-bench-report-v1"
@@ -475,6 +475,7 @@ def learning_curve(
     """
     if spec.threshold_mode != "fixed":
         raise ConfigError("learning curves are defined for fixed thresholds only")
+    check_integer("repetition", repetition)
     if not 1 <= repetition <= spec.repetitions:
         raise ConfigError(
             f"repetition {repetition} outside 1..{spec.repetitions}"
@@ -542,12 +543,16 @@ def timing_probe(
     The generator is seeded per size, so identical seeds reproduce identical
     inputs; medians damp scheduler noise.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = list(sizes)
+    for n in sizes:
+        check_integer("probe size", n)
     if not sizes or any(n < 2 for n in sizes):
         raise ConfigError("probe sizes must all be >= 2")
+    check_integer("probe dim", dim)
     if dim < 1:
         raise ConfigError("probe dim must be >= 1")
     check_seed(seed)
+    check_integer("repeats", repeats)
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     ClassifierConfig(iterations=iterations)  # validates before any matrix is drawn

@@ -160,6 +160,7 @@ class RefModel:
 
         Valid because step i of training depends only on steps before it.
         """
+        check_integer("truncation depth", iterations)
         if not 1 <= iterations <= self.iterations:
             raise ConfigError(
                 f"truncation depth {iterations} outside 1..{self.iterations}"
@@ -181,15 +182,6 @@ class ClassifierConfig:
         check_integer("iterations", self.iterations)
         if self.iterations < 1:
             raise ConfigError("iterations must be an integer >= 1")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Score plus thresholded label; target iff score <= threshold."""
-
-    score: float
-    label: str
-    threshold: float
 
 
 def _as_samples(
@@ -250,6 +242,8 @@ def fit_stack(
     wanted = set(depths)
     if not wanted <= set(range(1, iterations + 1)):
         raise ConfigError(f"scoring depths must lie in 1..{iterations}")
+    if X.shape[1] == 0:
+        raise ShapeError("training data needs at least one feature dimension")
     counts = [len(a) for a in fit]
     if min(counts) < 2:
         raise InsufficientDataError(f"need at least 2 training samples, got {min(counts)}")
@@ -344,6 +338,14 @@ def _check_finite(z: np.ndarray, i: int) -> None:
         raise NumericError(f"non-finite working values at iteration {i + 1}")
 
 
+def _check_rows(name: str, index, n: int) -> None:
+    """Reject an index array that holds a non-integer (bool included) or a
+    row outside 0..n-1 of an n-row matrix; an empty one passes."""
+    a = np.asarray(index)
+    if a.size and (not np.issubdtype(a.dtype, np.integer) or a.min() < 0 or a.max() >= n):
+        raise ConfigError(f"{name} must hold integer row indices in 0..{n - 1}")
+
+
 def _padded(index) -> np.ndarray:
     """(R, longest) array of R index arrays, each padded at its tail by
     repeating its last entry."""
@@ -367,13 +369,9 @@ def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD,
     mu = np.empty((iterations, 1, z.shape[1]))
     sigma = np.empty_like(mu)
     fit = np.arange(len(z)) if rows is None else rows
+    _check_rows("rows", fit, len(z))
     fit_stack(z, [fit], iterations, fold, params=(mu, sigma))
     return RefModel(mu[:, 0], sigma[:, 0], fold)
-
-
-def train_base(X) -> RefModel:
-    """Baseline: one standardization, distance thresholding, no folding."""
-    return train_ref(X, iterations=1, fold=DEFAULT_FOLD)
 
 
 def transform_ref(y, model: RefModel) -> np.ndarray:
@@ -426,22 +424,9 @@ def distance_to_origin(z, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:
 
 
 def score(y, model: RefModel, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:
-    """Distance to the origin of the transformed sample(s); always >= 0."""
+    """Distance to the origin of the transformed sample(s); always >= 0.
+
+    A sample is a target iff its score <= the decision threshold."""
     _check_distance(dist)
     return distance_to_origin(transform_ref(y, model), dist)
 
-
-def classify(
-    y,
-    model: RefModel,
-    dist: str = DEFAULT_DISTANCE,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> Prediction:
-    """Label one sample: target iff score <= threshold (inclusive)."""
-    threshold = float(threshold)
-    check_threshold(threshold)
-    s = score(y, model, dist)
-    if not np.isscalar(s):
-        raise ShapeError("classify takes a single sample; use score() for batches")
-    label = TARGET if s <= threshold else OUTLIER
-    return Prediction(score=float(s), label=label, threshold=threshold)

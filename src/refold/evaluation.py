@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import fit_stack
+from .core import _check_rows, fit_stack
 from .errors import ConfigError, EvaluationError, SelectionError
 from .rng import SplitMix64, check_integer, check_seed, derive_seed
 
@@ -225,7 +225,8 @@ def _cv_plan(pools, is_target, k: int, seeds) -> list[tuple[int, np.ndarray, np.
     and its validation rows.
 
     Folds whose validation rows hold a single class are skipped, since
-    Gmean is undefined there. Raises SelectionError on a pool without both
+    Gmean is undefined there. Raises ConfigError on a pool that is not
+    integer rows of is_target, and SelectionError on a pool without both
     classes and on a fold with fewer than 2 training targets. Planning is
     batched: the folds of all pools are planned first, in one shuffle per
     distinct pool length, then checked pool by pool, so that the error
@@ -237,6 +238,7 @@ def _cv_plan(pools, is_target, k: int, seeds) -> list[tuple[int, np.ndarray, np.
     folds = _kfolds([len(pool) for pool in pools], k, seeds)
     plan = []
     for p, pool in enumerate(pools):
+        _check_rows(f"pools[{p}]", pool, len(is_target))
         flags = is_target[pool]
         if not flags.any():
             raise SelectionError("training pool has no target samples")

@@ -723,6 +723,9 @@ def test_curve_unknown_task_or_rep(synthetic_csv):
         learning_curve(spec, "nope1", 1)
     with pytest.raises(ConfigError, match="repetition"):
         learning_curve(spec, "blob1", 3)
+    for bad in (True, 1.5):
+        with pytest.raises(ConfigError, match=f"^repetition must be an integer, got {bad}$"):
+            learning_curve(spec, "blob1", bad)
 
 
 def test_curve_text_format(synthetic_csv):
@@ -760,6 +763,16 @@ def test_probe_rejects_degenerate_sizes():
         timing_probe([])
     with pytest.raises(ConfigError):
         timing_probe([100], repeats=0)
+    for kwargs, message in [
+        ({"repeats": 2.5}, "repeats must be an integer, got 2.5"),
+        ({"repeats": True}, "repeats must be an integer, got True"),
+        ({"dim": 2.5}, "probe dim must be an integer, got 2.5"),
+        ({"dim": True}, "probe dim must be an integer, got True"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            timing_probe([100], **kwargs)
+    with pytest.raises(ConfigError, match=r"^probe size must be an integer, got 100\.7$"):
+        timing_probe([100.7])
 
 
 def test_probe_checks_iterations_before_drawing_data(monkeypatch):

@@ -11,7 +11,6 @@ import pytest
 
 from refold.bench import BenchSpec
 from refold.cli import main
-from refold.core import RefModel, classify
 from refold.errors import ConfigError
 from refold.model_io import load_model
 
@@ -411,7 +410,7 @@ def test_threshold_checked_before_reading_files(tmp_path, capsys, command):
     assert line.endswith("ConfigError: threshold must be > 0, got 0.0")
 
 
-@pytest.mark.parametrize("caller", ["classify", "predict", "eval", "spec"])
+@pytest.mark.parametrize("caller", ["predict", "eval", "spec"])
 def test_threshold_zero_rejected_with_one_message(tmp_path, capsys, caller):
     message = "threshold must be > 0, got 0.0"
     if caller in ("predict", "eval"):
@@ -423,10 +422,7 @@ def test_threshold_zero_rejected_with_one_message(tmp_path, capsys, caller):
         assert line == f"refold: error: ConfigError: {message}"
         return
     with pytest.raises(ConfigError) as exc:
-        if caller == "classify":
-            classify([0.5], RefModel([[0.0]], [[1.0]], "abs"), threshold=0)
-        else:
-            BenchSpec(datasets=("iris",), threshold=0.0)
+        BenchSpec(datasets=("iris",), threshold=0.0)
     assert str(exc.value) == message
 
 

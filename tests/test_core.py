@@ -12,13 +12,10 @@ from refold.core import (
     _fold_matrix,
     DISTANCES,
     FOLD_OPS,
-    Prediction,
     RefModel,
-    classify,
     distance_to_origin,
     fit_stack,
     score,
-    train_base,
     train_ref,
     transform_ref,
 )
@@ -196,6 +193,13 @@ def test_train_on_row_indices_equals_train_on_the_rows(fold):
     assert got.sigma.tobytes() == want.sigma.tobytes()
     with pytest.raises(InsufficientDataError, match="got 1"):
         train_ref(X, rows=np.array([4]))
+    with pytest.raises(InsufficientDataError, match="got 0"):
+        train_ref(X, rows=[])
+    for bad in ([-1, 0, 1], [0.0, 1.0, 2.0], np.arange(40) < 20, [0, 1, 40]):
+        with pytest.raises(ConfigError, match=r"^rows must hold integer row indices in 0\.\.39$"):
+            train_ref(X, rows=bad)
+    with pytest.raises(ConfigError, match=r"in 0\.\.4$"):
+        train_ref(X[:5], rows=[0, 7])
 
 
 def test_train_rejects_bad_inputs():
@@ -230,6 +234,10 @@ def test_truncated_model():
         model.truncated(0)
     with pytest.raises(ConfigError):
         model.truncated(7)
+    for bad in (2.5, True):
+        with pytest.raises(ConfigError, match="truncation depth must be an integer"):
+            model.truncated(bad)
+    assert model.truncated(np.int64(3)).iterations == 3
 
 
 @pytest.mark.parametrize("op", FOLD_OPS)
@@ -315,55 +323,33 @@ def test_distance_examples():
     assert distance_to_origin([3.0, 4.0], "l2") == 2.5
 
 
+# a sample is a target iff its score <= the threshold T; refold predict and
+# refold eval apply that rule to these scores
+
 def test_classify_inclusive_threshold():
     model = train_ref([[-1.0], [0.0], [1.0]], iterations=1)
-    # score of y=[1] under the J=1 model is exactly 1.0
-    pred = classify([1.0], model, threshold=1.0)
-    assert pred.score == 1.0
-    assert pred.label == "target"
+    # score of y=[1] under the J=1 model is exactly 1.0: a target at T=1
+    assert score([1.0], model) == 1.0
 
 
 def test_classify_strict_exceedance():
     model = train_ref([[-1.0], [0.0], [1.0]], iterations=1)
-    pred = classify([1.0000001], model, threshold=1.0)
-    assert pred.label == "outlier"
+    assert score([1.0000001], model) > 1.0
 
 
 def test_classify_origin_always_target():
     model = train_ref([[-1.0], [0.0], [1.0]], iterations=1)
-    for t in (0.001, 0.5, 10.0):
-        assert classify([0.0], model, threshold=t).label == "target"
-
-
-def test_classify_rejects_non_positive_threshold():
-    model = train_ref([[-1.0], [0.0], [1.0]], iterations=1)
-    with pytest.raises(ConfigError):
-        classify([0.0], model, threshold=0.0)
-    with pytest.raises(ConfigError):
-        classify([0.0], model, threshold=-1.0)
-
-
-def test_prediction_fields():
-    model = train_ref([[-1.0], [0.0], [1.0]], iterations=1)
-    pred = classify([0.5], model, dist="l2", threshold=0.9)
-    assert isinstance(pred, Prediction)
-    assert pred.threshold == 0.9
-    assert (pred.label == "target") == (pred.score <= pred.threshold)
+    # 0 <= every T > 0
+    assert score([0.0], model) == 0.0
 
 
 # ------------------------------------------------------------ base variant
-
-def test_train_base_is_single_iteration():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(12, 3))
-    assert train_base(X).iterations == 1
-
 
 def test_base_score_is_distance_of_standardized_sample():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(15, 3))
     y = rng.normal(size=3)
-    model = train_base(X)
+    model = train_ref(X, iterations=1)
     z = (y - model.mu[0]) / model.sigma[0]
     assert score(y, model, "l1") == distance_to_origin(z, "l1")
 
@@ -373,7 +359,7 @@ def test_j1_scores_identical_for_every_fold(op):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(20, 4))
     Y = rng.normal(size=(10, 4))
-    base = train_base(X)
+    base = train_ref(X, iterations=1)
     model = train_ref(X, iterations=1, fold=op)
     np.testing.assert_array_equal(score(Y, model, "l1"), score(Y, base, "l1"))
     np.testing.assert_array_equal(score(Y, model, "l2"), score(Y, base, "l2"))
@@ -636,6 +622,8 @@ def test_fit_stack_checks_fold_before_any_work():
         fit_stack(X, [np.array([1])], 3, "nope")
     with pytest.raises(InsufficientDataError, match="need at least 2 training samples, got 1"):
         fit_stack(X, [np.arange(5), np.array([1])], 3, "abs")
+    with pytest.raises(ShapeError, match="^training data needs at least one feature dimension$"):
+        fit_stack(np.empty((30, 0)), [np.arange(30)], 3, "abs", [np.arange(30)], (3,))
     # X is only read, also by a fit that runs
     X.setflags(write=False)
     fit_stack(X, fits, 3, "sqr", fits, (1, 3))

@@ -368,6 +368,23 @@ def test_select_threshold_requires_outliers():
         select_threshold(X, [False] * 30, ClassifierConfig())
 
 
+def test_select_thresholds_rejects_bad_row_indices():
+    X, flags = _separable_pool(np.random.default_rng(43), n_targets=25, n_outliers=15)
+    cfg = ClassifierConfig(iterations=5)
+    good = np.arange(40)
+    for bad in (good.astype(float), np.append(good[1:], 40), np.arange(-5, 35), good < 20):
+        for pools in ([bad], [good, bad]):
+            p = len(pools) - 1
+            with pytest.raises(ConfigError,
+                               match=rf"^pools\[{p}\] must hold integer row indices in 0\.\.39$"):
+                select_thresholds(X, pools, flags, cfg, (0.5, 1.0), 5, [0] * len(pools))
+    # an empty pool keeps its error
+    with pytest.raises(SelectionError, match="no target samples"):
+        select_thresholds(X, [good[:0]], flags, cfg, (0.5, 1.0), 5, [0])
+    with pytest.raises(ShapeError, match="^training data needs at least one feature dimension$"):
+        select_thresholds(np.empty((40, 0)), [good], flags, cfg, (0.5, 1.0), 5, [0])
+
+
 def test_select_threshold_deterministic():
     rng = np.random.default_rng(47)
     X, flags = _separable_pool(rng)
