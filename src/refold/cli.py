@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from contextlib import closing
 
 import numpy as np
 
@@ -32,7 +33,9 @@ from .core import (
 from .datasets import (
     DATA_DIR_ENV,
     DatasetSchema,
+    check_class,
     load_dataset,
+    read_chunks,
     resolve_data_dir,
 )
 from .errors import ConfigError, RefoldError
@@ -79,27 +82,25 @@ def _parse_ints(value: str, flag: str) -> tuple[int, ...]:
         raise ConfigError(f"{flag} must be integers, got {value!r}") from None
 
 
-def _load(args, labeled: bool = True):
+def _schema(args, labeled: bool = True) -> DatasetSchema:
     label = _parse_label_column(args.label_column)
     if labeled and label is None:
         raise ConfigError("this command needs a label column; got --label-column none")
-    schema = DatasetSchema(
+    return DatasetSchema(
         delimiter=args.delimiter,
         label_column=label,
         drop_columns=_parse_ints(args.drop_columns, "--drop-columns"),
         header=args.header,
     )
-    return load_dataset(args.data, schema)
 
 
 def _cmd_train(args) -> int:
-    ds = _load(args)
-    rows = np.arange(ds.n_samples)
-    if args.target_class is not None:
-        rows = np.flatnonzero(ds.class_flags(args.target_class))
-    model = train_ref(ds.features, iterations=args.iters, fold=args.fold, rows=rows)
+    # only the target rows of each chunk are kept: the other classes' rows
+    # are never held beside them
+    ds = load_dataset(args.data, _schema(args), target_class=args.target_class)
+    model = train_ref(ds.features, iterations=args.iters, fold=args.fold)
     save_model(model, args.out)
-    write_stdout(f"J={model.iterations} D={model.dim} N={len(rows)}\n")
+    write_stdout(f"J={model.iterations} D={model.dim} N={ds.n_samples}\n")
     return 0
 
 
@@ -107,21 +108,34 @@ def _cmd_predict(args) -> int:
     threshold = args.threshold
     check_threshold(threshold)
     model = load_model(args.model)
-    X = _load(args, labeled=False).features
-    scores = score(X, model, args.dist)
-    write_stdout("".join(
-        "%d %.17g %s\n" % (i, s, TARGET if s <= threshold else OUTLIER)
-        for i, s in enumerate(scores.tolist())
-    ))
+    # one chunk is scored at a time; its lines are written only once the
+    # last chunk has parsed, so a failing command prints nothing
+    texts, row = [], 0
+    with closing(read_chunks(args.data, _schema(args, labeled=False))) as chunks:
+        for X, _ in chunks:
+            scores = score(X, model, args.dist).tolist()
+            texts.append("".join(
+                "%d %.17g %s\n" % (i, s, TARGET if s <= threshold else OUTLIER)
+                for i, s in enumerate(scores, start=row)
+            ))
+            row += len(scores)
+    write_stdout(*texts)
     return 0
 
 
 def _cmd_eval(args) -> int:
     check_threshold(args.threshold)
     model = load_model(args.model)
-    ds = _load(args)
-    flags = ds.class_flags(args.target_class)
-    counts = confusion_counts(score(ds.features, model, args.dist) <= args.threshold, flags)
+    target = args.target_class
+    # integer counts, summed chunk by chunk, are exact
+    counts, classes = 0, {}
+    with closing(read_chunks(args.data, _schema(args))) as chunks:
+        for X, labels in chunks:
+            classes.update(dict.fromkeys(labels))
+            flags = np.array([lab == target for lab in labels], dtype=bool)
+            counts = counts + confusion_counts(score(X, model, args.dist) <= args.threshold,
+                                               flags)
+    check_class(target, tuple(classes))
     tpr, tnr, g = gmeans(counts)
     write_stdout(
         "tp=%d fn=%d tn=%d fp=%d tpr=%.17g tnr=%.17g gmean=%.17g\n"

@@ -49,6 +49,10 @@ DEFAULT_THRESHOLD = 1.0
 # bounded however many fits a large dataset stacks
 _STACK_CELLS = 1 << 20
 
+# rows of the squared deviations held at once: a fit's scratch stays one
+# cache-sized block however many rows it has
+_SCRATCH_ROWS = 8192
+
 TARGET = "target"
 OUTLIER = "outlier"
 
@@ -65,6 +69,24 @@ def _column_totals(a: np.ndarray) -> np.ndarray:
     if a.shape[-1] > 1 and a.flags.c_contiguous:
         return np.add.reduce(a, axis=-2, initial=-0.0)
     return np.cumsum(a, axis=-2)[..., -1, :]
+
+
+def _square_totals(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """_column_totals(z * z), bit for bit, squaring a block of at most
+    len(scratch) rows of the (N, D) matrix z at a time into scratch.
+
+    Each block's first row takes the running total of the blocks before it,
+    so the block's own total continues that total in index order: a sum
+    from -0.0 or a cumsum adds its first row exactly.
+    """
+    totals = None
+    for a in range(0, len(z), len(scratch)):
+        blk = scratch[:len(z) - a]
+        np.multiply(z[a:a + len(blk)], z[a:a + len(blk)], out=blk)
+        if totals is not None:
+            blk[0] = totals + blk[0]
+        totals = _column_totals(blk)
+    return totals
 
 
 def _fold_matrix(op: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -274,11 +296,12 @@ def _fit_block(X, fit, counts, rows, iterations, fold, wanted, dist, params):
     """
     r, n = fit.shape
     m, d = rows.shape[1], X.shape[1]
-    # the working values and the scores' rows are updated in place, with one
-    # scratch buffer, so no iteration allocates and time stays linear in N
-    # beyond the CPU cache
+    # the working values and the scores' rows are updated in place, and the
+    # squared deviations go through a scratch block of at most _SCRATCH_ROWS
+    # rows, so no iteration allocates and time stays linear in N beyond the
+    # CPU cache
     Z = X[fit.T].reshape(n, r * d)
-    scratch = np.empty_like(Z)
+    scratch = np.empty((min(n, _SCRATCH_ROWS), r * d))
     last = max(wanted, default=0) if m else 0
     if last:
         Y = X[rows.T].reshape(m, r * d)
@@ -314,8 +337,7 @@ def _fit_block(X, fit, counts, rows, iterations, fold, wanted, dist, params):
         # outcome for samples far outside the training data, as in
         # transform_ref.
         with np.errstate(over="ignore"):
-            np.multiply(Z, Z, out=scratch)
-            np.sqrt(_column_totals(scratch) / (count - 1), out=sigma)
+            np.sqrt(_square_totals(Z, scratch) / (count - 1), out=sigma)
             bounded = np.isfinite(sigma).all()
             if not (bounded and sigma.all()):
                 sigma[~np.isfinite(sigma) | (sigma <= 0.0)] = 1.0
@@ -338,12 +360,16 @@ def _check_finite(z: np.ndarray, i: int) -> None:
         raise NumericError(f"non-finite working values at iteration {i + 1}")
 
 
-def _check_rows(name: str, index, n: int) -> None:
-    """Reject an index array that holds a non-integer (bool included) or a
-    row outside 0..n-1 of an n-row matrix; an empty one passes."""
+def _check_rows(name: str, index, n: int) -> np.ndarray:
+    """The index array or sequence as an integer array; rejects one that
+    holds a non-integer (bool included) or a row outside 0..n-1 of an n-row
+    matrix. An empty one passes."""
     a = np.asarray(index)
-    if a.size and (not np.issubdtype(a.dtype, np.integer) or a.min() < 0 or a.max() >= n):
+    if not a.size:
+        return a.astype(np.intp)
+    if not np.issubdtype(a.dtype, np.integer) or a.min() < 0 or a.max() >= n:
         raise ConfigError(f"{name} must hold integer row indices in 0..{n - 1}")
+    return a
 
 
 def _padded(index) -> np.ndarray:

@@ -7,7 +7,9 @@ ASCII digits only, and any malformed cell fails with its row and column
 named. Lines come from textio.read_lines a chunk at a time, trailing blank
 lines dropped, so one chunk's text is held at once. A well-formed chunk is
 read in one vectorized pass; any other goes through the row-by-row parse,
-which alone decides what is rejected and how.
+which alone decides what is rejected and how. read_chunks yields each
+chunk's matrix and labels, for callers that score or filter rows as they
+are read; load_dataset joins the chunks into one Dataset.
 There is no network access anywhere; benchmark files are supplied locally
 and checked against the registry table below (expected class/sample/dimension
 counts) so a wrong or modified file fails loudly instead of skewing results.
@@ -83,19 +85,16 @@ class Dataset:
 
     def class_flags(self, name: str) -> np.ndarray:
         """Per-row flags: True on the rows labeled `name`."""
-        if name not in self.class_names:
-            raise ConfigError(
-                f"target class {name!r} not in dataset classes {self.class_names}"
-            )
+        check_class(name, self.class_names)
         return np.array([lab == name for lab in self.labels])
 
 
-def load_dataset(
-    path, schema: DatasetSchema | None = None, name: str = "", task_prefix: str = ""
-) -> Dataset:
-    """Parse one delimited file under the schema; errors name row and column.
-
-    Without a label column, labels and class_names are empty.
+def read_chunks(path, schema: DatasetSchema | None = None):
+    """Parse one delimited file under the schema, a chunk of lines at a time:
+    yields each chunk's (matrix, labels), an (n, D) float64 matrix and a list
+    of n label strings, empty without a label column. Errors name row and
+    column; a blank label raises once every chunk has been read, so the
+    first fault reported is the one a whole-file parse meets first.
     """
     schema = schema or DatasetSchema()
     path = os.fspath(path)
@@ -129,13 +128,14 @@ def load_dataset(
         if not cols:
             raise DataFormatError(f"{path}: no feature columns left after selection")
 
-        parts, labels, names = [], [], {}
+        names: dict[str, str] = {}
+        blank = None  # file row of the first blank label
         row = row_offset
         while lines:
             matrix = _loadtxt(lines, d, width, cols)
             if matrix is None:
                 matrix = _parse_rows(lines, d, width, cols, path, row)
-            parts.append(matrix)
+            labels = []
             if label_idx is not None:
                 # every row has `width` fields by now, so one split bounded at
                 # the label column, from the nearer end, isolates the label cell
@@ -145,13 +145,39 @@ def load_dataset(
                 else:
                     cells = (line.rsplit(d, after + 1)[-after - 1] for line in lines)
                 # one string object per class, however many rows carry it
-                labels += [names.setdefault(x, x) for x in map(str.strip, cells)]
+                labels = [names.setdefault(x, x) for x in map(str.strip, cells)]
+                if blank is None and "" in names:
+                    blank = row + labels.index("") + 1
+            yield matrix, labels
             row += len(lines)
             lines = next(chunks, [])
     # checked once every chunk's cells are, as a whole-file parse would order them
-    if "" in names:
-        lineno = labels.index("") + row_offset + 1
-        raise DataFormatError(f"{path}: row {lineno} column {label_idx}: blank label")
+    if blank is not None:
+        raise DataFormatError(f"{path}: row {blank} column {label_idx}: blank label")
+
+
+def load_dataset(
+    path, schema: DatasetSchema | None = None, name: str = "", task_prefix: str = "",
+    target_class: str | None = None,
+) -> Dataset:
+    """The chunks of read_chunks joined into one Dataset.
+
+    With target_class given, only the rows of that class are kept, chunk by
+    chunk, while class_names still lists every class of the file; a class
+    the file lacks raises ConfigError. Without a label column, labels and
+    class_names are empty.
+    """
+    path = os.fspath(path)
+    parts, labels, names = [], [], {}
+    for matrix, chunk_labels in read_chunks(path, schema):
+        names.update(dict.fromkeys(chunk_labels))
+        if target_class is not None:
+            keep = [i for i, lab in enumerate(chunk_labels) if lab == target_class]
+            matrix, chunk_labels = matrix[keep], [target_class] * len(keep)
+        parts.append(matrix)
+        labels += chunk_labels
+    if target_class is not None:
+        check_class(target_class, tuple(names))
     matrix = np.concatenate(parts)
     matrix.setflags(write=False)
     return Dataset(
@@ -161,6 +187,12 @@ def load_dataset(
         class_names=tuple(names),
         task_prefix=task_prefix,
     )
+
+
+def check_class(name: str, class_names: tuple[str, ...]) -> None:
+    """Raise ConfigError unless `name` is one of class_names."""
+    if name not in class_names:
+        raise ConfigError(f"target class {name!r} not in dataset classes {class_names}")
 
 
 def _loadtxt(lines, delimiter, width, cols) -> np.ndarray | None:

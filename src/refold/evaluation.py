@@ -238,7 +238,7 @@ def _cv_plan(pools, is_target, k: int, seeds) -> list[tuple[int, np.ndarray, np.
     folds = _kfolds([len(pool) for pool in pools], k, seeds)
     plan = []
     for p, pool in enumerate(pools):
-        _check_rows(f"pools[{p}]", pool, len(is_target))
+        pool = _check_rows(f"pools[{p}]", pool, len(is_target))
         flags = is_target[pool]
         if not flags.any():
             raise SelectionError("training pool has no target samples")

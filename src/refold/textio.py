@@ -79,12 +79,14 @@ def write_text(path, text: str) -> None:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def write_stdout(text: str) -> None:
-    """Write and flush text on stdout; failures raise OutputError."""
+def write_stdout(*texts: str) -> None:
+    """Write the texts in turn on stdout, then flush; failures raise
+    OutputError."""
     if sys.stdout is None:  # the process started with file descriptor 1 closed
         raise OutputError("cannot write to stdout: it is closed")
     try:
-        sys.stdout.write(text)
+        for text in texts:
+            sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
         # text left in the buffer would fail again at exit: send it to devnull

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refold import core, datasets
 from refold.bench import BenchSpec
 from refold.cli import main
 from refold.errors import ConfigError
@@ -152,7 +153,10 @@ def test_predict_deterministic_bytes(trained_model, tmp_path, capsys):
 GOLDEN_PREDICT = "3d163a22207c0d8ba34f30128df9f73a11f83db7c96b991791504b266476304a"
 
 
-def test_predict_golden_bytes(tmp_path, capsys):
+@pytest.mark.parametrize("chunk_lines", [7, 8192])
+def test_predict_golden_bytes(tmp_path, capsys, monkeypatch, chunk_lines):
+    # read 7 lines at a time, the file spans 286 chunks
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", chunk_lines)
     rng = np.random.default_rng(2024)
     X = rng.normal(size=(2000, 5)) * rng.uniform(0.5, 3.0, 5) + rng.uniform(-5, 5, 5)
     X[1000:] *= 1.5
@@ -196,10 +200,13 @@ def test_eval_reports_counts_and_gmean(trained_model, capsys):
 GOLDEN_EVAL = "845d9f5925959dc723e66b13360f53ff93432c278023cdc5c0928fe70145a3ee"
 
 
-def test_eval_golden_bytes(trained_model, tmp_path, capsys):
+@pytest.mark.parametrize("chunk_lines", [7, 8192])
+def test_eval_golden_bytes(trained_model, tmp_path, capsys, monkeypatch, chunk_lines):
     # the fixture's versicolor model on its own labeled file, one run per
     # Iris class (setosa gives tpr=0 and gmean=0), then a 101-iteration
-    # versicolor model under the l2 distance and threshold 0.1
+    # versicolor model under the l2 distance and threshold 0.1; read 7
+    # lines at a time, Iris spans 22 chunks
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", chunk_lines)
     model_path, data = trained_model
     runs = [[model_path, c, "l1", "1.0"] for c in ("setosa", "versicolor", "virginica")]
     model_101 = str(tmp_path / "m101.refold")
@@ -452,6 +459,110 @@ def test_header_width_and_blank_label_are_one_error_line(tmp_path, capsys, text,
     rc = main(["train", "--data", str(data), *flags, "--out", str(out)])
     assert single_error_line(capsys, rc, "DataFormatError").endswith(message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_bad_cell_in_a_later_chunk_prints_nothing(trained_model, tmp_path, capsys,
+                                                  monkeypatch, command):
+    """Chunks before the bad one are scored, but nothing reaches stdout, and
+    the message names the file's row and column as a whole-file read does."""
+    model_path, data = trained_model
+    rows = Path(data).read_text(encoding="utf-8").splitlines()
+    cells = rows[120].split(",")
+    rows[120] = ",".join([cells[0], "x", *cells[2:]])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = [command, "--model", model_path, "--data", str(bad)]
+    argv += ["--label-column", "last"] if command == "predict" else ["--target-class", "setosa"]
+    capsys.readouterr()
+    for chunk_lines in (8, 8192):
+        monkeypatch.setattr(datasets, "_CHUNK_LINES", chunk_lines)
+        line = single_error_line(capsys, main(argv), "DataFormatError")
+        assert line == (f"refold: error: DataFormatError: {bad}: row 121 column 1: "
+                        "not a number: 'x'")
+
+
+@pytest.mark.parametrize("command, fault", [
+    ("predict", "bad-cell"), ("predict", "blank-label"),
+    ("eval", "bad-cell"), ("eval", "blank-label"), ("eval", "absent-class"),
+])
+def test_model_width_is_checked_at_the_first_chunk(trained_model, tmp_path, capsys,
+                                                   monkeypatch, command, fault):
+    """A model of the wrong width fails as the first chunk is scored: before
+    a fault in a later chunk, a blank label, or a target class the file
+    lacks, each of which a whole-file read reported first."""
+    _, data = trained_model
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("1,2,a\n2,3,a\n3,5,a\n", encoding="utf-8")
+    model = str(tmp_path / "narrow.refold")
+    assert main(["train", "--data", str(narrow), "--iters", "3", "--out", model]) == 0
+    rows = Path(data).read_text(encoding="utf-8").splitlines()
+    if fault == "bad-cell":
+        rows[120] = "x" + rows[120]
+    elif fault == "blank-label":
+        rows[120] = rows[120].rsplit(",", 1)[0] + ","
+    data = tmp_path / "faulty.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    target = "nope" if fault == "absent-class" else "setosa"
+    argv = [command, "--model", model, "--data", str(data)]
+    argv += ["--label-column", "last"] if command == "predict" else ["--target-class", target]
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 8)
+    capsys.readouterr()
+    line = single_error_line(capsys, main(argv), "ShapeError")
+    assert line.endswith("sample has 4 dimensions, model has 2")
+
+
+def labeled_rows(tmp_path, rows=20_000, dim=20):
+    """A labeled file of `rows` rows, every other one of class t, and the
+    bytes of its feature matrix and of its t rows' matrix."""
+    values = np.random.default_rng(5).standard_normal((rows, dim))
+    path = tmp_path / "rows.csv"
+    path.write_text("".join(",".join("%.17g" % v for v in row) + (",t\n" if i % 2 else ",o\n")
+                            for i, row in enumerate(values.tolist())), encoding="utf-8")
+    return str(path), values.nbytes, values[1::2].nbytes
+
+
+def traced_peak(argv) -> int:
+    """Peak bytes of Python-side allocations while main(argv) runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_holds_only_the_target_rows(tmp_path, capsys, monkeypatch):
+    """Over 20 chunks, half of whose rows are targets, train peaks below
+    2.5x the targets' matrix: their joined rows, the fit's working copy of
+    them and a scratch block. Keeping every row, and copying the whole
+    matrix again when joining it, took 4.3x."""
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 1024)
+    monkeypatch.setattr(core, "_SCRATCH_ROWS", 1024)
+    data, _, target_bytes = labeled_rows(tmp_path)
+    peak = traced_peak(["train", "--data", data, "--target-class", "t",
+                        "--out", str(tmp_path / "m.refold")])
+    assert capsys.readouterr().out == "J=101 D=20 N=10000\n"
+    assert peak < 2.5 * target_bytes, peak / target_bytes
+
+
+def test_predict_holds_a_chunk_beside_its_output(tmp_path, capfd, monkeypatch):
+    """Over 20 chunks, predict peaks below the whole feature matrix plus its
+    output text: one chunk's rows are parsed and replayed at a time. Holding
+    the matrix and a replayed copy of it took 1.76 times that."""
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 1024)
+    data, matrix_bytes, _ = labeled_rows(tmp_path)
+    model = str(tmp_path / "m.refold")
+    assert main(["train", "--data", data, "--target-class", "t", "--iters", "5",
+                 "--out", model]) == 0
+    capfd.readouterr()
+    peak = traced_peak(["predict", "--model", model, "--data", data,
+                        "--label-column", "last"])
+    out = capfd.readouterr().out
+    assert out.count("\n") == 20_000
+    assert peak < matrix_bytes + len(out), peak / (matrix_bytes + len(out))
 
 
 def test_label_column_none_rejected_by_train_and_eval(trained_model, tmp_path, capsys):

@@ -402,6 +402,44 @@ def test_train_matches_oracle_bit_for_bit_at_large_n(d):
     assert model.sigma.tolist() == sigmas
 
 
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("op", FOLD_OPS)
+def test_blocked_square_totals_match_the_oracle(monkeypatch, op, d):
+    """With a scratch block of 4 rows, the squared deviations are totalled
+    block by block. Fits of 3, 4, 5 and 13 rows (one below, at and one above
+    the block, and several blocks), with signed zeros, and a ragged stack
+    whose short fit is padded, keep every bit of the unblocked kernel and
+    match the oracle: exactly, and within 1e-13 for tanh."""
+    import refold.core as core
+
+    rng = np.random.default_rng(2 + d)
+    X = rng.normal(size=(13, d)) * 3.0
+    X[::2, 0] = -0.0
+    X[1::4, 0] = 0.0
+    X[5, -1] = -0.0
+    fits = [np.arange(n) for n in (3, 4, 5, 13)] + [np.array([7, 0, 12, 3, 3, 9])]
+    atol = 1e-13 if op == "tanh" else 0.0
+
+    def fitted(index):
+        mu = np.empty((6, len(index), d))
+        sigma = np.empty_like(mu)
+        fit_stack(X, index, 6, op, params=(mu, sigma))
+        return mu, sigma
+
+    unblocked = [fitted([f]) for f in fits], fitted(fits[3:])
+    monkeypatch.setattr(core, "_SCRATCH_ROWS", 4)
+    blocked = [fitted([f]) for f in fits], fitted(fits[3:])
+    assert bits(blocked[0]) == bits(unblocked[0]) and bits(blocked[1]) == bits(unblocked[1])
+    for f, (mu, sigma) in zip(fits, blocked[0]):
+        mus, sigmas, _ = oracle.train(X[f].tolist(), 6, op)
+        np.testing.assert_allclose(mu[:, 0], mus, rtol=0, atol=atol)
+        np.testing.assert_allclose(sigma[:, 0], sigmas, rtol=0, atol=atol)
+    # the ragged stack pads its 6-row fit to 13 rows, four blocks
+    for r, f in enumerate(fits[3:]):
+        for steps, single in zip(blocked[1], blocked[0][3 + r]):
+            np.testing.assert_array_equal(steps[:, r], single[:, 0])
+
+
 # --------------------------------------------------------- summation order
 
 @pytest.mark.parametrize("shape", [(5000, 2), (3000, 17), (1000, 1), (2, 9),

@@ -304,6 +304,43 @@ def test_blank_label_in_a_later_chunk(tmp_path, monkeypatch):
         load_dataset(p)
 
 
+def test_read_chunks_yields_what_load_dataset_joins(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
+    p = write(tmp_path, "x,y,cls\n" + rows_text(10))
+    schema = DatasetSchema(header=True, label_column="cls")
+    chunks = list(datasets.read_chunks(p, schema))
+    assert [len(m) for m, _ in chunks] == [3, 4, 3]
+    ds = load_dataset(p, schema)
+    np.testing.assert_array_equal(np.concatenate([m for m, _ in chunks]), ds.features)
+    assert tuple(lab for _, labels in chunks for lab in labels) == ds.labels
+    assert [labels for _, labels in datasets.read_chunks(write(tmp_path, "1\n2\n", "x.csv"),
+                                                         DatasetSchema(label_column=None))] == [[]]
+
+
+def test_read_chunks_reports_a_blank_label_after_the_last_chunk(tmp_path, monkeypatch):
+    # a bad cell later in the file is reported first, as by a whole-file read
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
+    text = rows_text(10, bad=(2, "2,-2, "))
+    chunks = datasets.read_chunks(write(tmp_path, text))
+    assert [len(next(chunks)[0]) for _ in range(3)] == [4, 4, 2]
+    with pytest.raises(DataFormatError, match=r"row 2 column 2: blank label$"):
+        next(chunks)
+    text = rows_text(10, bad=(2, "2,-2, ")).replace("9,-9", "9,x")
+    with pytest.raises(DataFormatError, match=r"row 9 column 1: not a number: 'x'$"):
+        list(datasets.read_chunks(write(tmp_path, text)))
+
+
+def test_load_dataset_keeps_the_target_class_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 3)
+    p = write(tmp_path, "5,0,c\n" + rows_text(7))
+    ds = load_dataset(p, target_class="a")
+    np.testing.assert_array_equal(ds.features, [[2, -2], [4, -4], [6, -6]])
+    assert ds.labels == ("a",) * 3 and ds.class_names == ("c", "b", "a")
+    with pytest.raises(ConfigError,
+                       match=r"^target class 'd' not in dataset classes \('c', 'b', 'a'\)$"):
+        load_dataset(p, target_class="d")
+
+
 @pytest.mark.parametrize("blank", [3, 4], ids=["ends-chunk", "starts-chunk"])
 def test_blank_line_on_a_chunk_boundary_rejected(tmp_path, monkeypatch, blank):
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 3)

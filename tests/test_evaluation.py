@@ -385,6 +385,18 @@ def test_select_thresholds_rejects_bad_row_indices():
         select_thresholds(np.empty((40, 0)), [good], flags, cfg, (0.5, 1.0), 5, [0])
 
 
+def test_select_thresholds_takes_pools_as_lists():
+    # a list pool is indexed as the integer array it holds, and an empty
+    # list keeps the empty pool's error
+    X, flags = _separable_pool(np.random.default_rng(43), n_targets=25, n_outliers=15)
+    cfg = ClassifierConfig(iterations=5)
+    args = (flags, cfg, (0.5, 1.0), 5, [3])
+    assert (select_thresholds(X, [list(range(40))], *args)
+            == select_thresholds(X, [np.arange(40)], *args))
+    with pytest.raises(SelectionError, match="no target samples"):
+        select_thresholds(X, [[]], *args)
+
+
 def test_select_threshold_deterministic():
     rng = np.random.default_rng(47)
     X, flags = _separable_pool(rng)
