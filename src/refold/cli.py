@@ -96,9 +96,10 @@ def _schema(args, labeled: bool = True) -> DatasetSchema:
 
 def _cmd_train(args) -> int:
     # only the target rows of each chunk are kept: the other classes' rows
-    # are never held beside them
+    # are never held beside them, and the fit works in place on the kept
+    # rows, which load_dataset returns writable
     ds = load_dataset(args.data, _schema(args), target_class=args.target_class)
-    model = train_ref(ds.features, iterations=args.iters, fold=args.fold)
+    model = train_ref(ds.features, iterations=args.iters, fold=args.fold, overwrite=True)
     save_model(model, args.out)
     write_stdout(f"J={model.iterations} D={model.dim} N={ds.n_samples}\n")
     return 0

@@ -207,10 +207,11 @@ class ClassifierConfig:
 
 
 def _as_samples(
-    x, what: str = "input", allow_nonfinite: bool = False
+    x, what: str = "input", allow_nonfinite: bool = False, copy: bool = False
 ) -> tuple[np.ndarray, bool]:
-    """Coerce to a float64 (N, D) matrix; returns (matrix, was_single_row)."""
-    a = np.asarray(x, dtype=np.float64)
+    """Coerce to a float64 (N, D) matrix, a new C-ordered one with copy=True;
+    returns (matrix, was_single_row)."""
+    a = np.array(x, dtype=np.float64, order="C") if copy else np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
     if single:
         a = a[np.newaxis, :]
@@ -246,18 +247,20 @@ def fit_stack(
     """Fit one model on the rows fit[r] of X for each r, and score the rows
     rows[r] of X with model r.
 
-    X is an (N, D) float64 matrix of finite rows, and is only read. The index
-    arrays may differ in length and hold any rows in any order; every fit
-    needs 2 or more. Returns, for every depth in `depths` (each in
-    1..iterations), an (R, M) array, M being the longest rows[r], whose row r
-    starts with score(X[rows[r]], model_r.truncated(depth), dist), bit for
-    bit. With params = (mu, sigma), two (iterations, R, D) arrays, mu[i, r]
-    and sigma[i, r] receive step i + 1 of fit r.
+    X is an (N, D) float64 matrix of finite rows, and is only read: each
+    block of fits works on its own gathered copy of their rows. The index
+    arrays may differ in length and hold any rows of 0..N-1 in any order
+    (anything else is a ConfigError); every fit needs 2 or more. Returns,
+    for every depth in `depths` (each in 1..iterations), an (R, M) array, M
+    being the longest rows[r], whose row r starts with
+    score(X[rows[r]], model_r.truncated(depth), dist), bit for bit. With
+    params = (mu, sigma), two (iterations, R, D) arrays, mu[i, r] and
+    sigma[i, r] receive step i + 1 of fit r.
 
     The fits run in blocks of at most _STACK_CELLS gathered cells, padding
     included. Each fit gets the arithmetic of a lone fit, and a NumericError
     names the first iteration at which a fit of the failing block goes
-    non-finite.
+    non-finite or overflows a column total.
     """
     _check_fold(fold)
     _check_distance(dist)
@@ -269,48 +272,54 @@ def fit_stack(
     counts = [len(a) for a in fit]
     if min(counts) < 2:
         raise InsufficientDataError(f"need at least 2 training samples, got {min(counts)}")
-    fit = _padded(fit)
-    rows = fit[:, :0] if rows is None else _padded(rows)  # (R, 0): nothing to score
-    step = max(1, _STACK_CELLS // ((fit.shape[1] + rows.shape[1]) * X.shape[1]))
+    fit = _padded([_check_rows("fit", a, len(X)) for a in fit])
+    # (R, 0): nothing to score
+    rows = fit[:, :0] if rows is None else _padded([_check_rows("rows", a, len(X))
+                                                    for a in rows])
+    n, m, d = fit.shape[1], rows.shape[1], X.shape[1]
+    step = max(1, _STACK_CELLS // ((n + m) * d))
     parts = []
     for a in range(0, len(fit), step):
         b = slice(a, a + step)
+        r = len(fit[b])
         kept = None if params is None else (params[0][:, b], params[1][:, b])
-        parts.append(_fit_block(X, fit[b], counts[b], rows[b], iterations, fold, wanted, dist,
-                                kept))
-    return {d: np.concatenate([p[d] for p in parts]) for d in parts[0]}
+        # X[fit.T] is (n, r, D): the block's rows gathered as one (n, r * D)
+        # matrix
+        parts.append(_fit_block(X[fit[b].T].reshape(n, r * d), counts[b],
+                                X[rows[b].T].reshape(m, r * d) if m and wanted else None,
+                                iterations, fold, wanted, dist, kept))
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-def _fit_block(X, fit, counts, rows, iterations, fold, wanted, dist, params):
-    """fit_stack on one block of padded (R, n) fit and (R, m) score indices.
+def _fit_block(Z, counts, Y, iterations, fold, wanted, dist, params):
+    """fit_stack on one block of R fits, in place on their working values.
 
-    X[fit.T] is (n, R, D), so the block is gathered rows-outer as one
-    (n, R * D) matrix, and each numpy call of a step spans all R * D columns.
-    Rows of fit r past counts[r] are padding: they are set to -0.0 after each
-    fold and after each subtraction of the mean, since adding -0.0 to a
-    running total returns it unchanged, and totals divide by each fit's row
-    count. A step proves its values finite through its column totals: a
-    non-finite entry leaves its total non-finite, and a finite total of
-    squared deviations bounds every standardized value by sqrt(n - 1). Only
-    a non-finite total leads to a scan.
+    Z is the block's (n, R * D) C-ordered float64 matrix, rows-outer: row k
+    holds row k of every fit, fit r in columns r * D .. r * D + D - 1, so each
+    numpy call of a step spans all R * D columns. Z is overwritten, as is Y,
+    the (m, R * D) rows to score in the same layout, or None. Rows of fit r
+    past counts[r] are padding: they are set to -0.0 after each fold and
+    after each subtraction of the mean, since adding -0.0 to a running total
+    returns it unchanged, and totals divide by each fit's row count. A step
+    proves its values finite through its column totals: a non-finite entry
+    leaves its total non-finite, and a finite total of squared deviations
+    bounds every standardized value by sqrt(n - 1). Only a non-finite total
+    leads to a scan.
     """
-    r, n = fit.shape
-    m, d = rows.shape[1], X.shape[1]
+    r, (n, rd) = len(counts), Z.shape
+    d = rd // r
     # the working values and the scores' rows are updated in place, and the
     # squared deviations go through a scratch block of at most _SCRATCH_ROWS
     # rows, so no iteration allocates and time stays linear in N beyond the
     # CPU cache
-    Z = X[fit.T].reshape(n, r * d)
-    scratch = np.empty((min(n, _SCRATCH_ROWS), r * d))
-    last = max(wanted, default=0) if m else 0
-    if last:
-        Y = X[rows.T].reshape(m, r * d)
+    scratch = np.empty((min(n, _SCRATCH_ROWS), rd))
+    last = 0 if Y is None else max(wanted, default=0)
     # per-column row counts, and the mask of padding cells, of a ragged block
     count, pad = n, None
     if min(counts) < n:
         count = np.repeat(np.asarray(counts, dtype=np.float64), d)
         pad = np.arange(n)[:, np.newaxis] >= count
-    mu = np.empty(r * d)
+    mu = np.empty(rd)
     sigma = np.empty_like(mu)
     scores = {}
     for i in range(iterations):
@@ -325,8 +334,10 @@ def _fit_block(X, fit, counts, rows, iterations, fold, wanted, dist, params):
         if not np.isfinite(totals).all():
             _check_finite(Z, i)
             # finite values whose total overflows: sum again, so that the
-            # overflow warns as it would unsuppressed
-            totals = _column_totals(Z)
+            # overflow warns as it would unsuppressed, and name the total
+            j = int(np.flatnonzero(~np.isfinite(_column_totals(Z)))[0]) % d
+            raise NumericError(f"column total of dimension {j + 1} overflows "
+                               f"at iteration {i + 1}")
         np.divide(totals, count, out=mu)
         np.subtract(Z, mu, out=Z)
         if pad is not None:
@@ -351,7 +362,7 @@ def _fit_block(X, fit, counts, rows, iterations, fold, wanted, dist, params):
                 Y = _replay_step(Y, mu, sigma, fold, i)
                 if i + 1 in wanted:
                     scores[i + 1] = np.ascontiguousarray(
-                        _distances(Y.reshape(m, r, d), dist).T)
+                        _distances(Y.reshape(len(Y), r, d), dist).T)
     return scores
 
 
@@ -380,23 +391,28 @@ def _padded(index) -> np.ndarray:
     return np.concatenate(index)[starts + np.minimum(np.arange(sizes.max()), sizes - 1)]
 
 
-def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD,
-              rows=None) -> RefModel:
-    """Fit the folding classifier on target-class rows: all of X, or the rows
-    that the index array `rows` names.
+def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD, *,
+              overwrite: bool = False) -> RefModel:
+    """Fit the folding classifier on the target-class rows X.
 
     Standardizes them, then repeats fold-and-standardize for iterations-1 more
-    rounds, recording each (mean, std) pair. The caller's X is not mutated.
-    Work and memory are linear in N * D per iteration; the model itself
-    stores only the J step vectors. This is fit_stack with one fit.
+    rounds, recording each (mean, std) pair. The fit works in place on one
+    C-ordered float64 copy of X, which it then discards. With overwrite=True,
+    as with scipy's overwrite_a, a writable C-ordered float64 X is that copy
+    itself, and is left holding working values; any other X is still copied,
+    and never written. Work is linear in N * D per iteration, and memory
+    beyond the copy is a scratch block; the model itself stores only the J
+    step vectors.
     """
     ClassifierConfig(fold, iterations)  # validates
-    z, _ = _as_samples(X, "training data")
+    z, _ = _as_samples(X, "training data", copy=not overwrite)
+    if not (z.flags.writeable and z.flags.c_contiguous):
+        z = np.array(z, order="C")
+    if len(z) < 2:
+        raise InsufficientDataError(f"need at least 2 training samples, got {len(z)}")
     mu = np.empty((iterations, 1, z.shape[1]))
     sigma = np.empty_like(mu)
-    fit = np.arange(len(z)) if rows is None else rows
-    _check_rows("rows", fit, len(z))
-    fit_stack(z, [fit], iterations, fold, params=(mu, sigma))
+    _fit_block(z, [len(z)], None, iterations, fold, (), DEFAULT_DISTANCE, (mu, sigma))
     return RefModel(mu[:, 0], sigma[:, 0], fold)
 
 
@@ -408,10 +424,9 @@ def transform_ref(y, model: RefModel) -> np.ndarray:
     One C-ordered copy of the samples is updated in place, so no step
     allocates (M, D) temporaries and the caller's array is never written.
     """
-    a, single = _as_samples(y, "sample")
-    if a.shape[1] != model.dim:
-        raise ShapeError(f"sample has {a.shape[1]} dimensions, model has {model.dim}")
-    z = np.array(a, dtype=np.float64, order="C")
+    z, single = _as_samples(y, "sample", copy=True)
+    if z.shape[1] != model.dim:
+        raise ShapeError(f"sample has {z.shape[1]} dimensions, model has {model.dim}")
     # overflow to inf is a legitimate outcome for samples far outside the
     # training data (tiny stds amplify them every iteration); inf scores
     # simply classify as outliers

@@ -150,6 +150,8 @@ def read_chunks(path, schema: DatasetSchema | None = None):
                     blank = row + labels.index("") + 1
             yield matrix, labels
             row += len(lines)
+            # dropped before the next chunk is read: one chunk's text is alive
+            del lines, matrix, labels
             lines = next(chunks, [])
     # checked once every chunk's cells are, as a whole-file parse would order them
     if blank is not None:
@@ -162,24 +164,34 @@ def load_dataset(
 ) -> Dataset:
     """The chunks of read_chunks joined into one Dataset.
 
-    With target_class given, only the rows of that class are kept, chunk by
-    chunk, while class_names still lists every class of the file; a class
-    the file lacks raises ConfigError. Without a label column, labels and
-    class_names are empty.
+    Each chunk's rows are written into one matrix, grown as chunks arrive,
+    so the file's rows are held once. With target_class given, only the rows
+    of that class are kept, chunk by chunk, while class_names still lists
+    every class of the file; a class the file lacks raises ConfigError. The
+    features are then a writable matrix of the kept rows, which no other
+    object holds, so a caller may fit in place on it; any other load returns
+    them read-only. Without a label column, labels and class_names are empty.
     """
     path = os.fspath(path)
-    parts, labels, names = [], [], {}
-    for matrix, chunk_labels in read_chunks(path, schema):
+    matrix, labels, names = None, [], {}
+    for chunk, chunk_labels in read_chunks(path, schema):
         names.update(dict.fromkeys(chunk_labels))
         if target_class is not None:
             keep = [i for i, lab in enumerate(chunk_labels) if lab == target_class]
-            matrix, chunk_labels = matrix[keep], [target_class] * len(keep)
-        parts.append(matrix)
+            chunk, chunk_labels = chunk[keep], [target_class] * len(keep)
+        if matrix is None:
+            matrix = np.empty((0, chunk.shape[1]))
+        n = len(matrix)
+        # grown to the rows it holds, so no spare capacity is touched: realloc
+        # extends the block or remaps its pages. No view of matrix exists for
+        # the resize to invalidate.
+        matrix.resize((n + len(chunk), chunk.shape[1]), refcheck=False)
+        matrix[n:] = chunk
         labels += chunk_labels
+        del chunk  # not held while the next chunk is parsed
     if target_class is not None:
         check_class(target_class, tuple(names))
-    matrix = np.concatenate(parts)
-    matrix.setflags(write=False)
+    matrix.setflags(write=target_class is not None)
     return Dataset(
         name=name or os.path.splitext(os.path.basename(path))[0],
         features=matrix,

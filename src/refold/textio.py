@@ -43,13 +43,16 @@ def read_lines(path, error: type[RefoldError], count: int):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 while lines := [line.rstrip("\n") for line in islice(fh, count)]:
-                    lines = held + lines
+                    lines[:0] = held
                     end = len(lines)
                     while end and lines[end - 1] == "":
                         end -= 1
                     held = lines[end:]
-                    if end:
-                        yield lines[:end]
+                    del lines[end:]
+                    if lines:
+                        yield lines
+                    # dropped before the next list is read: one chunk's text is alive
+                    del lines
             except UnicodeDecodeError as exc:
                 # exc.object is the decoder's input, which ends at the buffer's position
                 try:

@@ -376,8 +376,8 @@ def test_stack_budget_splits_calls_not_results(synthetic_csv, monkeypatch):
 
     calls = []  # the row count of every fit, per block
     fit_block, cells = refold.core._fit_block, refold.core._STACK_CELLS
-    monkeypatch.setattr(refold.core, "_fit_block", lambda X, fit, counts, *args: (
-        calls.append(counts) or fit_block(X, fit, counts, *args)))
+    monkeypatch.setattr(refold.core, "_fit_block", lambda Z, counts, *args: (
+        calls.append(counts) or fit_block(Z, counts, *args)))
     for fold, dist, cv_folds in (("abs", "l1", 3), ("cos_abs", "l2", 4)):
         spec = BenchSpec(datasets=(synthetic_csv,), fold=fold, dist=dist, iterations=9,
                          repetitions=3, seed=6, threshold_mode="grid", cv_folds=cv_folds,
@@ -462,7 +462,7 @@ def test_failing_stack_raises_the_per_repetition_error(tmp_path, mode):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stacked = first_error(lambda: fit_stack(ds.features, fits, spec.iterations, spec.fold))
-    assert stacked == (NumericError, "non-finite working values at iteration 1")
+    assert stacked == (NumericError, "column total of dimension 2 overflows at iteration 1")
     assert first_error(lambda: run_benchmark(spec)) == want
 
 
@@ -504,7 +504,7 @@ def test_failing_task_fits_before_selecting(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = first_error(loop)
-        assert want == (NumericError, "non-finite working values at iteration 1")
+        assert want == (NumericError, "column total of dimension 2 overflows at iteration 1")
         assert first_error(lambda: run_benchmark(spec)) == want
 
 

@@ -184,22 +184,68 @@ def test_train_does_not_mutate_input():
 
 
 @pytest.mark.parametrize("fold", ["abs", "cos_abs"])
-def test_train_on_row_indices_equals_train_on_the_rows(fold):
+def test_fit_stack_on_row_indices_equals_train_on_the_rows(fold):
     X = np.random.default_rng(5).normal(size=(40, 3))
+    X.setflags(write=False)
     rows = np.flatnonzero(np.arange(40) % 3 != 1)
-    got = train_ref(X, iterations=9, fold=fold, rows=rows)
+    mu, sigma = np.empty((2, 9, 1, 3))
+    fit_stack(X, [rows], 9, fold, params=(mu, sigma))
     want = train_ref(X[rows], iterations=9, fold=fold)
-    assert got.mu.tobytes() == want.mu.tobytes()
-    assert got.sigma.tobytes() == want.sigma.tobytes()
+    assert mu[:, 0].tobytes() == want.mu.tobytes()
+    assert sigma[:, 0].tobytes() == want.sigma.tobytes()
+    # an empty score set beside a list of rows
+    scores = fit_stack(X, [rows, rows], 9, fold, [[], [1, 2]], (9,))[9]
+    assert scores[1].tobytes() == score(X[[1, 2]], want).tobytes()
     with pytest.raises(InsufficientDataError, match="got 1"):
-        train_ref(X, rows=np.array([4]))
+        fit_stack(X, [np.array([4])], 9, fold)
     with pytest.raises(InsufficientDataError, match="got 0"):
-        train_ref(X, rows=[])
+        fit_stack(X, [rows, []], 9, fold)
     for bad in ([-1, 0, 1], [0.0, 1.0, 2.0], np.arange(40) < 20, [0, 1, 40]):
+        with pytest.raises(ConfigError, match=r"^fit must hold integer row indices in 0\.\.39$"):
+            fit_stack(X, [rows, bad], 9, fold)
         with pytest.raises(ConfigError, match=r"^rows must hold integer row indices in 0\.\.39$"):
-            train_ref(X, rows=bad)
+            fit_stack(X, [rows], 9, fold, [bad], (9,))
     with pytest.raises(ConfigError, match=r"in 0\.\.4$"):
-        train_ref(X[:5], rows=[0, 7])
+        fit_stack(X[:5], [[0, 7]], 9, fold)
+
+
+def model_bytes(model):
+    return model.mu.tobytes() + model.sigma.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("op", FOLD_OPS)
+def test_overwrite_fits_x_itself_to_the_same_model(op, d):
+    """overwrite=True fits a writable C-ordered float64 X in place, to the
+    bytes of a fit on a copy; cos_abs, whose fold returns a new array,
+    included."""
+    X = np.random.default_rng(11).normal(size=(300, d)) * 3.0
+    before = X.copy()
+    want = train_ref(X, iterations=12, fold=op)
+    assert X.tobytes() == before.tobytes()
+    got = train_ref(X, iterations=12, fold=op, overwrite=True)
+    assert model_bytes(got) == model_bytes(want)
+    # the matrix itself was the working copy
+    assert not np.array_equal(X, before)
+
+
+@pytest.mark.parametrize("kind", ["read-only", "F-ordered", "strided", "integer", "list"])
+def test_overwrite_copies_what_it_may_not_write(kind):
+    """Read-only, F-ordered, strided and integer inputs are copied and left
+    as they were, and fit to the model of a C-ordered float64 copy."""
+    base = np.random.default_rng(3).integers(-50, 50, size=(40, 3))
+    X = {"read-only": base.astype(np.float64),
+         "F-ordered": np.asfortranarray(base, dtype=np.float64),
+         "strided": np.repeat(base.astype(np.float64), 2, axis=0)[::2],
+         "integer": base.copy(),
+         "list": base.tolist()}[kind]
+    if kind == "read-only":
+        X.setflags(write=False)
+    before = np.array(X).tobytes()
+    want = train_ref(np.array(base, dtype=np.float64), iterations=7)
+    got = train_ref(X, iterations=7, overwrite=True)
+    assert model_bytes(got) == model_bytes(want)
+    assert np.array(X).tobytes() == before
 
 
 def test_train_rejects_bad_inputs():
@@ -627,16 +673,21 @@ def test_sigma_overflow_sanitized_to_one():
     assert sigma[0] == 1.0
 
 
-@pytest.mark.parametrize("X, fold, warned, iteration", [
+@pytest.mark.parametrize("X, fold, warned, message", [
     # the first column's total overflows
-    ([[1e308, 1], [1e308, 2], [0, 3]], "abs", ["overflow encountered in reduce"], 1),
+    ([[1e308, 1], [1e308, 2], [0, 3]], "abs", ["overflow encountered in reduce"],
+     "column total of dimension 1 overflows at iteration 1"),
     # the total is finite, a deviation from the mean overflows
     ([[1.7e308, 1], [-1.7e308, 2], [-1.7e308, 3], [0, 4]], "abs",
-     ["overflow encountered in subtract"], 1),
+     ["overflow encountered in subtract"], "non-finite working values at iteration 1"),
     # the squared deviations overflow (std sanitized to 1), then the fold does
-    ([[1e200, 1], [0, 2], [0, 3]], "sqr", [], 2),
-], ids=["total", "deviation", "fold"])
-def test_overflow_warnings_and_first_error(X, fold, warned, iteration):
+    ([[1e200, 1], [0, 2], [0, 3]], "sqr", [], "non-finite working values at iteration 2"),
+    # the squared deviations overflow (std sanitized to 1), then the total
+    # of the folded deviations does
+    ([[1, 1.7e308], [2, 0], [3, 0]], "abs", ["overflow encountered in reduce"],
+     "column total of dimension 2 overflows at iteration 2"),
+], ids=["total", "deviation", "fold", "later-total"])
+def test_overflow_warnings_and_first_error(X, fold, warned, message):
     """Which overflow warns, how often, and where the fit fails: the
     finite-value check through column totals must not change either."""
     import warnings
@@ -645,7 +696,7 @@ def test_overflow_warnings_and_first_error(X, fold, warned, iteration):
         with pytest.raises(NumericError) as exc:
             train_ref(np.array(X), 5, fold)
     assert [str(w.message) for w in caught] == warned
-    assert str(exc.value) == f"non-finite working values at iteration {iteration}"
+    assert str(exc.value) == message
 
 
 def test_fit_stack_checks_fold_before_any_work():

@@ -341,6 +341,33 @@ def test_load_dataset_keeps_the_target_class_rows(tmp_path, monkeypatch):
         load_dataset(p, target_class="d")
 
 
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3, 7, 8192])
+def test_load_dataset_is_bit_identical_at_every_chunk_size(tmp_path, monkeypatch,
+                                                           chunk_lines):
+    """The grown matrix holds the file's rows bit for bit however the file
+    is cut into chunks, chunks without a target row included. Only a
+    target-class load is writable, and its matrix is no view."""
+    values = np.random.default_rng(8).standard_normal((40, 3)) * 10.0 ** np.arange(-3, 3, 2)
+    classes = ["c" if i in (5, 6, 31) else "ab"[i % 2] for i in range(40)]
+    rows = [",".join("%.17g" % v for v in row) + "," + c
+            for row, c in zip(values.tolist(), classes)]
+    rows[9] = rows[9].replace(",", " , ", 1)  # a padded cell: read row by row
+    p = write(tmp_path, "\n".join(rows) + "\n")
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", chunk_lines)
+    ds = load_dataset(p)
+    assert ds.features.tobytes() == values.tobytes() and ds.labels == tuple(classes)
+    assert not ds.features.flags.writeable
+    for target in ("a", "b", "c"):
+        kept = load_dataset(p, target_class=target)
+        flags = np.array(classes) == target
+        assert kept.features.tobytes() == values[flags].tobytes()
+        assert kept.labels == (target,) * flags.sum() and kept.class_names == ("a", "b", "c")
+        assert kept.features.flags.writeable and kept.features.flags.owndata
+    for schema in (DatasetSchema(label_column=None, drop_columns=(3,)),
+                   DatasetSchema(label_column=0, drop_columns=(3,))):
+        assert not load_dataset(p, schema).features.flags.writeable
+
+
 @pytest.mark.parametrize("blank", [3, 4], ids=["ends-chunk", "starts-chunk"])
 def test_blank_line_on_a_chunk_boundary_rejected(tmp_path, monkeypatch, blank):
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 3)

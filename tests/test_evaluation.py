@@ -440,7 +440,7 @@ def test_select_threshold_raises_the_first_failing_fold(action):
         with pytest.raises((RuntimeWarning, NumericError)) as later:
             train_ref(X[[i for i in folds[1][0] if flags[i]]], 4, "sqr")
         assert str(later.value) in ("overflow encountered in reduce",
-                                    "non-finite working values at iteration 1")
+                                    "column total of dimension 2 overflows at iteration 1")
         with pytest.raises(NumericError, match="^non-finite working values at iteration 2$"):
             select_threshold(X, flags, config, k=3, seed=23)
 
