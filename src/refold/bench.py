@@ -11,8 +11,8 @@ gives each task's wall-clock seconds per stage: plan (the split plan), select
 (threshold cross-validation) and fit_score (fitting, scoring, counting).
 
 A task's fits run as one kernel call (core.fit_stack) on the row indices of
-its repetitions, which scores the test rows of the model and of its baseline
-in the same pass. Grid mode then selects thresholds
+its repetitions, which then scores the test rows at the model's depth and at
+its baseline's. Grid mode then selects thresholds
 (evaluation.select_thresholds), adding one call per variant for all of its
 threshold-CV fits, whose row counts differ: each fit is padded with -0.0 rows
 to the longest, and scored as one folds x thresholds Gmean table. The test
@@ -70,7 +70,7 @@ from .evaluation import (
     select_thresholds,
 )
 from .rng import GENERATOR_NAME, check_integer, check_seed, derive_seed
-from .textio import format_float as _fmt, read_text
+from .textio import format_float as _fmt, parse_float, parse_int, read_text
 
 REPORT_VERSION = "refold-bench-report-v1"
 CURVE_VERSION = "refold-curve-v1"
@@ -142,14 +142,14 @@ _SPEC_FIELDS = {
     "datasets": (_list, ", ".join),
     "fold": (str, str),
     "dist": (str, str),
-    "iterations": (int, str),
+    "iterations": (parse_int, str),
     "threshold_mode": (str, str),
-    "threshold": (float, _fmt),
-    "grid": (lambda v: tuple(float(t) for t in _list(v)), lambda g: ", ".join(map(_fmt, g))),
-    "cv_folds": (int, str),
-    "train_fraction": (float, _fmt),
-    "repetitions": (int, str),
-    "seed": (int, str),
+    "threshold": (parse_float, _fmt),
+    "grid": (lambda v: tuple(map(parse_float, _list(v))), lambda g: ", ".join(map(_fmt, g))),
+    "cv_folds": (parse_int, str),
+    "train_fraction": (parse_float, _fmt),
+    "repetitions": (parse_int, str),
+    "seed": (parse_int, str),
     "include_base": (_bool, lambda v: "true" if v else "false"),
 }
 

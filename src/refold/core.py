@@ -20,6 +20,9 @@ fit_stack fits R models on index arrays into one matrix at once, rows-outer:
 their rows sit side by side as one (N, R * D) matrix, so each numpy call of a
 step spans all R * D columns. Non-finite working values show in the column
 totals, which a step computes anyway; only a non-finite total leads to a scan.
+It fits, then replays: the fit returns the step rows, and the rows to score
+are gathered once the fit rows are let go, and replayed through those steps.
+Its memory budget counts the step rows beside the gathered rows.
 """
 
 from __future__ import annotations
@@ -234,18 +237,10 @@ def _replay_step(z: np.ndarray, mu, sigma, fold: str, i: int) -> np.ndarray:
     return z
 
 
-def fit_stack(
-    X: np.ndarray,
-    fit,
-    iterations: int,
-    fold: str,
-    rows=None,
-    depths=(),
-    dist: str = DEFAULT_DISTANCE,
-    params: tuple[np.ndarray, np.ndarray] | None = None,
-) -> dict[int, np.ndarray]:
-    """Fit one model on the rows fit[r] of X for each r, and score the rows
-    rows[r] of X with model r.
+def fit_stack(X: np.ndarray, fit, iterations: int, fold: str, rows, depths,
+              dist: str) -> dict[int, np.ndarray]:
+    """Fit one model on the rows fit[r] of X for each r, then score the rows
+    rows[r] of X with model r by replaying its steps.
 
     X is an (N, D) float64 matrix of finite rows, and is only read: each
     block of fits works on its own gathered copy of their rows. The index
@@ -253,14 +248,14 @@ def fit_stack(
     (anything else is a ConfigError); every fit needs 2 or more. Returns,
     for every depth in `depths` (each in 1..iterations), an (R, M) array, M
     being the longest rows[r], whose row r starts with
-    score(X[rows[r]], model_r.truncated(depth), dist), bit for bit. With
-    params = (mu, sigma), two (iterations, R, D) arrays, mu[i, r] and
-    sigma[i, r] receive step i + 1 of fit r.
+    score(X[rows[r]], model_r.truncated(depth), dist), bit for bit.
 
-    The fits run in blocks of at most _STACK_CELLS gathered cells, padding
-    included. Each fit gets the arithmetic of a lone fit, and a NumericError
-    names the first iteration at which a fit of the failing block goes
-    non-finite or overflows a column total.
+    The fits run in blocks of at most _STACK_CELLS cells: the gathered fit
+    rows and score rows, padding included, and each fit's step rows. A block
+    is fitted, its fit rows are let go, and then its score rows are gathered
+    and replayed. Each fit gets the arithmetic of a lone fit, and a
+    NumericError names the first iteration at which a fit of the failing
+    block goes non-finite or overflows a column total.
     """
     _check_fold(fold)
     _check_distance(dist)
@@ -273,56 +268,58 @@ def fit_stack(
     if min(counts) < 2:
         raise InsufficientDataError(f"need at least 2 training samples, got {min(counts)}")
     fit = _padded([_check_rows("fit", a, len(X)) for a in fit])
-    # (R, 0): nothing to score
-    rows = fit[:, :0] if rows is None else _padded([_check_rows("rows", a, len(X))
-                                                    for a in rows])
+    rows = _padded([_check_rows("rows", a, len(X)) for a in rows])
     n, m, d = fit.shape[1], rows.shape[1], X.shape[1]
-    step = max(1, _STACK_CELLS // ((n + m) * d))
+    step = max(1, _STACK_CELLS // ((n + m + 2 * iterations) * d))
     parts = []
     for a in range(0, len(fit), step):
         b = slice(a, a + step)
         r = len(fit[b])
-        kept = None if params is None else (params[0][:, b], params[1][:, b])
         # X[fit.T] is (n, r, D): the block's rows gathered as one (n, r * D)
-        # matrix
-        parts.append(_fit_block(X[fit[b].T].reshape(n, r * d), counts[b],
-                                X[rows[b].T].reshape(m, r * d) if m and wanted else None,
-                                iterations, fold, wanted, dist, kept))
+        # matrix, freed when the fit returns
+        mu, sigma = _fit_block(X[fit[b].T].reshape(n, r * d), counts[b], iterations, fold)
+        Y = X[rows[b].T].reshape(m, r * d)
+        scores = {}
+        # overflow to inf is a legitimate outcome for samples far outside
+        # the training data, as in transform_ref
+        with np.errstate(over="ignore"):
+            for i in range(max(wanted, default=0)):
+                Y = _replay_step(Y, mu[i], sigma[i], fold, i)
+                if i + 1 in wanted:
+                    scores[i + 1] = np.ascontiguousarray(_distances(Y.reshape(m, r, d), dist).T)
+        parts.append(scores)
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-def _fit_block(Z, counts, Y, iterations, fold, wanted, dist, params):
-    """fit_stack on one block of R fits, in place on their working values.
+def _fit_block(Z, counts, iterations, fold):
+    """Fit one block of R fits in place on their working values; returns
+    the (iterations, R * D) mean and std rows, row i holding step i + 1.
 
     Z is the block's (n, R * D) C-ordered float64 matrix, rows-outer: row k
     holds row k of every fit, fit r in columns r * D .. r * D + D - 1, so each
-    numpy call of a step spans all R * D columns. Z is overwritten, as is Y,
-    the (m, R * D) rows to score in the same layout, or None. Rows of fit r
-    past counts[r] are padding: they are set to -0.0 after each fold and
-    after each subtraction of the mean, since adding -0.0 to a running total
-    returns it unchanged, and totals divide by each fit's row count. A step
-    proves its values finite through its column totals: a non-finite entry
-    leaves its total non-finite, and a finite total of squared deviations
-    bounds every standardized value by sqrt(n - 1). Only a non-finite total
-    leads to a scan.
+    numpy call of a step spans all R * D columns, and Z is overwritten. Rows
+    of fit r past counts[r] are padding: they are set to -0.0 after each fold
+    and after each subtraction of the mean, since adding -0.0 to a running
+    total returns it unchanged, and totals divide by each fit's row count. A
+    step proves its values finite through its column totals: a non-finite
+    entry leaves its total non-finite, and a finite total of squared
+    deviations bounds every standardized value by sqrt(n - 1). Only a
+    non-finite total leads to a scan.
     """
     r, (n, rd) = len(counts), Z.shape
     d = rd // r
-    # the working values and the scores' rows are updated in place, and the
-    # squared deviations go through a scratch block of at most _SCRATCH_ROWS
-    # rows, so no iteration allocates and time stays linear in N beyond the
-    # CPU cache
+    # the working values are updated in place, and the squared deviations go
+    # through a scratch block of at most _SCRATCH_ROWS rows, so no iteration
+    # allocates and time stays linear in N beyond the CPU cache
     scratch = np.empty((min(n, _SCRATCH_ROWS), rd))
-    last = 0 if Y is None else max(wanted, default=0)
     # per-column row counts, and the mask of padding cells, of a ragged block
     count, pad = n, None
     if min(counts) < n:
         count = np.repeat(np.asarray(counts, dtype=np.float64), d)
         pad = np.arange(n)[:, np.newaxis] >= count
-    mu = np.empty(rd)
-    sigma = np.empty_like(mu)
-    scores = {}
-    for i in range(iterations):
+    mus = np.empty((iterations, rd))
+    sigmas = np.empty_like(mus)
+    for i, (mu, sigma) in enumerate(zip(mus, sigmas)):
         # the working values are finite before the fold, so only sqr's
         # overflow can be suppressed here, and the totals catch it
         with np.errstate(all="ignore"):
@@ -344,9 +341,7 @@ def _fit_block(Z, counts, Y, iterations, fold, wanted, dist, params):
             np.copyto(Z, -0.0, where=pad)
         # squared deviations may overflow for extreme magnitudes; the resulting
         # non-finite std is sanitized to 1 just like the zero-variance case.
-        # Z / sigma cannot overflow. In Y, overflow to inf is a legitimate
-        # outcome for samples far outside the training data, as in
-        # transform_ref.
+        # Z / sigma cannot overflow.
         with np.errstate(over="ignore"):
             np.sqrt(_square_totals(Z, scratch) / (count - 1), out=sigma)
             bounded = np.isfinite(sigma).all()
@@ -355,15 +350,7 @@ def _fit_block(Z, counts, Y, iterations, fold, wanted, dist, params):
             np.divide(Z, sigma, out=Z)
             if not bounded:
                 _check_finite(Z, i)
-            if params is not None:
-                params[0][i] = mu.reshape(r, d)
-                params[1][i] = sigma.reshape(r, d)
-            if i < last:
-                Y = _replay_step(Y, mu, sigma, fold, i)
-                if i + 1 in wanted:
-                    scores[i + 1] = np.ascontiguousarray(
-                        _distances(Y.reshape(len(Y), r, d), dist).T)
-    return scores
+    return mus, sigmas
 
 
 def _check_finite(z: np.ndarray, i: int) -> None:
@@ -410,10 +397,7 @@ def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD,
         z = np.array(z, order="C")
     if len(z) < 2:
         raise InsufficientDataError(f"need at least 2 training samples, got {len(z)}")
-    mu = np.empty((iterations, 1, z.shape[1]))
-    sigma = np.empty_like(mu)
-    _fit_block(z, [len(z)], None, iterations, fold, (), DEFAULT_DISTANCE, (mu, sigma))
-    return RefModel(mu[:, 0], sigma[:, 0], fold)
+    return RefModel(*_fit_block(z, [len(z)], iterations, fold), fold)
 
 
 def transform_ref(y, model: RefModel) -> np.ndarray:

@@ -293,7 +293,11 @@ def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> lis
     length), then fitted in one kernel call, each as a lone fit
     (core.fit_stack pads the folds to the most rows, and works in blocks
     under its memory budget). A lone pool fits one fold per call, so it fails
-    and warns as a fold loop does."""
+    and warns as a fold loop does. A grid that check_grid rejects, or seeds
+    not one per pool, is a ConfigError."""
+    grid = check_grid(grid)
+    if len(seeds) != len(pools):
+        raise ConfigError(f"need one CV seed per pool: got {len(seeds)} for {len(pools)} pools")
     folds = _cv_plan(pools, is_target, k, seeds)
     per_fold = [[] for _ in pools]
     depth = config.iterations

@@ -1,5 +1,5 @@
 """UTF-8 text files with LF line endings; floats written at 17 significant
-digits and read back under one strict token rule.
+digits, and numbers read back under one strict token rule.
 
 read_lines is the one reader: data, model and spec files are all opened,
 decoded and split there. Failed reads and writes raise RefoldError
@@ -27,6 +27,14 @@ def parse_float(token: str) -> float:
     if "_" in token or not token.isascii():
         raise ValueError(f"could not convert string to float: {token!r}")
     return float(token)
+
+
+def parse_int(token: str) -> int:
+    """int() under parse_float's rule: "1_0" and "\u0665" raise ValueError,
+    where int() gives 10 and 5."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
 
 
 def read_lines(path, error: type[RefoldError], count: int):

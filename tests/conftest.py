@@ -1,4 +1,5 @@
-"""Shared fixtures: repository paths and synthetic benchmark datasets."""
+"""Shared fixtures: repository paths, synthetic benchmark datasets, and a
+fit_stack that records its fits' steps."""
 
 import warnings
 from pathlib import Path
@@ -33,6 +34,31 @@ def pytest_configure(config):
 @pytest.fixture(scope="session")
 def data_dir() -> str:
     return str(DATA_DIR)
+
+
+@pytest.fixture(scope="session")
+def stack_steps():
+    """fit_stack, also returning the steps that its blocks' _fit_block calls
+    return: mu and sigma as (iterations, R, D) arrays, step i + 1 of fit r at
+    [i, r]. Session-scoped, so that property tests may take it."""
+    from unittest import mock
+
+    import refold.core as core
+
+    def run(X, fit, iterations, fold, rows, depths, dist):
+        fit_block, steps = core._fit_block, []
+
+        def recording(*args):
+            steps.append(fit_block(*args))
+            return steps[-1]
+
+        with mock.patch.object(core, "_fit_block", recording):
+            scores = core.fit_stack(X, fit, iterations, fold, rows, depths, dist)
+        mu, sigma = (np.concatenate([step[k].reshape(iterations, -1, X.shape[1])
+                                     for step in steps], axis=1) for k in (0, 1))
+        return scores, mu, sigma
+
+    return run
 
 
 def write_synthetic_dataset(path, seed=0, n_inner=60, n_outer=40, d=3, radius=12.0):

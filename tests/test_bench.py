@@ -118,6 +118,30 @@ def test_spec_fields_checked_in_both_modes(mode, line, message):
         parse_bench_spec(f"datasets = iris\nthreshold_mode = {mode}\n{line}\n")
 
 
+def test_spec_numbers_follow_the_data_files_token_rule():
+    # int() and float() read these as 10, 5, 10.5 and 12.0; data and model
+    # files refuse them, and so do specs
+    for line, message in (
+        ("repetitions = 1_0", "invalid literal for int() with base 10: '1_0'"),
+        ("iterations = \u0665", "invalid literal for int() with base 10: '\u0665'"),
+        ("seed = 1_000", "invalid literal for int() with base 10: '1_000'"),
+        ("threshold = 1_0.5", "could not convert string to float: '1_0.5'"),
+        ("grid = 0.5, \u0661\u0662", "could not convert string to float: '\u0661\u0662'"),
+        ("train_fraction = 0.\u0667", "could not convert string to float: '0.\u0667'"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            parse_bench_spec(f"datasets = iris\n{line}\n")
+        assert str(exc.value) == f"bad spec value: {message}"
+    # regular values, and their messages, are as int() and float() give them
+    spec = parse_bench_spec("datasets = iris\nrepetitions = +7\nthreshold = 1e-1\n")
+    assert (spec.repetitions, spec.threshold) == (7, 0.1)
+    for line, message in (("iterations = 1.5", "invalid literal for int() with base 10: '1.5'"),
+                          ("threshold = abc", "could not convert string to float: 'abc'")):
+        with pytest.raises(ConfigError) as exc:
+            parse_bench_spec(f"datasets = iris\n{line}\n")
+        assert str(exc.value) == f"bad spec value: {message}"
+
+
 def test_spec_table_lists_every_field_in_order():
     # the parser and the serializer both walk this table
     assert list(_SPEC_FIELDS) == [f.name for f in fields(BenchSpec)]
@@ -461,7 +485,8 @@ def test_failing_stack_raises_the_per_repetition_error(tmp_path, mode):
     # the loop's error
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        stacked = first_error(lambda: fit_stack(ds.features, fits, spec.iterations, spec.fold))
+        stacked = first_error(lambda: fit_stack(ds.features, fits, spec.iterations, spec.fold,
+                                                fits, (), spec.dist))
     assert stacked == (NumericError, "column total of dimension 2 overflows at iteration 1")
     assert first_error(lambda: run_benchmark(spec)) == want
 

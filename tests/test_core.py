@@ -184,29 +184,28 @@ def test_train_does_not_mutate_input():
 
 
 @pytest.mark.parametrize("fold", ["abs", "cos_abs"])
-def test_fit_stack_on_row_indices_equals_train_on_the_rows(fold):
+def test_fit_stack_on_row_indices_equals_train_on_the_rows(fold, stack_steps):
     X = np.random.default_rng(5).normal(size=(40, 3))
     X.setflags(write=False)
     rows = np.flatnonzero(np.arange(40) % 3 != 1)
-    mu, sigma = np.empty((2, 9, 1, 3))
-    fit_stack(X, [rows], 9, fold, params=(mu, sigma))
+    _, mu, sigma = stack_steps(X, [rows], 9, fold, [[]], (), "l1")
     want = train_ref(X[rows], iterations=9, fold=fold)
     assert mu[:, 0].tobytes() == want.mu.tobytes()
     assert sigma[:, 0].tobytes() == want.sigma.tobytes()
     # an empty score set beside a list of rows
-    scores = fit_stack(X, [rows, rows], 9, fold, [[], [1, 2]], (9,))[9]
+    scores = fit_stack(X, [rows, rows], 9, fold, [[], [1, 2]], (9,), "l1")[9]
     assert scores[1].tobytes() == score(X[[1, 2]], want).tobytes()
     with pytest.raises(InsufficientDataError, match="got 1"):
-        fit_stack(X, [np.array([4])], 9, fold)
+        fit_stack(X, [np.array([4])], 9, fold, [[4]], (9,), "l1")
     with pytest.raises(InsufficientDataError, match="got 0"):
-        fit_stack(X, [rows, []], 9, fold)
+        fit_stack(X, [rows, []], 9, fold, [rows, rows], (9,), "l1")
     for bad in ([-1, 0, 1], [0.0, 1.0, 2.0], np.arange(40) < 20, [0, 1, 40]):
         with pytest.raises(ConfigError, match=r"^fit must hold integer row indices in 0\.\.39$"):
-            fit_stack(X, [rows, bad], 9, fold)
+            fit_stack(X, [rows, bad], 9, fold, [rows, rows], (9,), "l1")
         with pytest.raises(ConfigError, match=r"^rows must hold integer row indices in 0\.\.39$"):
-            fit_stack(X, [rows], 9, fold, [bad], (9,))
+            fit_stack(X, [rows], 9, fold, [bad], (9,), "l1")
     with pytest.raises(ConfigError, match=r"in 0\.\.4$"):
-        fit_stack(X[:5], [[0, 7]], 9, fold)
+        fit_stack(X[:5], [[0, 7]], 9, fold, [[0]], (9,), "l1")
 
 
 def model_bytes(model):
@@ -450,7 +449,7 @@ def test_train_matches_oracle_bit_for_bit_at_large_n(d):
 
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("op", FOLD_OPS)
-def test_blocked_square_totals_match_the_oracle(monkeypatch, op, d):
+def test_blocked_square_totals_match_the_oracle(monkeypatch, stack_steps, op, d):
     """With a scratch block of 4 rows, the squared deviations are totalled
     block by block. Fits of 3, 4, 5 and 13 rows (one below, at and one above
     the block, and several blocks), with signed zeros, and a ragged stack
@@ -467,10 +466,7 @@ def test_blocked_square_totals_match_the_oracle(monkeypatch, op, d):
     atol = 1e-13 if op == "tanh" else 0.0
 
     def fitted(index):
-        mu = np.empty((6, len(index), d))
-        sigma = np.empty_like(mu)
-        fit_stack(X, index, 6, op, params=(mu, sigma))
-        return mu, sigma
+        return stack_steps(X, index, 6, op, index, (), "l1")[1:]
 
     unblocked = [fitted([f]) for f in fits], fitted(fits[3:])
     monkeypatch.setattr(core, "_SCRATCH_ROWS", 4)
@@ -484,6 +480,24 @@ def test_blocked_square_totals_match_the_oracle(monkeypatch, op, d):
     for r, f in enumerate(fits[3:]):
         for steps, single in zip(blocked[1], blocked[0][3 + r]):
             np.testing.assert_array_equal(steps[:, r], single[:, 0])
+
+
+def test_fit_stack_lets_the_fit_rows_go_before_scoring():
+    """One 20,000 x 20 fit with 20,000 score rows at J = 101 peaks below
+    1.75x the gathered fit rows: those rows and a scratch block while
+    fitting, then the score rows alone while replaying. Holding the fit and
+    score rows at once took 2.61x."""
+    import tracemalloc
+
+    X = np.random.default_rng(8).normal(size=(40_000, 20))
+    fit_bytes = 20_000 * 20 * 8
+    tracemalloc.start()
+    try:
+        fit_stack(X, [np.arange(20_000)], 101, "abs", [np.arange(20_000, 40_000)], (101,), "l1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * fit_bytes, peak / fit_bytes
 
 
 # --------------------------------------------------------- summation order
@@ -705,17 +719,17 @@ def test_fit_stack_checks_fold_before_any_work():
     fits = [np.arange(5), np.array([4, 0, 0])]
     for iterations in (1, 3):
         with pytest.raises(ConfigError, match="unknown fold operation 'nope'"):
-            fit_stack(X, fits, iterations, "nope", fits, (1,))
+            fit_stack(X, fits, iterations, "nope", fits, (1,), "l1")
     # the fold is checked before the size
     with pytest.raises(ConfigError, match="unknown fold"):
-        fit_stack(X, [np.array([1])], 3, "nope")
+        fit_stack(X, [np.array([1])], 3, "nope", [np.array([1])], (1,), "l1")
     with pytest.raises(InsufficientDataError, match="need at least 2 training samples, got 1"):
-        fit_stack(X, [np.arange(5), np.array([1])], 3, "abs")
+        fit_stack(X, [np.arange(5), np.array([1])], 3, "abs", fits, (1,), "l1")
     with pytest.raises(ShapeError, match="^training data needs at least one feature dimension$"):
-        fit_stack(np.empty((30, 0)), [np.arange(30)], 3, "abs", [np.arange(30)], (3,))
+        fit_stack(np.empty((30, 0)), [np.arange(30)], 3, "abs", [np.arange(30)], (3,), "l1")
     # X is only read, also by a fit that runs
     X.setflags(write=False)
-    fit_stack(X, fits, 3, "sqr", fits, (1, 3))
+    fit_stack(X, fits, 3, "sqr", fits, (1, 3), "l1")
     np.testing.assert_array_equal(X, before)
 
 

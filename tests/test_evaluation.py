@@ -385,6 +385,31 @@ def test_select_thresholds_rejects_bad_row_indices():
         select_thresholds(np.empty((40, 0)), [good], flags, cfg, (0.5, 1.0), 5, [0])
 
 
+def test_select_thresholds_takes_one_seed_per_pool():
+    # a seed short used to raise a raw IndexError, and an extra seed passed
+    # unnoticed
+    X, flags = _separable_pool(np.random.default_rng(43), n_targets=25, n_outliers=15)
+    cfg = ClassifierConfig(iterations=5)
+    pools = [np.arange(40), np.arange(40)]
+    for seeds in ([0], [0, 1, 2], []):
+        with pytest.raises(ConfigError,
+                           match=rf"^need one CV seed per pool: got {len(seeds)} for 2 pools$"):
+            select_thresholds(X, pools, flags, cfg, (0.5, 1.0), 5, seeds)
+
+
+def test_select_thresholds_checks_its_grid():
+    # a decreasing grid used to pass unnoticed
+    X, flags = _separable_pool(np.random.default_rng(43), n_targets=25, n_outliers=15)
+    cfg = ClassifierConfig(iterations=5)
+    pools = [np.arange(40), np.arange(40)]
+    for grid in ((1.0, 0.5), (), (0.5, 0.5), (0.0, 1.0), (float("nan"),)):
+        with pytest.raises(ConfigError, match="^threshold grid must be strictly increasing"):
+            select_thresholds(X, pools, flags, cfg, grid, 5, [0, 1])
+    # a grid given as a list of numbers is read as its floats
+    picked = select_thresholds(X, pools, flags, cfg, [0.5, 1], 5, [0, 1])
+    assert picked == select_thresholds(X, pools, flags, cfg, (0.5, 1.0), 5, [0, 1])
+
+
 def test_select_thresholds_takes_pools_as_lists():
     # a list pool is indexed as the integer array it holds, and an empty
     # list keeps the empty pool's error

@@ -391,21 +391,87 @@ use_flags = st.builds(
 )
 
 
+# spec values of each key: as often a small one, so that a spec that runs is
+# cheap, as one a strict reader or a spec check refuses
+spec_ints = st.one_of(st.sampled_from(("2", "3", "1")),
+                      st.sampled_from(("0", "-1", "+2", "1.5", "1_0", "\u0665", "", "x")))
+spec_floats = st.one_of(st.sampled_from(("0.5", "0.9", "1", "inf")),
+                        st.sampled_from(("0", "-1", "nan", "1e400", "1_0.5", "\u0661", "", "x")))
+spec_values = {
+    "fold": st.sampled_from((*FOLD_OPS, "nope")),
+    "dist": st.sampled_from((*DISTANCES, "l3")),
+    "iterations": spec_ints,
+    "threshold_mode": st.sampled_from(("fixed", "grid", "auto")),
+    "threshold": spec_floats,
+    "grid": st.lists(spec_floats, min_size=1, max_size=3).map(", ".join),
+    "cv_folds": spec_ints,
+    "train_fraction": spec_floats,
+    "repetitions": spec_ints,
+    "seed": spec_ints,
+    "include_base": st.sampled_from(("true", "false", "1", "maybe")),
+}
+blob_cells = st.one_of(st.sampled_from((0.0, -0.0, 1e-300, 1.7e308, -1.7e308)),
+                       st.floats(-10.0, 10.0))
+
+
+@st.composite
+def cli_spec_runs(draw):
+    """A spec file, and the well-formed blob.csv it may name, of t and o
+    rows whose cells may be extreme. The spec has distinct keys, usually a
+    datasets line first, and maybe a stray line or 0xff byte."""
+    width = draw(st.integers(1, 2))
+    blob = "".join(
+        ",".join(map(repr, draw(st.lists(blob_cells, min_size=width, max_size=width))))
+        + f",{label}\n"
+        for label in "t" * draw(st.integers(3, 10)) + "o" * draw(st.integers(3, 10)))
+    keys = draw(st.lists(st.sampled_from(sorted(spec_values)), unique=True, max_size=4))
+    lines = [f"{key} = {draw(spec_values[key])}" for key in keys]
+    # read from --data-dir, which holds blob.csv and rows.csv but no iris.csv
+    datasets = draw(st.sampled_from(("blob.csv", "blob.csv, rows.csv", "rows.csv", "iris",
+                                     "absent.csv", "blob.csv, blob.csv", "", None)))
+    if datasets is not None:
+        lines.insert(0, f"datasets = {datasets}")
+    if draw(st.sampled_from((False, False, False, True))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.one_of(st.text(max_size=20), st.sampled_from(lines or ["#"]))))
+    data = "\n".join(lines).encode("utf-8")
+    if draw(st.sampled_from((False,) * 7 + (True,))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, blob.encode("utf-8")
+
+
+curve_flags = st.builds(lambda task, rep: ["--task", task, "--rep", str(rep)],
+                        st.sampled_from(("blob1", "blob2", "rows1", "x")), st.integers(0, 3))
+
+
 @settings(PROPERTY_SETTINGS, max_examples=80)
 @given(cli_data_files(), train_flags, use_flags,
-       st.one_of(st.none(), model_texts(), ref_models().map(serialize_model)))
+       st.one_of(st.none(), model_texts(), ref_models().map(serialize_model)),
+       cli_spec_runs(), curve_flags)
 @example(b"1.7e308,1,t\n1.7e308,2,t\n1,3,t\n", ["--iters", "2"],
-         ["predict", "--label-column", "last"], None)
-def test_cli_failures_are_one_error_line(data, train, use, model_text):
+         ["predict", "--label-column", "last"], None,
+         (b"datasets = blob.csv\nfold = sqr", b"1.7e308,t\n1e300,t\n1,t\n1,o\n2,o\n"),
+         ["--task", "blob1", "--rep", "1"])
+def test_cli_failures_are_one_error_line(data, train, use, model_text, spec_run, curve):
     """train on generated rows, then predict or eval with the model, or
     predict or eval with a generated model file, hostile or with extreme
-    steps: each command returns 0 or 1, raises nothing, and writes only
-    refold lines on stderr, one error line exactly when it fails."""
+    steps, then bench and curve on a generated spec of those rows or of
+    other rows: each command returns 0 or 1, raises nothing, and writes
+    only refold lines on stderr, one error line exactly when it fails."""
     with tempfile.TemporaryDirectory() as tmp:
         path, model = os.path.join(tmp, "rows.csv"), os.path.join(tmp, "m.refold")
+        spec = os.path.join(tmp, "run.spec")
         with open(path, "wb") as fh:
             fh.write(data)
-        commands = [[use[0], "--model", model, "--data", path, *use[1:]]]
+        for name, text in zip((spec, os.path.join(tmp, "blob.csv")), spec_run):
+            with open(name, "wb") as fh:
+                fh.write(text)
+        commands = [[use[0], "--model", model, "--data", path, *use[1:]],
+                    ["bench", "--spec", spec, "--data-dir", tmp,
+                     "--out", os.path.join(tmp, "report.csv")],
+                    ["curve", "--spec", spec, "--data-dir", tmp, *curve,
+                     "--out", os.path.join(tmp, "curve.csv")]]
         if model_text is None:
             commands.insert(0, ["train", "--data", path, "--out", model, *train])
         else:
@@ -490,7 +556,7 @@ def kernel_cases(draw):
 
 @PROPERTY_SETTINGS
 @given(kernel_cases())
-def test_fit_stack_matches_per_slice_fits(case):
+def test_fit_stack_matches_per_slice_fits(stack_steps, case):
     """Bit for bit: the stack's step vectors are the train_ref model of each
     fit's rows, and its distances are score() of each score set with that
     model truncated to each requested depth. When a fit goes non-finite, the
@@ -506,14 +572,12 @@ def test_fit_stack_matches_per_slice_fits(case):
                 models.append(train_ref(X[index], iterations, fold))
             except NumericError as exc:
                 failed.setdefault(int(str(exc).rsplit(" ", 1)[1]), set()).add(str(exc))
-        mu = np.empty((iterations, len(fit), X.shape[1]))
-        sigma = np.empty_like(mu)
         if failed:
             with pytest.raises(NumericError) as exc:
-                fit_stack(X, fit, iterations, fold, rows, depths, dist, (mu, sigma))
+                fit_stack(X, fit, iterations, fold, rows, depths, dist)
             assert str(exc.value) in failed[min(failed)]
             return
-        scores = fit_stack(X, fit, iterations, fold, rows, depths, dist, (mu, sigma))
+        scores, mu, sigma = stack_steps(X, fit, iterations, fold, rows, depths, dist)
         assert set(scores) == depths
         for k, model in enumerate(models):
             assert mu[:, k].tobytes() == model.mu.tobytes()
