@@ -16,6 +16,15 @@ Numeric conventions, fixed as part of the model format:
   - Column reductions accumulate strictly left to right (running total), so
     results are bit-reproducible and match a plain loop transcription.
 
+Column totals of a C-ordered block of 256 rows or more and 2 to 64 columns
+come from einsum, whose one-operand loop keeps that running-total order at a
+third of add.reduce's cost on 20-wide rows. A total that comes out exactly
+zero, whose sign einsum may get wrong, and the re-sum that reports an
+overflowing total (einsum raises no floating-point warnings) go through the
+strict add.reduce.
+transform_ref replays on a feature-major (D, M) copy of the samples, so each
+step subtracts and divides whole contiguous rows by one scalar each.
+
 fit_stack fits R models on index arrays into one matrix at once, rows-outer:
 their rows sit side by side as one (N, R * D) matrix, so each numpy call of a
 step spans all R * D columns. Non-finite working values show in the column
@@ -62,13 +71,29 @@ OUTLIER = "outlier"
 
 def _column_totals(a: np.ndarray) -> np.ndarray:
     """Strict left-to-right column sums of an (N, D) matrix."""
-    # Over the rows of a C-contiguous block with D >= 2, add.reduce adds one
-    # row at a time into the accumulator row: the running-total order without
-    # materializing an (N, D) cumsum. Starting from -0.0 keeps the first
-    # row's bits, signed zeros included. A single column is the contiguous
-    # axis, which add.reduce sums pairwise, so it (like any other layout)
-    # takes the last row of a cumsum, which carries one running total in
-    # index order.
+    # Over the rows of a C-contiguous (N, D) block with D >= 2, einsum's
+    # unbuffered one-operand loop adds one row at a time into the output row:
+    # the running-total order, at about a third of add.reduce's cost on
+    # 20-wide rows. Its call and the zero check below cost about 2 us more,
+    # and add.reduce keeps up on wide rows, so einsum takes only blocks of
+    # 256 rows or more, of at most 64 columns. It starts from +0.0, so a
+    # total that comes out zero may carry the wrong sign: any zero total is
+    # summed again strictly.
+    if a.ndim == 2 and 2 <= a.shape[1] <= 64 and len(a) >= 256 and a.flags.c_contiguous:
+        totals = np.einsum("ij->j", a)
+        if np.count_nonzero(totals) == len(totals):
+            return totals
+    return _strict_totals(a)
+
+
+def _strict_totals(a: np.ndarray) -> np.ndarray:
+    """_column_totals by numpy's reductions, which raise floating-point
+    warnings (einsum never does); also sums stacks of matrices."""
+    # add.reduce over the rows of a C-contiguous block with D >= 2 takes the
+    # same running-total order. Starting from -0.0 keeps the first row's
+    # bits, signed zeros included. A single column is the contiguous axis,
+    # which add.reduce sums pairwise, so it (like any other layout) takes the
+    # last row of a cumsum, which carries one running total in index order.
     if a.shape[-1] > 1 and a.flags.c_contiguous:
         return np.add.reduce(a, axis=-2, initial=-0.0)
     return np.cumsum(a, axis=-2)[..., -1, :]
@@ -80,7 +105,8 @@ def _square_totals(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
     Each block's first row takes the running total of the blocks before it,
     so the block's own total continues that total in index order: a sum
-    from -0.0 or a cumsum adds its first row exactly.
+    from -0.0 or a cumsum adds its first row exactly, and so does einsum's
+    sum from +0.0, since a square is never -0.0.
     """
     totals = None
     for a in range(0, len(z), len(scratch)):
@@ -243,9 +269,10 @@ def fit_stack(X: np.ndarray, fit, iterations: int, fold: str, rows, depths,
     rows[r] of X with model r by replaying its steps.
 
     X is an (N, D) float64 matrix of finite rows, and is only read: each
-    block of fits works on its own gathered copy of their rows. The index
-    arrays may differ in length and hold any rows of 0..N-1 in any order
-    (anything else is a ConfigError); every fit needs 2 or more. Returns,
+    block of fits works on its own gathered copy of their rows. fit and rows
+    hold one index array per fit, for one fit or more. The index arrays may
+    differ in length and hold any rows of 0..N-1 in any order (anything else
+    is a ConfigError); every fit needs 2 or more. Returns,
     for every depth in `depths` (each in 1..iterations), an (R, M) array, M
     being the longest rows[r], whose row r starts with
     score(X[rows[r]], model_r.truncated(depth), dist), bit for bit.
@@ -264,6 +291,9 @@ def fit_stack(X: np.ndarray, fit, iterations: int, fold: str, rows, depths,
         raise ConfigError(f"scoring depths must lie in 1..{iterations}")
     if X.shape[1] == 0:
         raise ShapeError("training data needs at least one feature dimension")
+    if len(fit) == 0 or len(rows) != len(fit):
+        raise ConfigError(f"need one rows array per fit and at least one fit: "
+                          f"got {len(rows)} rows arrays for {len(fit)} fits")
     counts = [len(a) for a in fit]
     if min(counts) < 2:
         raise InsufficientDataError(f"need at least 2 training samples, got {min(counts)}")
@@ -332,7 +362,7 @@ def _fit_block(Z, counts, iterations, fold):
             _check_finite(Z, i)
             # finite values whose total overflows: sum again, so that the
             # overflow warns as it would unsuppressed, and name the total
-            j = int(np.flatnonzero(~np.isfinite(_column_totals(Z)))[0]) % d
+            j = int(np.flatnonzero(~np.isfinite(_strict_totals(Z)))[0]) % d
             raise NumericError(f"column total of dimension {j + 1} overflows "
                                f"at iteration {i + 1}")
         np.divide(totals, count, out=mu)
@@ -405,19 +435,23 @@ def transform_ref(y, model: RefModel) -> np.ndarray:
 
     Accepts a single D-vector or an (M, D) matrix; the arithmetic per sample
     is identical to the training-time working copy, element for element.
-    One C-ordered copy of the samples is updated in place, so no step
-    allocates (M, D) temporaries and the caller's array is never written.
+    One feature-major copy of the samples, a C-ordered (D, M) matrix, is
+    updated in place, so no step allocates (M, D) temporaries, each step's
+    subtract and divide run along contiguous rows with one scalar per row,
+    and the caller's array is never written. An (M, D) matrix is returned
+    as the transposed view of that copy.
     """
-    z, single = _as_samples(y, "sample", copy=True)
-    if z.shape[1] != model.dim:
-        raise ShapeError(f"sample has {z.shape[1]} dimensions, model has {model.dim}")
+    a, single = _as_samples(y, "sample")
+    if a.shape[1] != model.dim:
+        raise ShapeError(f"sample has {a.shape[1]} dimensions, model has {model.dim}")
+    z = np.array(a.T, order="C")
     # overflow to inf is a legitimate outcome for samples far outside the
     # training data (tiny stds amplify them every iteration); inf scores
     # simply classify as outliers
     with np.errstate(over="ignore"):
         for i, (mu, sigma) in enumerate(zip(model.mu, model.sigma)):
-            z = _replay_step(z, mu, sigma, model.fold, i)
-    return z[0] if single else z
+            z = _replay_step(z, mu[:, np.newaxis], sigma[:, np.newaxis], model.fold, i)
+    return z[:, 0] if single else z.T
 
 
 def _distances(a: np.ndarray, dist: str) -> np.ndarray:

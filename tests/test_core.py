@@ -359,6 +359,46 @@ def test_transform_in_place_matches_out_of_place_form(op):
         assert layout.tobytes() == Y.tobytes()
 
 
+@pytest.mark.parametrize("op", FOLD_OPS)
+def test_replay_matches_the_oracle_in_every_layout(op):
+    """transform_ref and score agree bit for bit with the oracle's replay of
+    the model's own steps, for C-ordered, Fortran-ordered, strided and
+    single-row input (tanh within 1e-13: numpy's tanh is not libm's, but it
+    still matches across layouts bit for bit). Under sqr one sample
+    overflows to inf. The caller's array is never written."""
+    rng = np.random.default_rng(23)
+    model = train_ref(rng.normal(size=(60, 3)), iterations=7, fold=op)
+    Y = rng.normal(size=(41, 6)) * 3.0
+    if op == "sqr":
+        Y[4, 2] = 1e200  # column 1 of the input: inf from the second step on
+    steps = model.mu.tolist(), model.sigma.tolist()
+    want = np.array([oracle.transform(y, *steps, op) for y in Y[:, ::2].tolist()])
+    want_scores = {dist: np.array([oracle.distance(z, dist) for z in want.tolist()])
+                   for dist in DISTANCES}
+    if op == "sqr":
+        assert want[4, 1] == np.inf and want_scores["l1"][4] == np.inf
+    first = None
+    for layout in (Y[:, ::2].copy(), np.asfortranarray(Y[:, ::2]), Y[:, ::2]):
+        before = layout.copy()
+        # the whole matrix, a one-row matrix and each sample as a vector
+        got = transform_ref(layout, model)
+        assert bits(transform_ref(layout[:1], model)) == bits(got[:1])
+        assert bits([transform_ref(y, model) for y in layout]) == bits(got)
+        if op == "tanh":
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        else:
+            assert bits(got) == bits(want)
+        first = bits(got) if first is None else first
+        assert bits(got) == first
+        for dist in DISTANCES:
+            s = score(layout, model, dist)
+            singles = [score(y, model, dist) for y in layout]
+            assert bits(s) == bits(singles)
+            if op != "tanh":
+                assert bits(s) == bits(want_scores[dist])
+        assert layout.tobytes() == before.tobytes()
+
+
 # ----------------------------------------------------------------- scoring
 
 def test_distance_examples():
@@ -519,6 +559,38 @@ def test_column_totals_add_rows_in_index_order(shape):
         got = _column_totals(layout)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def loop_totals(a):
+    """Column totals of a matrix by a plain loop over its rows."""
+    want = a[0].copy()
+    for row in a[1:]:
+        want = want + row
+    return want
+
+
+@pytest.mark.parametrize("shape", [(8193, 20), (5000, 2), (1000, 7), (256, 62)])
+def test_column_totals_take_the_fast_path_in_index_order(shape):
+    """No total is zero here, so the C-ordered block's einsum totals are
+    returned as they are, and must match the plain loop bit for bit. Beside
+    them, a column of -0.0 alone must total -0.0 and a column that cancels
+    must total +0.0, as the strict sum gives them. Every shape, with or
+    without those two columns, is one that einsum takes."""
+    rng = np.random.default_rng(shape[0] + shape[1])
+    a = (rng.uniform(1.0, 2.0, size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+         * rng.choice([-1.0, 1.0], size=shape))
+    assert loop_totals(a).all()
+    cancels = np.tile([1.5, -1.5], shape[0])[:shape[0]]
+    if shape[0] % 2:
+        cancels[-1] = -0.0
+    zeros = np.concatenate([a, np.full((shape[0], 1), -0.0), cancels[:, np.newaxis]], axis=1)
+    for m in (a, zeros):
+        want = loop_totals(m)
+        for layout in (m, np.asfortranarray(m)):
+            got = _column_totals(layout)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(want[-2]) and want[-1] == 0.0 and not np.signbit(want[-1])
 
 
 @pytest.mark.parametrize("shape", [(5000, 20), (1000, 1), (7, 3), (50, 2)])
@@ -731,6 +803,19 @@ def test_fit_stack_checks_fold_before_any_work():
     X.setflags(write=False)
     fit_stack(X, fits, 3, "sqr", fits, (1, 3), "l1")
     np.testing.assert_array_equal(X, before)
+
+
+def test_fit_stack_takes_one_rows_array_per_fit():
+    """Before any work: three score sets for one fit, one for two fits and
+    no fit at all are ConfigErrors naming both counts."""
+    X = np.random.default_rng(3).normal(size=(10, 2))
+    cases = [([[0, 1]], [[0, 1], [2, 3], [4, 5]], "got 3 rows arrays for 1 fits"),
+             ([[0, 1], [2, 3]], [[0, 1]], "got 1 rows arrays for 2 fits"),
+             ([], [], "got 0 rows arrays for 0 fits")]
+    for fit, rows, counts in cases:
+        with pytest.raises(ConfigError, match=f"^need one rows array per fit and "
+                                              f"at least one fit: {counts}$"):
+            fit_stack(X, fit, 3, "abs", rows, (1,), "l1")
 
 
 def test_concurrent_scoring_is_safe():
