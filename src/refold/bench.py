@@ -20,10 +20,7 @@ counts and Gmeans of all repetitions of a variant come from one
 evaluation.confusion_counts and one evaluation.gmeans call. A call larger
 than 8 MB, padding included, works in blocks of at most that size. Each fit
 gets the arithmetic of a lone fit, so results are bit-identical to fitting
-repetition by repetition. A task whose stacked pass fails or warns is
-replayed one repetition at a time through the same path, so that it raises
-what the first failing repetition raises; select_thresholds fits a lone
-pool one CV fold per call, so the replay also fails fold by fold.
+repetition by repetition.
 
 Seed streams, all derived from the master seed with refold.rng.derive_seed:
 split plan of task t -> (t, 1); threshold CV of task t repetition r ->
@@ -35,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -52,7 +48,7 @@ from .core import (
     train_ref,
 )
 from .datasets import Dataset, load_dataset, load_registry_dataset, registry, resolve_data_dir
-from .errors import ConfigError, DataFormatError, RefoldError
+from .errors import ConfigError, DataFormatError
 from .evaluation import (
     DEFAULT_CV_FOLDS,
     DEFAULT_REPETITIONS,
@@ -102,8 +98,10 @@ class BenchSpec:
     include_base: bool = False
 
     def __post_init__(self):
+        if isinstance(self.datasets, str):
+            raise ConfigError(f"datasets must be a sequence of names, got {self.datasets!r}")
         object.__setattr__(self, "datasets", tuple(self.datasets))
-        object.__setattr__(self, "grid", tuple(float(t) for t in self.grid))
+        object.__setattr__(self, "grid", check_grid(self.grid))
         if not self.datasets:
             raise ConfigError("spec lists no datasets")
         ClassifierConfig(self.fold, self.iterations, self.dist)  # validates
@@ -113,7 +111,6 @@ class BenchSpec:
             )
         # every field is checked in both modes: all of them go into the spec hash
         check_threshold(self.threshold)
-        check_grid(self.grid)
         check_cv_folds(self.cv_folds)
         check_train_fraction(self.train_fraction)
         check_repetitions(self.repetitions)
@@ -330,7 +327,7 @@ def _stage(seconds: dict[str, float], name: str):
 
 def _task_stacked(spec, variants, X, train, test, flags, cv_seeds, seconds):
     """(thresholds, scores) per variant: every repetition at once, fitting
-    and scoring before selecting thresholds, as a loop over them would."""
+    and scoring before selecting thresholds."""
     with _stage(seconds, "fit_score"):
         fit = train[flags[train]].reshape(len(train), -1)
         scores = fit_stack(X, fit, spec.iterations, spec.fold, test,
@@ -347,39 +344,15 @@ def _task_stacked(spec, variants, X, train, test, flags, cv_seeds, seconds):
     return thresholds, {name: scores[depth] for name, depth, _ in variants}
 
 
-def _task_results(spec, variants, X, train, test, flags, cv_seeds, seconds):
-    """Thresholds and test scores of every variant and repetition of a task.
-
-    The stacked pass runs first. If it raises a package error or warns (a
-    non-finite working value, a CV fold that cannot be planned, an overflow),
-    the task is replayed through _task_stacked once per repetition, on
-    stacks of one, which raises or warns as a loop over the repetitions
-    does, first failure first. Its fits are lone fits, as the stacked
-    pass's are, so when it raises nothing, what the stacked pass gave stands.
-    """
-    error = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = _task_stacked(spec, variants, X, train, test, flags, cv_seeds, seconds)
-        except RefoldError as exc:
-            error = exc
-    if error is not None or caught:
-        for r in range(len(train)):
-            _task_stacked(spec, variants, X, train[r:r + 1], test[r:r + 1], flags,
-                          {name: seeds[r:r + 1] for name, seeds in cv_seeds.items()}, seconds)
-    if error is not None:
-        raise error
-    return result
-
-
 def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
     """Execute the spec; the report above its timing section depends only on
     (spec, seed).
 
     Each repetition trains one model. The baseline is its first step, which
     is bit-identical to a model trained with one iteration, because step i
-    depends only on the steps before it.
+    depends only on the steps before it. A failing task raises, and a
+    warning task warns, as its stacked kernel calls do, in call order: the
+    fits first, then threshold selection, variant by variant.
     """
     # (model name, depth scored, threshold CV stream)
     variants = [("ref", spec.iterations, _REF_CV_STREAM)]
@@ -398,7 +371,7 @@ def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
                    for rep in range(spec.repetitions)]
             for name, _, stream in variants
         }
-        thresholds, scores = _task_results(
+        thresholds, scores = _task_stacked(
             spec, variants, ds.features, train, test, flags, cv_seeds, seconds
         )
         with _stage(seconds, "fit_score"):

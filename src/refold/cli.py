@@ -41,7 +41,7 @@ from .datasets import (
 from .errors import ConfigError, RefoldError
 from .evaluation import confusion_counts, gmeans
 from .model_io import load_model, save_model
-from .textio import write_stdout, write_text
+from .textio import parse_float, parse_int, write_stdout, write_text
 
 
 def _add_schema_flags(parser, label_default: str):
@@ -70,16 +70,29 @@ def _parse_label_column(value: str):
     if v == "none":
         return None
     try:
-        return int(v)
+        return parse_int(v)
     except ValueError:
         return v
 
 
 def _parse_ints(value: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(c) for c in value.replace(",", " ").split())
+        return tuple(parse_int(c) for c in value.replace(",", " ").split())
     except ValueError:
         raise ConfigError(f"{flag} must be integers, got {value!r}") from None
+
+
+def _flag_number(parse, name: str):
+    """argparse type reading a flag's number by the token rule of spec, data
+    and model files; named as the builtin in argparse's usage error."""
+    def convert(token: str):
+        return parse(token.strip())
+    convert.__name__ = name
+    return convert
+
+
+_int = _flag_number(parse_int, "int")
+_float = _flag_number(parse_float, "float")
 
 
 def _schema(args, labeled: bool = True) -> DatasetSchema:
@@ -190,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit only rows of this class (default: all rows)")
     p.add_argument("--fold", default=DEFAULT_FOLD, choices=FOLD_OPS,
                    help="element-wise folding operation")
-    p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS,
+    p.add_argument("--iters", type=_int, default=DEFAULT_ITERATIONS,
                    help="number of standardize/fold iterations")
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=_cmd_train)
@@ -202,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_flags(p, label_default="none")
     p.add_argument("--dist", default=DEFAULT_DISTANCE, choices=DISTANCES,
                    help="distance metric (norm divided by dimension count)")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", type=_float, default=DEFAULT_THRESHOLD,
                    help="accept as target iff score <= threshold")
     p.set_defaults(func=_cmd_predict)
 
@@ -214,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-class", required=True, help="positive class label")
     p.add_argument("--dist", default=DEFAULT_DISTANCE, choices=DISTANCES,
                    help="distance metric")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", type=_float, default=DEFAULT_THRESHOLD,
                    help="accept as target iff score <= threshold")
     p.set_defaults(func=_cmd_eval)
 
@@ -231,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=fmt)
     p.add_argument("--spec", required=True, help="benchmark spec file (fixed threshold)")
     p.add_argument("--task", required=True, help="task name, e.g. Iris2")
-    p.add_argument("--rep", type=int, required=True, help="repetition, 1-based")
+    p.add_argument("--rep", type=_int, required=True, help="repetition, 1-based")
     p.add_argument("--data-dir", default=resolve_data_dir(),
                    help=f"dataset directory (or set ${DATA_DIR_ENV})")
     p.add_argument("--out", default=None,
@@ -242,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=fmt)
     p.add_argument("--sizes", required=True,
                    help="comma-separated sample counts, e.g. 10000,20000,40000")
-    p.add_argument("--dim", type=int, default=20, help="feature dimensions")
-    p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS,
+    p.add_argument("--dim", type=_int, default=20, help="feature dimensions")
+    p.add_argument("--iters", type=_int, default=DEFAULT_ITERATIONS,
                    help="training iterations")
-    p.add_argument("--seed", type=int, default=0, help="synthetic data seed")
-    p.add_argument("--repeats", type=int, default=3,
+    p.add_argument("--seed", type=_int, default=0, help="synthetic data seed")
+    p.add_argument("--repeats", type=_int, default=3,
                    help="timed repeats per size (median is reported)")
     p.add_argument("--out", default="timing-probe.csv", help="probe report path")
     p.set_defaults(func=_cmd_probe)

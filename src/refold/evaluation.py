@@ -21,6 +21,7 @@ each drawn by one vectorized shuffle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -210,8 +211,13 @@ def _kfolds(lengths, k: int, seeds) -> dict[int, list[tuple[np.ndarray, np.ndarr
 
 
 def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
-    """Thresholds as floats; non-empty, positive, strictly increasing, no NaN."""
-    grid = tuple(float(t) for t in grid)
+    """Thresholds as floats: a sequence of numbers, not a string, that is
+    non-empty, positive, strictly increasing and free of NaN."""
+    grid = grid if isinstance(grid, str) else tuple(grid)
+    if isinstance(grid, str) or not all(isinstance(t, Real) and not isinstance(t, bool)
+                                        for t in grid):
+        raise ConfigError(f"threshold grid must be a sequence of numbers, got {grid!r}")
+    grid = tuple(map(float, grid))
     # all(t > 0), not any(t <= 0): every comparison with NaN is false
     if not (grid and all(t > 0 for t in grid) and all(b > a for a, b in zip(grid, grid[1:]))):
         raise ConfigError("threshold grid must be strictly increasing and positive")
@@ -292,19 +298,22 @@ def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> lis
     All folds are planned first, batched (one shuffle per distinct pool
     length), then fitted in one kernel call, each as a lone fit
     (core.fit_stack pads the folds to the most rows, and works in blocks
-    under its memory budget). A lone pool fits one fold per call, so it fails
-    and warns as a fold loop does. A grid that check_grid rejects, or seeds
-    not one per pool, is a ConfigError."""
+    under its memory budget). A grid that check_grid rejects, seeds not one
+    per pool, or is_target not one boolean per row of features, is a
+    ConfigError."""
     grid = check_grid(grid)
     if len(seeds) != len(pools):
         raise ConfigError(f"need one CV seed per pool: got {len(seeds)} for {len(pools)} pools")
+    is_target = np.asarray(is_target)
+    if is_target.dtype != bool or is_target.shape != (len(features),):
+        raise ConfigError(f"is_target must hold one boolean per row of features, "
+                          f"{len(features)} in all")
     folds = _cv_plan(pools, is_target, k, seeds)
     per_fold = [[] for _ in pools]
-    depth = config.iterations
-    thresholds = np.asarray(grid)[:, np.newaxis]
-    step = max(1, len(folds)) if len(pools) > 1 else 1
-    for a in range(0, len(folds), step):
-        owners, fits, vals = zip(*folds[a:a + step])
+    if folds:
+        depth = config.iterations
+        thresholds = np.asarray(grid)[:, np.newaxis]
+        owners, fits, vals = zip(*folds)
         scores = fit_stack(features, fits, depth, config.fold, vals, (depth,), config.dist)[depth]
         # (folds, thresholds, validation rows) accepted mask -> folds x thresholds
         # Gmean table. Padding rows are neither accepted nor targets, so they

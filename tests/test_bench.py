@@ -100,6 +100,19 @@ def test_spec_validation():
     assert parse_bench_spec(serialize_bench_spec(spec)) == spec
 
 
+def test_spec_rejects_a_string_where_a_sequence_belongs():
+    # a string used to be split into its characters: datasets "iris" into
+    # ('i', 'r', 'i', 's'), and grid "0.5" into a raw ValueError on '.'
+    with pytest.raises(ConfigError, match="^datasets must be a sequence of names, got 'iris'$"):
+        BenchSpec(datasets="iris")
+    for grid in ("0.5", ("0.5",), (0.5, None), (True,), [0.5, "1.0"]):
+        with pytest.raises(ConfigError, match="^threshold grid must be a sequence of numbers"):
+            BenchSpec(datasets=("iris",), grid=grid)
+    # numbers of any numeric type read as their floats
+    spec = BenchSpec(datasets=["iris"], grid=[np.float32(0.5), 1, np.int64(2)])
+    assert (spec.datasets, spec.grid) == (("iris",), (0.5, 1.0, 2.0))
+
+
 @pytest.mark.parametrize("mode", ["fixed", "grid"])
 @pytest.mark.parametrize("line, message", [
     ("grid = nan, -1", "grid"),
@@ -452,10 +465,11 @@ def _overflow_csv(path, targets=20, big=(0, 1)):
 
 
 @pytest.mark.parametrize("mode", ["fixed", "grid"])
-def test_failing_stack_raises_the_per_repetition_error(tmp_path, mode):
-    """A task whose stacked fit fails raises what a plain train_ref loop over
-    its repetitions raises, type and message."""
-    from refold.core import fit_stack, train_ref
+def test_failing_stack_raises_the_stacked_error(tmp_path, mode):
+    """A task whose stacked fit fails raises what its one fit_stack call
+    raises, type and message. A later repetition fits both 1e308 rows, so
+    the stack fails at iteration 1, before any lone fit would fail."""
+    from refold.core import fit_stack
     from refold.datasets import load_dataset
     from refold.evaluation import make_split_plan
     from refold.rng import derive_seed
@@ -468,27 +482,20 @@ def test_failing_stack_raises_the_per_repetition_error(tmp_path, mode):
     fits = [[i for i in train if ds.labels[i] == "t"] for train, _ in plan.splits]
 
     def first_error(fn):
-        # Exception: under the suite's warning filter an overflow warning
-        # is raised too, and must then be the same one
+        # Exception: under the suite's warning filter the overflow warning
+        # is raised
         with pytest.raises(Exception) as exc:
             fn()
         return type(exc.value), str(exc.value)
 
-    def loop():
-        for fit in fits:
-            train_ref(ds.features[fit], spec.iterations, spec.fold)
-
-    want = first_error(loop)
-    assert want == (NumericError, "non-finite working values at iteration 2")
-    # precondition: the whole stack fails at an earlier iteration (a later
-    # repetition fits both rows), so only a per-repetition replay reproduces
-    # the loop's error
+    assert first_error(lambda: run_benchmark(spec)) == (RuntimeWarning,
+                                                        "overflow encountered in reduce")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stacked = first_error(lambda: fit_stack(ds.features, fits, spec.iterations, spec.fold,
                                                 fits, (), spec.dist))
-    assert stacked == (NumericError, "column total of dimension 2 overflows at iteration 1")
-    assert first_error(lambda: run_benchmark(spec)) == want
+        assert stacked == (NumericError, "column total of dimension 2 overflows at iteration 1")
+        assert first_error(lambda: run_benchmark(spec)) == stacked
 
 
 def test_failing_task_fits_before_selecting(tmp_path):
@@ -561,7 +568,8 @@ GOLDEN_WARNING_GRID = "d9eaf49352d6464f08eb979ba052b456831c3c7db12843487d6acbff7
 
 def test_warning_task_matches_a_plain_loop(tmp_path):
     """A task whose stacked pass only warns reports what a train_ref and
-    score loop over its repetitions gives, and warns as that loop does."""
+    score loop over its repetitions gives, and warns once per stacked call:
+    the loop warns once per repetition."""
     from refold.core import score, train_ref
     from refold.datasets import load_dataset
     from refold.evaluation import make_split_plan
@@ -587,14 +595,16 @@ def test_warning_task_matches_a_plain_loop(tmp_path):
     want, want_warnings = _recorded(loop)
     assert want_warnings == [(RuntimeWarning, "invalid value encountered in cos")] * 4
     report, got_warnings = _recorded(lambda: run_benchmark(spec, str(tmp_path)))
-    assert got_warnings == want_warnings
+    assert got_warnings == want_warnings[:1]
     runs = [r for r in report.runs if r.task == "warn1"]  # warn2 targets the outliers
     assert [(r.tp, r.fn, r.tn, r.fp) for r in runs] == want
     assert [r.split_seed for r in runs] == list(plan.split_seeds)
 
     grid = replace(spec, threshold_mode="grid", include_base=True)
     report, got_warnings = _recorded(lambda: run_benchmark(grid, str(tmp_path)))
-    assert got_warnings == [(RuntimeWarning, "invalid value encountered in cos")] * 16
+    # one for the fits and scores, one for the ref variant's selection: the
+    # baseline's one step folds nothing
+    assert got_warnings == [(RuntimeWarning, "invalid value encountered in cos")] * 2
     assert _sha256(report.deterministic_text()) == GOLDEN_WARNING_GRID
 
 
@@ -610,9 +620,9 @@ def test_grid_mode_records_selected_thresholds(synthetic_csv):
 
 @pytest.mark.parametrize("mode", ["fixed", "grid"])
 def test_one_repetition_runs_as_the_first_of_five(data_dir, mode, monkeypatch):
-    """A one-repetition run selects its thresholds on a lone pool, one CV fold
-    per kernel call; its rows are the first repetition's rows of the same
-    spec with five repetitions, whose CV fits are batched per variant."""
+    """A one-repetition run selects its thresholds on a lone pool, all of its
+    CV folds in one kernel call per variant, as a run with five repetitions
+    does; its rows are the first repetition's rows of that run."""
     import refold.evaluation
 
     calls = []
@@ -625,9 +635,9 @@ def test_one_repetition_runs_as_the_first_of_five(data_dir, mode, monkeypatch):
     calls.clear()
     one = run_benchmark(replace(spec, repetitions=1), data_dir).runs
     if mode == "grid":
-        # 3 tasks x 2 variants: one call each, or one per fold of 5
+        # 3 tasks x 2 variants: one call each, with every fold of 5
         assert len(batched) == 6 and min(batched) > 1
-        assert calls == [1] * 30
+        assert calls == [5] * 6
     assert len(one) == 6
     assert one == tuple(r for r in five if r.repetition == 1)
 

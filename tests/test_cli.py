@@ -18,6 +18,17 @@ from refold.model_io import load_model
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+def child_env() -> dict:
+    """A minimal environment for a child `python -m refold`: refold on its
+    path, and PYTHONDONTWRITEBYTECODE carried through when it is set, so that
+    the child writes no __pycache__ into a tree that the parent keeps free
+    of them."""
+    env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
 def write_iris_subset(tmp_path):
     src = REPO_ROOT / "data" / "iris.csv"
     dst = tmp_path / "iris.csv"
@@ -345,7 +356,7 @@ def test_overflow_warning_is_one_refold_line(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "refold", "train", "--data", str(data), "--out", str(out)],
         capture_output=True, text=True, cwd=str(REPO_ROOT),
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == (
@@ -359,7 +370,7 @@ def run_module(args, **kwargs):
     """`python <args>` in a child process, with refold importable."""
     return subprocess.run(
         [sys.executable, *args], capture_output=True, cwd=str(REPO_ROOT),
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}, **kwargs,
+        env=child_env(), **kwargs,
     )
 
 
@@ -391,6 +402,46 @@ def test_overflow_under_w_error_is_one_error_line(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "refold: error: RuntimeWarning: overflow encountered in reduce\n"
     assert not out.exists()
+
+
+# task -> (its data file's writer, spec lines, stderr of `refold bench`)
+BENCH_TASKS = {
+    # the stack of all 6 repetitions fails where its overflowing total warns
+    "overflow": ("_overflow_csv", "fold = sqr\nrepetitions = 6\nseed = 5\n",
+                 "refold: warning: overflow encountered in reduce\n"
+                 "refold: error: NumericError: column total of dimension 2 overflows"
+                 " at iteration 1\n"),
+    # standardized outliers overflow, and cos turns them into NaN
+    "warning": ("_warning_csv", "fold = cos\nrepetitions = 4\nseed = 3\ninclude_base = true\n",
+                "refold: warning: invalid value encountered in cos\n"),
+}
+
+
+@pytest.mark.parametrize("mode", ["fixed", "grid"])
+@pytest.mark.parametrize("task", BENCH_TASKS)
+def test_bench_task_that_fails_or_warns(tmp_path, task, mode):
+    """A bench task fails or warns as its stacked kernel calls do: numpy's
+    warning prints as one refold line, and a failure ends the command with
+    the one error line and exit 1; under -W error the warning is that line."""
+    import test_bench
+
+    writer, spec, stderr = BENCH_TASKS[task]
+    getattr(test_bench, writer)(tmp_path / f"{task}.csv")
+    (tmp_path / "t.spec").write_text(
+        f"datasets = {task}.csv\niterations = 5\ncv_folds = 3\nthreshold_mode = {mode}\n{spec}",
+        encoding="utf-8")
+    out = tmp_path / "report.csv"
+    argv = ["-m", "refold", "bench", "--spec", str(tmp_path / "t.spec"),
+            "--data-dir", str(tmp_path), "--out", str(out)]
+    proc = run_module(argv, text=True)
+    failed = "refold: error:" in stderr
+    assert (proc.returncode, proc.stderr) == (int(failed), stderr)
+    assert proc.stdout == ("" if failed else f"{out}\n")
+    assert out.exists() != failed
+    warning = stderr.splitlines()[0].replace("refold: warning: ", "")
+    proc = run_module(["-W", "error", *argv], text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"refold: error: RuntimeWarning: {warning}\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -614,6 +665,56 @@ def test_drop_column_outside_file_rejected(trained_model, capsys):
     assert "drop column 99 outside 0..4" in line
 
 
+# numbers with a digit separator, and a non-ASCII digit (Arabic-Indic 3),
+# which int() and float() accept but spec, data and model files refuse
+SEPARATED = ("1_0", "\u0663")
+
+
+@pytest.mark.parametrize("value", SEPARATED)
+@pytest.mark.parametrize("argv, kind", [
+    (["train", "--data", "d", "--out", "m", "--iters"], "int"),
+    (["curve", "--spec", "s", "--task", "Iris1", "--rep"], "int"),
+    (["probe", "--sizes", "2", "--dim"], "int"),
+    (["probe", "--sizes", "2", "--iters"], "int"),
+    (["probe", "--sizes", "2", "--seed"], "int"),
+    (["probe", "--sizes", "2", "--repeats"], "int"),
+    (["predict", "--model", "m", "--data", "d", "--threshold"], "float"),
+    (["eval", "--model", "m", "--data", "d", "--target-class", "t", "--threshold"], "float"),
+])
+def test_number_flags_follow_the_token_rule(capsys, argv, kind, value):
+    # argparse's own usage error, as for --iters abc
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    assert exc.value.code == 2
+    assert f"{argv[-1]}: invalid {kind} value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", SEPARATED)
+def test_index_lists_follow_the_token_rule(trained_model, tmp_path, capsys, value):
+    model_path, data = trained_model
+    capsys.readouterr()
+    rc = main(["predict", "--model", model_path, "--data", data,
+               "--label-column", "last", "--drop-columns", f"0,{value}"])
+    line = single_error_line(capsys, rc, "ConfigError")
+    assert line.endswith(f"--drop-columns must be integers, got '0,{value}'")
+    rc = main(["probe", "--sizes", f"2 {value}", "--out", str(tmp_path / "p.csv")])
+    line = single_error_line(capsys, rc, "ConfigError")
+    assert line.endswith(f"--sizes must be integers, got '2 {value}'")
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("value", SEPARATED)
+def test_label_column_index_follows_the_token_rule(tmp_path, capsys, value):
+    # not an index, so a header name: here the labels' own column
+    data = tmp_path / "named.csv"
+    data.write_text(f"a,{value},b\n" + "".join(f"{i},{'to'[i % 3 == 0]},{i * i}\n"
+                                               for i in range(12)), encoding="utf-8")
+    rc = main(["train", "--data", str(data), "--header", "--label-column", value,
+               "--target-class", "t", "--out", str(tmp_path / "m.refold")])
+    assert rc == 0
+    assert capsys.readouterr().out == "J=101 D=2 N=8\n"
+
+
 def test_predict_label_free_with_header_and_drop(trained_model, tmp_path, capsys):
     model_path, data = trained_model
     rows = (REPO_ROOT / "data" / "iris.csv").read_text().splitlines()[:3]
@@ -684,7 +785,7 @@ def assert_stdout_error(args, stdout, prefix=()):
     proc = subprocess.run(
         [*prefix, sys.executable, "-m", "refold", *map(str, args)],
         stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=str(REPO_ROOT),
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()
@@ -784,7 +885,7 @@ def test_module_entry_point_runs():
         capture_output=True,
         text=True,
         cwd=str(REPO_ROOT),
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "train" in proc.stdout and "probe" in proc.stdout
