@@ -43,7 +43,6 @@ from .core import (
     DEFAULT_FOLD,
     DEFAULT_ITERATIONS,
     DEFAULT_THRESHOLD,
-    check_threshold,
     fit_stack,
     train_ref,
 )
@@ -55,18 +54,15 @@ from .evaluation import (
     DEFAULT_THRESHOLD_GRID,
     DEFAULT_TRAIN_FRACTION,
     OccTask,
-    check_cv_folds,
     check_grid,
-    check_repetitions,
-    check_train_fraction,
     confusion_counts,
     gmeans,
     make_occ_tasks,
     make_split_plan,
     select_thresholds,
 )
-from .rng import GENERATOR_NAME, check_integer, check_seed, derive_seed
-from .textio import format_float as _fmt, parse_float, parse_int, read_text
+from .rng import GENERATOR_NAME, derive_seed
+from .textio import check, check_int, format_float as _fmt, parse_float, parse_int, read_text
 
 REPORT_VERSION = "refold-bench-report-v1"
 CURVE_VERSION = "refold-curve-v1"
@@ -98,9 +94,10 @@ class BenchSpec:
     include_base: bool = False
 
     def __post_init__(self):
-        if isinstance(self.datasets, str):
-            raise ConfigError(f"datasets must be a sequence of names, got {self.datasets!r}")
-        object.__setattr__(self, "datasets", tuple(self.datasets))
+        datasets = self.datasets if isinstance(self.datasets, str) else tuple(self.datasets)
+        if isinstance(datasets, str) or not all(isinstance(name, str) for name in datasets):
+            raise ConfigError(f"datasets must be a sequence of names, got {datasets!r}")
+        object.__setattr__(self, "datasets", datasets)
         object.__setattr__(self, "grid", check_grid(self.grid))
         if not self.datasets:
             raise ConfigError("spec lists no datasets")
@@ -110,11 +107,8 @@ class BenchSpec:
                 f"threshold_mode must be 'fixed' or 'grid', got {self.threshold_mode!r}"
             )
         # every field is checked in both modes: all of them go into the spec hash
-        check_threshold(self.threshold)
-        check_cv_folds(self.cv_folds)
-        check_train_fraction(self.train_fraction)
-        check_repetitions(self.repetitions)
-        check_seed(self.seed)
+        for name in ("threshold", "cv_folds", "train_fraction", "repetitions", "seed"):
+            check(name, getattr(self, name))
 
     @property
     def config(self) -> ClassifierConfig:
@@ -448,11 +442,7 @@ def learning_curve(
     """
     if spec.threshold_mode != "fixed":
         raise ConfigError("learning curves are defined for fixed thresholds only")
-    check_integer("repetition", repetition)
-    if not 1 <= repetition <= spec.repetitions:
-        raise ConfigError(
-            f"repetition {repetition} outside 1..{spec.repetitions}"
-        )
+    check_int("repetition", repetition, 1, spec.repetitions)
     for ordinal, ds, task in _resolve_tasks(spec, data_dir):
         if task.name == task_name:
             break
@@ -517,18 +507,14 @@ def timing_probe(
     inputs; medians damp scheduler noise.
     """
     sizes = list(sizes)
+    if not sizes:
+        raise ConfigError("probe needs at least one size")
     for n in sizes:
-        check_integer("probe size", n)
-    if not sizes or any(n < 2 for n in sizes):
-        raise ConfigError("probe sizes must all be >= 2")
-    check_integer("probe dim", dim)
-    if dim < 1:
-        raise ConfigError("probe dim must be >= 1")
-    check_seed(seed)
-    check_integer("repeats", repeats)
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-    ClassifierConfig(iterations=iterations)  # validates before any matrix is drawn
+        check("probe size", n)
+    check("probe dim", dim)
+    check("seed", seed)
+    check("repeats", repeats)
+    check("iterations", iterations)
     rows = []
     for i, n in enumerate(sizes):
         rng = np.random.default_rng(derive_seed(seed, i))

@@ -26,7 +26,6 @@ from .core import (
     FOLD_OPS,
     TARGET,
     OUTLIER,
-    check_threshold,
     score,
     train_ref,
 )
@@ -41,7 +40,7 @@ from .datasets import (
 from .errors import ConfigError, RefoldError
 from .evaluation import confusion_counts, gmeans
 from .model_io import load_model, save_model
-from .textio import parse_float, parse_int, write_stdout, write_text
+from .textio import check, parse_float, parse_int, write_stdout, write_text
 
 
 def _add_schema_flags(parser, label_default: str):
@@ -120,7 +119,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     threshold = args.threshold
-    check_threshold(threshold)
+    check("threshold", threshold)
     model = load_model(args.model)
     # one chunk is scored at a time; its lines are written only once the
     # last chunk has parsed, so a failing command prints nothing
@@ -138,7 +137,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    check_threshold(args.threshold)
+    check("threshold", args.threshold)
     model = load_model(args.model)
     target = args.target_class
     # integer counts, summed chunk by chunk, are exact

@@ -47,7 +47,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .rng import check_integer
+from .textio import check, check_int
 
 FOLD_OPS = ("abs", "sqr", "cos_abs", "cos", "sin", "tanh")
 DISTANCES = ("l1", "l2")
@@ -153,12 +153,6 @@ def _check_distance(dist: str) -> None:
         raise ConfigError(f"unknown distance {dist!r}; expected one of {DISTANCES}")
 
 
-def check_threshold(threshold: float) -> None:
-    """Reject a decision threshold that is not > 0, NaN included."""
-    if not threshold > 0:
-        raise ConfigError(f"threshold must be > 0, got {threshold}")
-
-
 # eq=False: a generated __eq__ would compare the arrays element-wise and
 # raise on their ambiguous truth value; models compare by identity instead
 @dataclass(frozen=True, eq=False)
@@ -211,11 +205,7 @@ class RefModel:
 
         Valid because step i of training depends only on steps before it.
         """
-        check_integer("truncation depth", iterations)
-        if not 1 <= iterations <= self.iterations:
-            raise ConfigError(
-                f"truncation depth {iterations} outside 1..{self.iterations}"
-            )
+        check_int("truncation depth", iterations, 1, self.iterations)
         return RefModel(self.mu[:iterations], self.sigma[:iterations], self.fold)
 
 
@@ -230,9 +220,7 @@ class ClassifierConfig:
     def __post_init__(self):
         _check_fold(self.fold)
         _check_distance(self.dist)
-        check_integer("iterations", self.iterations)
-        if self.iterations < 1:
-            raise ConfigError("iterations must be an integer >= 1")
+        check("iterations", self.iterations)
 
 
 def _as_samples(
@@ -286,9 +274,10 @@ def fit_stack(X: np.ndarray, fit, iterations: int, fold: str, rows, depths,
     """
     _check_fold(fold)
     _check_distance(dist)
+    check("iterations", iterations)
     wanted = set(depths)
-    if not wanted <= set(range(1, iterations + 1)):
-        raise ConfigError(f"scoring depths must lie in 1..{iterations}")
+    for depth in wanted:
+        check_int("scoring depth", depth, 1, iterations)
     if X.shape[1] == 0:
         raise ShapeError("training data needs at least one feature dimension")
     if len(fit) == 0 or len(rows) != len(fit):

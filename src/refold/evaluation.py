@@ -21,14 +21,14 @@ each drawn by one vectorized shuffle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from .core import _check_rows, fit_stack
 from .errors import ConfigError, EvaluationError, SelectionError
-from .rng import SplitMix64, check_integer, check_seed, derive_seed
+from .rng import SplitMix64, derive_seed
+from .textio import check, is_real
 
 DEFAULT_TRAIN_FRACTION = 0.7
 DEFAULT_REPETITIONS = 5
@@ -97,23 +97,6 @@ def make_occ_tasks(dataset) -> list[OccTask]:
     ]
 
 
-def check_train_fraction(fraction: float) -> None:
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {fraction}")
-
-
-def check_repetitions(repetitions: int) -> None:
-    check_integer("repetitions", repetitions)
-    if repetitions < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-
-
-def check_cv_folds(k: int) -> None:
-    check_integer("cv_folds", k)
-    if k < 2:
-        raise ConfigError(f"cv_folds must be >= 2, got {k}")
-
-
 def make_split_plan(
     labels: Sequence[str],
     target_class: str,
@@ -127,9 +110,9 @@ def make_split_plan(
     SplitMix64.shuffle call, one stream per repetition, and then the
     outliers in a second call on the same streams.
     """
-    check_train_fraction(train_fraction)
-    check_repetitions(repetitions)
-    check_seed(seed)
+    check("train_fraction", train_fraction)
+    check("repetitions", repetitions)
+    check("seed", seed)
     is_target = np.array([lab == target_class for lab in labels], dtype=bool)
     if not is_target.any():
         raise ConfigError(f"target class {target_class!r} has no samples")
@@ -214,8 +197,7 @@ def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     """Thresholds as floats: a sequence of numbers, not a string, that is
     non-empty, positive, strictly increasing and free of NaN."""
     grid = grid if isinstance(grid, str) else tuple(grid)
-    if isinstance(grid, str) or not all(isinstance(t, Real) and not isinstance(t, bool)
-                                        for t in grid):
+    if isinstance(grid, str) or not all(map(is_real, grid)):
         raise ConfigError(f"threshold grid must be a sequence of numbers, got {grid!r}")
     grid = tuple(map(float, grid))
     # all(t > 0), not any(t <= 0): every comparison with NaN is false
@@ -236,11 +218,11 @@ def _cv_plan(pools, is_target, k: int, seeds) -> list[tuple[int, np.ndarray, np.
     classes and on a fold with fewer than 2 training targets. Planning is
     batched: the folds of all pools are planned first, in one shuffle per
     distinct pool length, then checked pool by pool, so that the error
-    raised is that of a loop over the pools. Only k's type and the seeds,
-    which the planning itself would misread, are checked before it."""
-    check_integer("cv_folds", k)
+    raised is that of a loop over the pools. k and the seeds, which the
+    planning itself would misread, are checked before it."""
+    check("cv_folds", k)
     for seed in seeds:
-        check_seed(seed)
+        check("seed", seed)
     folds = _kfolds([len(pool) for pool in pools], k, seeds)
     plan = []
     for p, pool in enumerate(pools):
@@ -253,7 +235,6 @@ def _cv_plan(pools, is_target, k: int, seeds) -> list[tuple[int, np.ndarray, np.
                 "training pool has no outliers for validation; "
                 "use the default threshold T=1 instead of grid selection"
             )
-        check_cv_folds(k)
         if k > len(pool):
             raise ConfigError(f"cannot make {k} folds from {len(pool)} items")
         for fold_train, val in folds[p]:

@@ -58,20 +58,6 @@ def derive_seed(seed: int, *path: int) -> int:
     return s
 
 
-def check_integer(name: str, value) -> None:
-    """Reject a value that is not an int or numpy integer, bools included:
-    a spec field holding one would not read back from its serialized form."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def check_seed(seed: int) -> None:
-    """Reject a non-integral seed, and one that derive_seed (mod 2**64) would alias."""
-    check_integer("seed", seed)
-    if not 0 <= seed <= _MASK64:
-        raise ConfigError("seed must be in 0..2**64-1")
-
-
 def _output(z: np.ndarray) -> np.ndarray:
     """mix64 without its increment, in place on an array of advanced states.
     Only arrays are used: numpy scalar uint64 arithmetic warns on wraparound."""

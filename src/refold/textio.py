@@ -1,17 +1,26 @@
 """UTF-8 text files with LF line endings; floats written at 17 significant
-digits, and numbers read back under one strict token rule.
+digits, numbers read back under one strict token rule, and the value rule of
+every numeric parameter.
 
 read_lines is the one reader: data, model and spec files are all opened,
 decoded and split there. Failed reads and writes raise RefoldError
-subclasses naming the path or stdout."""
+subclasses naming the path or stdout. check(name, value) holds a parameter
+to its rule and bounds in PARAMETERS; a count stops at COUNT_MAX."""
 
 from __future__ import annotations
 
 import os
 import sys
 from itertools import islice
+from numbers import Integral, Real
 
-from .errors import OutputError, RefoldError
+from .errors import ConfigError, OutputError, RefoldError
+
+# the largest count: below 2**30, so that an array sized by two counts holds
+# fewer than 2**63 bytes of float64 and numpy raises MemoryError for it, where
+# a larger one raises a raw ValueError
+COUNT_MAX = 10**9
+_SHOWN = {2**64 - 1: "2**64-1"}
 
 
 def format_float(x: float) -> str:
@@ -35,6 +44,54 @@ def parse_int(token: str) -> int:
     if "_" in token or not token.isascii():
         raise ValueError(f"invalid literal for int() with base 10: {token!r}")
     return int(token)
+
+
+def check_int(name: str, value, low: int, high: int | None) -> None:
+    """Reject a value that is not an int or numpy integer (a bool or a fraction
+    would not read back from a spec), or outside low..high; high None: a count."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    top, shown = (COUNT_MAX, "10**9") if high is None else (high, _SHOWN.get(high, high))
+    if not low <= value <= top:
+        span = f">= {low}" if high is None and value < low else f"in {low}..{shown}"
+        raise ConfigError(f"{name} must be {span}, got {value}")
+
+
+def is_real(value) -> bool:
+    """A real number of any numeric type, not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def check_real(name: str, value, low: float, high: float | None) -> None:
+    """Reject a value that is not a real number (bools and strings included),
+    or NaN, or one outside the open interval (low, high); high None: no bound."""
+    if not is_real(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not (low < value and (high is None or value < high)):
+        span = f"> {low}" if high is None else f"in ({low}, {high})"
+        raise ConfigError(f"{name} must be {span}, got {value}")
+
+
+# each named parameter's rule and bounds. A range set by a model or a spec
+# (a truncation or scoring depth in 1..J, a repetition in 1..R) is passed to
+# check_int at the call. derive_seed works mod 2**64: a larger seed aliases.
+PARAMETERS = {
+    "iterations": (check_int, 1, None),
+    "repetitions": (check_int, 1, None),
+    "cv_folds": (check_int, 2, None),
+    "probe size": (check_int, 2, None),
+    "probe dim": (check_int, 1, None),
+    "repeats": (check_int, 1, None),
+    "seed": (check_int, 0, 2**64 - 1),
+    "threshold": (check_real, 0, None),
+    "train_fraction": (check_real, 0, 1),
+}
+
+
+def check(name: str, value) -> None:
+    """Hold value to the named parameter's rule and bounds: else a ConfigError."""
+    rule, low, high = PARAMETERS[name]
+    rule(name, value, low, high)
 
 
 def read_lines(path, error: type[RefoldError], count: int):

@@ -113,6 +113,22 @@ def test_spec_rejects_a_string_where_a_sequence_belongs():
     assert (spec.datasets, spec.grid) == (("iris",), (0.5, 1.0, 2.0))
 
 
+def test_spec_names_and_numbers_hold_their_types():
+    # a path or None among the datasets used to fail in the spec hash's join
+    # or in os.path.join, a string number with a raw TypeError, and a bool
+    # threshold passed
+    for datasets in ((Path("data/iris.csv"),), (None,), ["iris", 1]):
+        with pytest.raises(ConfigError, match="^datasets must be a sequence of names, got "):
+            BenchSpec(datasets=datasets)
+    for field in ("threshold", "train_fraction"):
+        for value in ("0.5", True, None):
+            with pytest.raises(ConfigError) as exc:
+                BenchSpec(datasets=("iris",), **{field: value})
+            assert str(exc.value) == f"{field} must be a number, got {value!r}"
+    spec = BenchSpec(datasets=("iris",), threshold=np.float32(0.5), train_fraction=1 / 3)
+    assert (spec.threshold, spec.train_fraction) == (0.5, 1 / 3)
+
+
 @pytest.mark.parametrize("mode", ["fixed", "grid"])
 @pytest.mark.parametrize("line, message", [
     ("grid = nan, -1", "grid"),
@@ -761,6 +777,11 @@ def test_curve_unknown_task_or_rep(synthetic_csv):
     for bad in (True, 1.5):
         with pytest.raises(ConfigError, match=f"^repetition must be an integer, got {bad}$"):
             learning_curve(spec, "blob1", bad)
+    # a range set by the spec reads "in 1..R", even where R is the count bound
+    for reps in (2, 10**9):
+        spec = BenchSpec(datasets=(synthetic_csv,), iterations=3, repetitions=reps)
+        with pytest.raises(ConfigError, match=f"^repetition must be in 1..{reps}, got 0$"):
+            learning_curve(spec, "blob1", 0)
 
 
 def test_curve_text_format(synthetic_csv):
@@ -815,7 +836,7 @@ def test_probe_checks_iterations_before_drawing_data(monkeypatch):
         raise AssertionError("probe data generated before iterations was checked")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    with pytest.raises(ConfigError, match="iterations must be an integer >= 1"):
+    with pytest.raises(ConfigError, match="^iterations must be >= 1, got 0$"):
         timing_probe([400_000], iterations=0)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,20 @@ def child_env() -> dict:
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return env
+
+
+def run_limited(args):
+    """`python -m refold *args` in a child process whose address space is
+    capped at 1 GiB, killed after 120 seconds: a count that sizes work before
+    it is checked fails in the child, never in the test process. The limit is
+    set on the child alone, and one BLAS thread keeps the child's reserved
+    memory apart from the host's core count."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "refold", *args], capture_output=True,
+                          text=True, cwd=str(REPO_ROOT), preexec_fn=cap, timeout=120,
+                          env={**child_env(), "OPENBLAS_NUM_THREADS": "1"})
 
 
 def write_iris_subset(tmp_path):
@@ -336,13 +351,48 @@ def single_error_line(capsys, rc, error_type):
 
 
 def test_memory_error_is_one_error_line(tmp_path, capsys):
-    # numpy refuses this 142 PiB matrix before allocating any of it
-    argv = ["probe", "--sizes", "1000000000000000", "--repeats", "1", "--iters", "1",
-            "--out", str(tmp_path / "probe.csv")]
+    # the largest probe that the count bound admits: numpy refuses this
+    # 6.94 EiB matrix before allocating any of it
+    argv = ["probe", "--sizes", "1000000000", "--dim", "1000000000", "--repeats", "1",
+            "--iters", "1", "--out", str(tmp_path / "probe.csv")]
     line = single_error_line(capsys, main(argv), "MemoryError")
-    assert line.endswith("Unable to allocate 142. PiB for an array with shape "
-                         "(1000000000000000, 20) and data type float64")
+    assert line.endswith("Unable to allocate 6.94 EiB for an array with shape "
+                         "(1000000000, 1000000000) and data type float64")
     assert not (tmp_path / "probe.csv").exists()
+
+
+HOSTILE_COUNTS = ("99999999999999999999", "9223372036854775808")
+
+
+@pytest.mark.parametrize("value", HOSTILE_COUNTS)
+@pytest.mark.parametrize("where, name, low", [
+    ("train --iters", "iterations", 1),
+    ("probe --dim", "probe dim", 1),
+    ("probe --sizes", "probe size", 2),
+    ("spec iterations", "iterations", 1),
+    ("spec repetitions", "repetitions", 1),
+])
+def test_hostile_count_is_one_config_error(tmp_path, where, name, low, value):
+    """A count of about 10**20 or of 2**63 is refused before it sizes any
+    work. Without the bound these end in a raw ValueError traceback or, for
+    the spec's counts, in memory that grows until it runs out, so each runs
+    in a child process under an address-space limit."""
+    command, key = where.split()
+    out = tmp_path / "out"
+    if command == "train":
+        args = ["train", "--data", str(REPO_ROOT / "data" / "iris.csv"), "--iters", value]
+    elif command == "probe":
+        flags = {"--sizes": "100", "--dim": "2", key: value}
+        args = ["probe", *(t for flag in flags.items() for t in flag), "--iters", "3"]
+    else:
+        spec = tmp_path / "hostile.spec"
+        spec.write_text(f"datasets = iris\n{key} = {value}\n", encoding="utf-8")
+        args = ["bench", "--spec", str(spec), "--data-dir", str(REPO_ROOT / "data")]
+    proc = run_limited([*args, "--out", str(out)])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"refold: error: ConfigError: {name} must be in "
+                           f"{low}..10**9, got {value}\n")
+    assert not out.exists()
 
 
 def test_overflow_warning_is_one_refold_line(tmp_path):

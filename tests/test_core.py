@@ -540,6 +540,29 @@ def test_fit_stack_lets_the_fit_rows_go_before_scoring():
     assert peak < 1.75 * fit_bytes, peak / fit_bytes
 
 
+def test_fit_stack_depth_check_takes_memory_that_does_not_grow_with_j():
+    """A depth past J fails its check at the same small traced peak at
+    J = 10**4 and J = 10**6: the check compares bounds. A set of 1..J
+    peaked at 0.84 MB at J = 10**4 and at 8.8 MB at J = 10**5."""
+    import tracemalloc
+
+    X = np.random.default_rng(4).normal(size=(5, 2))
+    peaks = []
+    # the first call's one-time costs (pytest.raises compiling its pattern)
+    # are left out of the compared peaks
+    for j in (10**4, 10**4, 10**6):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^scoring depth must be in") as exc:
+                fit_stack(X, [np.arange(5)], j, "abs", [np.arange(5)], (j + 1,), "l1")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"scoring depth must be in 1..{j}, got {j + 1}"
+    # the same up to the bytes of the longer message and numbers
+    assert abs(peaks[2] - peaks[1]) < 1000 and max(peaks) < 100_000, peaks
+
+
 # --------------------------------------------------------- summation order
 
 @pytest.mark.parametrize("shape", [(5000, 2), (3000, 17), (1000, 1), (2, 9),

@@ -132,6 +132,10 @@ def test_split_plan_errors():
 @pytest.mark.parametrize("field, value, message, direct", [
     ("train_fraction", 1.0, "train_fraction must be in (0, 1), got 1.0",
      lambda v: make_split_plan(["t", "o"], "t", train_fraction=v)),
+    ("train_fraction", "0.5", "train_fraction must be a number, got '0.5'",
+     lambda v: make_split_plan(["t", "o"], "t", train_fraction=v)),
+    ("repetitions", 10**20, "repetitions must be in 1..10**9, got 100000000000000000000",
+     lambda v: make_split_plan(["t", "o"], "t", repetitions=v)),
     ("repetitions", 0, "repetitions must be >= 1, got 0",
      lambda v: make_split_plan(["t", "o"], "t", repetitions=v)),
     ("cv_folds", 1, "cv_folds must be >= 2, got 1", lambda v: _select_on_a_small_pool(k=v)),

@@ -377,10 +377,12 @@ def cli_data_files(draw):
     return data
 
 
+# counts of about 10**20 and of 2**63, past int64: refused before they size work
+HOSTILE_COUNTS = ("99999999999999999999", "9223372036854775808")
 train_flags = st.builds(
-    lambda target, fold, iters: [*target, "--fold", fold, "--iters", str(iters)],
+    lambda target, fold, iters: [*target, "--fold", fold, "--iters", iters],
     st.sampled_from(([], ["--target-class", "t"])), st.sampled_from(FOLD_OPS),
-    st.integers(1, 4),
+    st.sampled_from(("1", "2", "3", "4", *HOSTILE_COUNTS)),
 )
 use_flags = st.builds(
     lambda command, dist, threshold, label: [
@@ -394,7 +396,8 @@ use_flags = st.builds(
 # spec values of each key: as often a small one, so that a spec that runs is
 # cheap, as one a strict reader or a spec check refuses
 spec_ints = st.one_of(st.sampled_from(("2", "3", "1")),
-                      st.sampled_from(("0", "-1", "+2", "1.5", "1_0", "\u0665", "", "x")))
+                      st.sampled_from(("0", "-1", "+2", "1.5", "1_0", "\u0665", "", "x",
+                                       *HOSTILE_COUNTS)))
 spec_floats = st.one_of(st.sampled_from(("0.5", "0.9", "1", "inf")),
                         st.sampled_from(("0", "-1", "nan", "1e400", "1_0.5", "\u0661", "", "x")))
 spec_values = {
@@ -441,8 +444,9 @@ def cli_spec_runs(draw):
     return data, blob.encode("utf-8")
 
 
-curve_flags = st.builds(lambda task, rep: ["--task", task, "--rep", str(rep)],
-                        st.sampled_from(("blob1", "blob2", "rows1", "x")), st.integers(0, 3))
+curve_flags = st.builds(lambda task, rep: ["--task", task, "--rep", rep],
+                        st.sampled_from(("blob1", "blob2", "rows1", "x")),
+                        st.sampled_from(("0", "1", "2", "3", *HOSTILE_COUNTS)))
 
 
 @settings(PROPERTY_SETTINGS, max_examples=80)
