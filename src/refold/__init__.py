@@ -15,7 +15,6 @@ from .core import (
     DEFAULT_THRESHOLD,
     DISTANCES,
     FOLD_OPS,
-    ClassifierConfig,
     RefModel,
     distance_to_origin,
     score,

@@ -33,16 +33,16 @@ import hashlib
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    ClassifierConfig,
     DEFAULT_DISTANCE,
     DEFAULT_FOLD,
     DEFAULT_ITERATIONS,
     DEFAULT_THRESHOLD,
+    check_settings,
     fit_stack,
     train_ref,
 )
@@ -62,7 +62,8 @@ from .evaluation import (
     select_thresholds,
 )
 from .rng import GENERATOR_NAME, derive_seed
-from .textio import check, check_int, format_float as _fmt, parse_float, parse_int, read_text
+from .textio import (as_tuple, check, check_int, format_float as _fmt, parse_float, parse_int,
+                     read_text)
 
 REPORT_VERSION = "refold-bench-report-v1"
 CURVE_VERSION = "refold-curve-v1"
@@ -94,14 +95,14 @@ class BenchSpec:
     include_base: bool = False
 
     def __post_init__(self):
-        datasets = self.datasets if isinstance(self.datasets, str) else tuple(self.datasets)
-        if isinstance(datasets, str) or not all(isinstance(name, str) for name in datasets):
-            raise ConfigError(f"datasets must be a sequence of names, got {datasets!r}")
+        datasets = as_tuple(self.datasets)
+        if datasets is None or not all(isinstance(name, str) for name in datasets):
+            raise ConfigError(f"datasets must be a sequence of names, got {self.datasets!r}")
         object.__setattr__(self, "datasets", datasets)
         object.__setattr__(self, "grid", check_grid(self.grid))
         if not self.datasets:
             raise ConfigError("spec lists no datasets")
-        ClassifierConfig(self.fold, self.iterations, self.dist)  # validates
+        check_settings(self.fold, self.iterations, self.dist)
         if self.threshold_mode not in ("fixed", "grid"):
             raise ConfigError(
                 f"threshold_mode must be 'fixed' or 'grid', got {self.threshold_mode!r}"
@@ -109,10 +110,6 @@ class BenchSpec:
         # every field is checked in both modes: all of them go into the spec hash
         for name in ("threshold", "cv_folds", "train_fraction", "repetitions", "seed"):
             check(name, getattr(self, name))
-
-    @property
-    def config(self) -> ClassifierConfig:
-        return ClassifierConfig(self.fold, self.iterations, self.dist)
 
 
 def _list(v: str) -> tuple[str, ...]:
@@ -319,25 +316,6 @@ def _stage(seconds: dict[str, float], name: str):
         seconds[name] += time.perf_counter() - started
 
 
-def _task_stacked(spec, variants, X, train, test, flags, cv_seeds, seconds):
-    """(thresholds, scores) per variant: every repetition at once, fitting
-    and scoring before selecting thresholds."""
-    with _stage(seconds, "fit_score"):
-        fit = train[flags[train]].reshape(len(train), -1)
-        scores = fit_stack(X, fit, spec.iterations, spec.fold, test,
-                           {depth for _, depth, _ in variants}, spec.dist)
-    thresholds = {}
-    with _stage(seconds, "select"):
-        for name, depth, _ in variants:
-            thresholds[name] = (
-                select_thresholds(X, train, flags, replace(spec.config, iterations=depth),
-                                  spec.grid, spec.cv_folds, cv_seeds[name])
-                if spec.threshold_mode == "grid"
-                else [spec.threshold] * len(train)
-            )
-    return thresholds, {name: scores[depth] for name, depth, _ in variants}
-
-
 def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
     """Execute the spec; the report above its timing section depends only on
     (spec, seed).
@@ -360,30 +338,36 @@ def run_benchmark(spec: BenchSpec, data_dir: str | None = None) -> BenchReport:
         seconds = dict.fromkeys(_TIMING_STAGES, 0.0)
         with _stage(seconds, "plan"):
             split_seeds, train, test, flags = _plan_arrays(spec, ds, task, ordinal)
-        cv_seeds = {
-            name: [derive_seed(spec.seed, ordinal, stream, rep)
-                   for rep in range(spec.repetitions)]
-            for name, _, stream in variants
-        }
-        thresholds, scores = _task_stacked(
-            spec, variants, ds.features, train, test, flags, cv_seeds, seconds
-        )
+        # every repetition at once: the fits and scores, then the thresholds
         with _stage(seconds, "fit_score"):
-            for name, records in runs.items():
-                accepted = scores[name] <= np.asarray(thresholds[name])[:, np.newaxis]
+            fit = train[flags[train]].reshape(len(train), -1)
+            scores = fit_stack(ds.features, fit, spec.iterations, spec.fold, test,
+                               {depth for _, depth, _ in variants}, spec.dist)
+        thresholds = {}
+        with _stage(seconds, "select"):
+            for name, depth, stream in variants:
+                if spec.threshold_mode == "fixed":
+                    thresholds[name] = [spec.threshold] * len(train)
+                    continue
+                seeds = [derive_seed(spec.seed, ordinal, stream, rep)
+                         for rep in range(spec.repetitions)]
+                thresholds[name] = select_thresholds(
+                    ds.features, train, flags, spec.grid, spec.cv_folds, seeds,
+                    iterations=depth, fold=spec.fold, dist=spec.dist)
+        with _stage(seconds, "fit_score"):
+            for name, depth, _ in variants:
+                accepted = scores[depth] <= np.asarray(thresholds[name])[:, np.newaxis]
                 counts = confusion_counts(accepted, flags[test])
-                _, _, gmean_of = gmeans(counts)
-                for rep, ((tp, fn, tn, fp), g) in enumerate(zip(counts.tolist(),
-                                                                gmean_of.tolist())):
-                    records.append(RunRecord(
+                gmean_of = gmeans(counts)[2].tolist()
+                for rep, ((tp, fn, tn, fp), g) in enumerate(zip(counts.tolist(), gmean_of)):
+                    runs[name].append(RunRecord(
                         model=name, task=task.name, repetition=rep + 1,
                         split_seed=split_seeds[rep], threshold=thresholds[name][rep],
                         tp=tp, fn=fn, tn=tn, fp=fp, gmean=g,
                     ))
+                pct = [100.0 * g for g in gmean_of]
+                summaries[name].append(TaskSummary(name, task.name, *mean_std(pct)))
         timings.extend((task.name, stage, seconds[stage]) for stage in _TIMING_STAGES)
-        for name, records in runs.items():
-            pct = [100.0 * r.gmean for r in records[-spec.repetitions:]]
-            summaries[name].append(TaskSummary(name, task.name, *mean_std(pct)))
     for name, per_task in summaries.items():
         # overall row: unweighted mean over tasks, in both columns
         overall_mean = sum(s.mean_pct for s in per_task) / len(per_task)
@@ -506,17 +490,17 @@ def timing_probe(
     The generator is seeded per size, so identical seeds reproduce identical
     inputs; medians damp scheduler noise.
     """
-    sizes = list(sizes)
-    if not sizes:
-        raise ConfigError("probe needs at least one size")
-    for n in sizes:
+    counts = as_tuple(sizes)
+    if not counts:
+        raise ConfigError(f"probe sizes must be a non-empty sequence of counts, got {sizes!r}")
+    for n in counts:
         check("probe size", n)
     check("probe dim", dim)
     check("seed", seed)
     check("repeats", repeats)
     check("iterations", iterations)
     rows = []
-    for i, n in enumerate(sizes):
+    for i, n in enumerate(counts):
         rng = np.random.default_rng(derive_seed(seed, i))
         X = rng.normal(size=(n, dim))
         times = []

@@ -7,6 +7,9 @@ re-standardization for a fixed number of iterations. Only the per-iteration
 representation, where classification thresholds the sample's distance to the
 origin (L1 or L2 norm divided by the dimension count). A single iteration,
 with no folding ever applied, is the plain standardize-and-threshold baseline.
+The three settings (fold, iterations, distance) are plain arguments with the
+paper's defaults, held to their rules by check_settings. Every fold works in
+place on the working values.
 
 Numeric conventions, fixed as part of the model format:
   - 64-bit floats throughout.
@@ -118,29 +121,22 @@ def _square_totals(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _fold_matrix(op: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # `out` lets the ufunc folds work in place; cos_abs ignores it, so
-    # callers always use the returned array
-    if op == "abs":
-        return np.abs(z, out=out)
+def _fold_matrix(op: str, z: np.ndarray) -> np.ndarray:
+    """Fold the float64 array z in place; returns z."""
     if op == "sqr":
         # far outliers may overflow to inf here; that is meaningful (the
         # sample scores infinitely far out), not an error
         with np.errstate(over="ignore"):
-            return np.multiply(z, z, out=out)
+            return np.multiply(z, z, out=z)
     if op == "cos_abs":
         # cos on the closed interval [-1, 1], absolute value outside;
-        # discontinuous at +/-1 by construction. errstate: where() evaluates
-        # cos on the discarded branch too, which is invalid for inf inputs.
-        with np.errstate(invalid="ignore"):
-            return np.where(np.abs(z) <= 1.0, np.cos(z), np.abs(z))
-    if op == "cos":
-        return np.cos(z, out=out)
-    if op == "sin":
-        return np.sin(z, out=out)
-    if op == "tanh":
-        return np.tanh(z, out=out)
-    _check_fold(op)  # raises: no other name is a fold
+        # discontinuous at +/-1 by construction. Where cos runs its value is
+        # at least cos(1) > 0, so the absolute value leaves it as it is.
+        np.cos(z, out=z, where=(z >= -1.0) & (z <= 1.0))
+        return np.abs(z, out=z)
+    _check_fold(op)
+    # abs, cos, sin and tanh: each the numpy ufunc of its name
+    return getattr(np, op)(z, out=z)
 
 
 def _check_fold(op: str) -> None:
@@ -151,6 +147,14 @@ def _check_fold(op: str) -> None:
 def _check_distance(dist: str) -> None:
     if dist not in DISTANCES:
         raise ConfigError(f"unknown distance {dist!r}; expected one of {DISTANCES}")
+
+
+def check_settings(fold: str, iterations: int, dist: str = DEFAULT_DISTANCE) -> None:
+    """Hold the classifier's three settings to their rules, in this order:
+    the fold, the distance, then the iteration count; else a ConfigError."""
+    _check_fold(fold)
+    _check_distance(dist)
+    check("iterations", iterations)
 
 
 # eq=False: a generated __eq__ would compare the arrays element-wise and
@@ -209,20 +213,6 @@ class RefModel:
         return RefModel(self.mu[:iterations], self.sigma[:iterations], self.fold)
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Hyperparameters defining one classifier variant."""
-
-    fold: str = DEFAULT_FOLD
-    iterations: int = DEFAULT_ITERATIONS
-    dist: str = DEFAULT_DISTANCE
-
-    def __post_init__(self):
-        _check_fold(self.fold)
-        _check_distance(self.dist)
-        check("iterations", self.iterations)
-
-
 def _as_samples(
     x, what: str = "input", allow_nonfinite: bool = False, copy: bool = False
 ) -> tuple[np.ndarray, bool]:
@@ -241,14 +231,12 @@ def _as_samples(
     return a, single
 
 
-def _replay_step(z: np.ndarray, mu, sigma, fold: str, i: int) -> np.ndarray:
-    """Apply step i (0-based) of a model to the working samples z in place;
-    cos_abs alone returns a new array, so callers use the returned one."""
+def _replay_step(z: np.ndarray, mu, sigma, fold: str, i: int) -> None:
+    """Apply step i (0-based) of a model to the working samples z in place."""
     if i > 0:
-        z = _fold_matrix(fold, z, out=z)
+        _fold_matrix(fold, z)
     np.subtract(z, mu, out=z)
     np.divide(z, sigma, out=z)
-    return z
 
 
 def fit_stack(X: np.ndarray, fit, iterations: int, fold: str, rows, depths,
@@ -272,9 +260,7 @@ def fit_stack(X: np.ndarray, fit, iterations: int, fold: str, rows, depths,
     NumericError names the first iteration at which a fit of the failing
     block goes non-finite or overflows a column total.
     """
-    _check_fold(fold)
-    _check_distance(dist)
-    check("iterations", iterations)
+    check_settings(fold, iterations, dist)
     wanted = set(depths)
     for depth in wanted:
         check_int("scoring depth", depth, 1, iterations)
@@ -303,7 +289,7 @@ def fit_stack(X: np.ndarray, fit, iterations: int, fold: str, rows, depths,
         # the training data, as in transform_ref
         with np.errstate(over="ignore"):
             for i in range(max(wanted, default=0)):
-                Y = _replay_step(Y, mu[i], sigma[i], fold, i)
+                _replay_step(Y, mu[i], sigma[i], fold, i)
                 if i + 1 in wanted:
                     scores[i + 1] = np.ascontiguousarray(_distances(Y.reshape(m, r, d), dist).T)
         parts.append(scores)
@@ -343,7 +329,7 @@ def _fit_block(Z, counts, iterations, fold):
         # overflow can be suppressed here, and the totals catch it
         with np.errstate(all="ignore"):
             if i > 0:
-                Z = _fold_matrix(fold, Z, out=Z)
+                _fold_matrix(fold, Z)
             if pad is not None:
                 np.copyto(Z, -0.0, where=pad)  # cos and cos_abs map -0.0 to 1
             totals = _column_totals(Z)
@@ -410,7 +396,7 @@ def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD,
     beyond the copy is a scratch block; the model itself stores only the J
     step vectors.
     """
-    ClassifierConfig(fold, iterations)  # validates
+    check_settings(fold, iterations)
     z, _ = _as_samples(X, "training data", copy=not overwrite)
     if not (z.flags.writeable and z.flags.c_contiguous):
         z = np.array(z, order="C")
@@ -425,10 +411,10 @@ def transform_ref(y, model: RefModel) -> np.ndarray:
     Accepts a single D-vector or an (M, D) matrix; the arithmetic per sample
     is identical to the training-time working copy, element for element.
     One feature-major copy of the samples, a C-ordered (D, M) matrix, is
-    updated in place, so no step allocates (M, D) temporaries, each step's
-    subtract and divide run along contiguous rows with one scalar per row,
-    and the caller's array is never written. An (M, D) matrix is returned
-    as the transposed view of that copy.
+    updated in place, so no step allocates (M, D) float temporaries, each
+    step's subtract and divide run along contiguous rows with one scalar per
+    row, and the caller's array is never written. An (M, D) matrix is
+    returned as the transposed view of that copy.
     """
     a, single = _as_samples(y, "sample")
     if a.shape[1] != model.dim:
@@ -439,7 +425,7 @@ def transform_ref(y, model: RefModel) -> np.ndarray:
     # simply classify as outliers
     with np.errstate(over="ignore"):
         for i, (mu, sigma) in enumerate(zip(model.mu, model.sigma)):
-            z = _replay_step(z, mu[:, np.newaxis], sigma[:, np.newaxis], model.fold, i)
+            _replay_step(z, mu[:, np.newaxis], sigma[:, np.newaxis], model.fold, i)
     return z[:, 0] if single else z.T
 
 
@@ -449,14 +435,14 @@ def _distances(a: np.ndarray, dist: str) -> np.ndarray:
     # (..., M) temporaries only
     term = np.abs if dist == "l1" else np.square
     with np.errstate(over="ignore"):  # inf in means inf out, by design
-        out = term(a[..., 0])
-        col = np.empty_like(out)
+        total = term(a[..., 0])
+        col = np.empty_like(total)
         for j in range(1, a.shape[-1]):
-            out += term(a[..., j], out=col)
+            total += term(a[..., j], out=col)
         if dist == "l2":
-            np.sqrt(out, out=out)
-    out /= a.shape[-1]
-    return out
+            np.sqrt(total, out=total)
+    total /= a.shape[-1]
+    return total
 
 
 def distance_to_origin(z, dist: str = DEFAULT_DISTANCE) -> np.ndarray | float:

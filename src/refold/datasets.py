@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .textio import parse_float, read_lines
+from .textio import as_tuple, is_int, parse_float, read_lines
 
 DATA_DIR_ENV = "REFOLD_DATA_DIR"
 DEFAULT_DATA_DIR = "data"
@@ -51,14 +51,22 @@ class DatasetSchema:
     header: bool = False
 
     def __post_init__(self):
-        if not self.delimiter or len(self.delimiter) != 1:
-            raise ConfigError("delimiter must be a single character")
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be a single character, got {self.delimiter!r}")
         if self.delimiter in "\r\n":
             # files are read with universal newlines, so every line break
             # ends a row and a line-break delimiter would never be seen
             raise ConfigError("delimiter must not be a line break")
-        if isinstance(self.label_column, str) and not self.header:
+        label = self.label_column
+        if not (label is None or isinstance(label, str) or is_int(label)):
+            raise ConfigError(f"label_column must be an integer, a name or None, got {label!r}")
+        if isinstance(label, str) and not self.header:
             raise ConfigError("named label column requires header=True")
+        drop = as_tuple(self.drop_columns)
+        if drop is None or not all(map(is_int, drop)):
+            raise ConfigError(f"drop_columns must be a sequence of integers, "
+                              f"got {self.drop_columns!r}")
+        object.__setattr__(self, "drop_columns", drop)
 
 
 @dataclass(frozen=True)

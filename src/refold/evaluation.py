@@ -10,7 +10,8 @@ threshold by k-fold cross-validation over a fixed candidate grid.
 Metrics run on count arrays: confusion_counts gives (tp, fn, tn, fp) along a
 mask's last axis and gmeans holds the one Gmean rule, exact below 2**53.
 select_thresholds is the one threshold-selection entry: it cross-validates
-any number of training pools, and a single pool is the one-element case.
+any number of training pools, and a single pool is the one-element case. It
+takes the classifier's settings as keywords with train_ref's defaults.
 
 All randomness flows through the splitmix64 helpers in refold.rng, so every
 split is a pure function of (inputs, seed). Planning is batched: the split
@@ -25,10 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _check_rows, fit_stack
+from .core import (DEFAULT_DISTANCE, DEFAULT_FOLD, DEFAULT_ITERATIONS, _check_rows,
+                   check_settings, fit_stack)
 from .errors import ConfigError, EvaluationError, SelectionError
 from .rng import SplitMix64, derive_seed
-from .textio import check, is_real
+from .textio import as_tuple, check, is_real
 
 DEFAULT_TRAIN_FRACTION = 0.7
 DEFAULT_REPETITIONS = 5
@@ -196,10 +198,10 @@ def _kfolds(lengths, k: int, seeds) -> dict[int, list[tuple[np.ndarray, np.ndarr
 def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     """Thresholds as floats: a sequence of numbers, not a string, that is
     non-empty, positive, strictly increasing and free of NaN."""
-    grid = grid if isinstance(grid, str) else tuple(grid)
-    if isinstance(grid, str) or not all(map(is_real, grid)):
+    values = as_tuple(grid)
+    if values is None or not all(map(is_real, values)):
         raise ConfigError(f"threshold grid must be a sequence of numbers, got {grid!r}")
-    grid = tuple(map(float, grid))
+    grid = tuple(map(float, values))
     # all(t > 0), not any(t <= 0): every comparison with NaN is false
     if not (grid and all(t > 0 for t in grid) and all(b > a for a, b in zip(grid, grid[1:]))):
         raise ConfigError("threshold grid must be strictly increasing and positive")
@@ -263,25 +265,29 @@ def best_threshold(per_fold: list[list[float]], grid) -> float:
     return best[0]
 
 
-def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> list[float]:
+def select_thresholds(features, pools, is_target, grid, k, seeds, *,
+                      iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD,
+                      dist: str = DEFAULT_DISTANCE) -> list[float]:
     """The decision threshold of each pool of row indices pools[r] of
     features, picked from grid by k-fold cross-validation on CV seed
-    seeds[r]; is_target flags every row of features.
+    seeds[r], for the classifier of the given settings; is_target flags
+    every row of features.
 
     Each fold's model is fit on the fold's training targets only; the
     fold's outliers serve purely for scoring the candidates. The pick is
-    the grid value with the highest mean Gmean over the folds whose
-    validation rows hold both classes; ties break toward the value closest
-    to 1.0, then toward the larger value. A pool must hold targets and
-    outliers: without outliers there is nothing to validate against, and
-    the caller should use the default threshold 1 instead.
+    best_threshold's over the folds whose validation rows hold both
+    classes. A pool must hold targets and outliers: without outliers there
+    is nothing to validate against, and the caller should use the default
+    threshold 1 instead.
 
     All folds are planned first, batched (one shuffle per distinct pool
     length), then fitted in one kernel call, each as a lone fit
     (core.fit_stack pads the folds to the most rows, and works in blocks
-    under its memory budget). A grid that check_grid rejects, seeds not one
-    per pool, or is_target not one boolean per row of features, is a
-    ConfigError."""
+    under its memory budget). Settings that check_settings rejects, a grid
+    that check_grid rejects, seeds not one per pool, or is_target not one
+    boolean per row of features is a ConfigError, raised before any fold
+    is planned."""
+    check_settings(fold, iterations, dist)
     grid = check_grid(grid)
     if len(seeds) != len(pools):
         raise ConfigError(f"need one CV seed per pool: got {len(seeds)} for {len(pools)} pools")
@@ -292,10 +298,9 @@ def select_thresholds(features, pools, is_target, config, grid, k, seeds) -> lis
     folds = _cv_plan(pools, is_target, k, seeds)
     per_fold = [[] for _ in pools]
     if folds:
-        depth = config.iterations
         thresholds = np.asarray(grid)[:, np.newaxis]
         owners, fits, vals = zip(*folds)
-        scores = fit_stack(features, fits, depth, config.fold, vals, (depth,), config.dist)[depth]
+        scores = fit_stack(features, fits, iterations, fold, vals, (iterations,), dist)[iterations]
         # (folds, thresholds, validation rows) accepted mask -> folds x thresholds
         # Gmean table. Padding rows are neither accepted nor targets, so they
         # count only as true negatives, which are corrected for them.

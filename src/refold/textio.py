@@ -46,10 +46,23 @@ def parse_int(token: str) -> int:
     return int(token)
 
 
+def is_int(value) -> bool:
+    """An int or numpy integer: a bool or a fraction would not read back."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def as_tuple(value) -> tuple | None:
+    """An iterable's items as a tuple; None for a string or a non-iterable."""
+    try:
+        return None if isinstance(value, str) else tuple(value)
+    except TypeError:
+        return None
+
+
 def check_int(name: str, value, low: int, high: int | None) -> None:
-    """Reject a value that is not an int or numpy integer (a bool or a fraction
-    would not read back from a spec), or outside low..high; high None: a count."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    """Reject a value that is_int rejects, or one outside low..high; high
+    None: a count."""
+    if not is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     top, shown = (COUNT_MAX, "10**9") if high is None else (high, _SHOWN.get(high, high))
     if not low <= value <= top:

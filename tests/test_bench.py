@@ -105,6 +105,12 @@ def test_spec_rejects_a_string_where_a_sequence_belongs():
     # ('i', 'r', 'i', 's'), and grid "0.5" into a raw ValueError on '.'
     with pytest.raises(ConfigError, match="^datasets must be a sequence of names, got 'iris'$"):
         BenchSpec(datasets="iris")
+    # a value that is not a sequence at all used to raise a raw TypeError
+    with pytest.raises(ConfigError, match="^datasets must be a sequence of names, got None$"):
+        BenchSpec(datasets=None)
+    with pytest.raises(ConfigError,
+                       match="^threshold grid must be a sequence of numbers, got None$"):
+        BenchSpec(datasets=("iris",), grid=None)
     for grid in ("0.5", ("0.5",), (0.5, None), (True,), [0.5, "1.0"]):
         with pytest.raises(ConfigError, match="^threshold grid must be a sequence of numbers"):
             BenchSpec(datasets=("iris",), grid=grid)
@@ -337,7 +343,6 @@ GOLDEN_PLANS = "eb2a0369d2680560161ed63ff94c43c893873fcf7e139101d0e9ccd58bc41853
 
 def test_golden_split_plans_and_cv_folds(data_dir, monkeypatch):
     import refold.evaluation
-    from refold.core import ClassifierConfig
     from refold.datasets import load_registry_dataset
     from refold.evaluation import make_split_plan, select_thresholds
     from refold.rng import derive_seed
@@ -360,8 +365,7 @@ def test_golden_split_plans_and_cv_folds(data_dir, monkeypatch):
                 texts.extend(f"kfold {list(fit)} {list(val)}\n"
                              for fit, val in oracle.kfold(train, 5, cv_seed))
             select_thresholds(ds.features, [np.array(train) for train, _ in plan.splits],
-                              ds.class_flags(target), ClassifierConfig(iterations=1), (1.0,),
-                              5, seeds)
+                              ds.class_flags(target), (1.0,), 5, seeds, iterations=1)
     assert len(texts) == 9899
     assert _sha256("".join(texts)) == GOLDEN_PLANS
 
@@ -542,8 +546,8 @@ def test_failing_task_fits_before_selecting(tmp_path):
     # precondition: selecting first would raise another error, since a
     # 2-fold split of 2 training targets leaves a fold with fewer than 2
     selected = first_error(lambda: select_thresholds(
-        ds.features, [plan.train[0]], flags, spec.config, spec.grid, spec.cv_folds,
-        [derive_seed(1, 0, 2, 0)]))
+        ds.features, [plan.train[0]], flags, spec.grid, spec.cv_folds, [derive_seed(1, 0, 2, 0)],
+        iterations=spec.iterations, fold=spec.fold, dist=spec.dist))
     assert selected[0] is SelectionError
     # under the suite's filter the overflow warning is raised first
     want = first_error(loop)
@@ -829,6 +833,12 @@ def test_probe_rejects_degenerate_sizes():
             timing_probe([100], **kwargs)
     with pytest.raises(ConfigError, match=r"^probe size must be an integer, got 100\.7$"):
         timing_probe([100.7])
+    # a lone count, not a sequence, used to raise a raw TypeError
+    for sizes in (5, None, "100", []):
+        with pytest.raises(ConfigError) as exc:
+            timing_probe(sizes)
+        assert str(exc.value) == ("probe sizes must be a non-empty sequence of counts, "
+                                  f"got {sizes!r}")
 
 
 def test_probe_checks_iterations_before_drawing_data(monkeypatch):

@@ -7,7 +7,9 @@ import pytest
 
 import oracle
 from refold.core import (
-    ClassifierConfig,
+    DEFAULT_DISTANCE,
+    DEFAULT_FOLD,
+    DEFAULT_ITERATIONS,
     _column_totals,
     _fold_matrix,
     DISTANCES,
@@ -59,6 +61,21 @@ def test_fold_cos_abs_closed_interval_boundary():
     out = fold("cos_abs", [1.0, -1.0])
     assert out[0] == math.cos(1.0)
     assert out[1] == math.cos(-1.0)
+
+
+def test_fold_cos_abs_in_place_matches_its_definition():
+    """Bit for bit the where() of both branches, at the interval's ends, on
+    signed zeros, and on the inf and nan that replay's overflow can give."""
+    x = np.concatenate([
+        [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), np.inf,
+         -np.inf, np.nan, -np.nan, 1e300, -5e-324],
+        np.random.default_rng(6).normal(size=1000) * 10.0 ** np.arange(-4, 6).repeat(100),
+    ])
+    with np.errstate(invalid="ignore"):
+        want = np.where(np.abs(x) <= 1.0, np.cos(x), np.abs(x))
+    got = x.copy()
+    assert _fold_matrix("cos_abs", got) is got
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("op", FOLD_OPS)
@@ -256,7 +273,7 @@ def test_train_rejects_bad_inputs():
         train_ref([[1.0], [float("nan")]])
     with pytest.raises(ConfigError):
         train_ref([[1.0], [2.0]], fold="nope")
-    # ClassifierConfig's order: the fold is checked before the iterations
+    # check_settings' order: the fold is checked before the iterations
     with pytest.raises(ConfigError, match="unknown fold"):
         train_ref([[1.0], [2.0]], iterations=0, fold="nope")
 
@@ -540,6 +557,28 @@ def test_fit_stack_lets_the_fit_rows_go_before_scoring():
     assert peak < 1.75 * fit_bytes, peak / fit_bytes
 
 
+@pytest.mark.parametrize("op", FOLD_OPS)
+def test_every_fold_works_in_place(op):
+    """train_ref on 40,000 x 20 peaks below 1.6x X: its working copy, a
+    scratch block of 8,192 rows, and for cos_abs the boolean mask of where
+    cos runs. transform_ref peaks below 1.4x its input. cos_abs used to
+    build four new full-size arrays a step, and peaked at 5.3x and 4.1x."""
+    import tracemalloc
+
+    X = np.random.default_rng(9).normal(size=(40_000, 20))
+    peaks = []
+    model = None
+    for run in (lambda: train_ref(X, iterations=3, fold=op), lambda: transform_ref(X, model)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / X.nbytes)
+        finally:
+            tracemalloc.stop()
+        model = result
+    assert peaks[0] < 1.6 and peaks[1] < 1.4, peaks
+
+
 def test_fit_stack_depth_check_takes_memory_that_does_not_grow_with_j():
     """A depth past J fails its check at the same small traced peak at
     J = 10**4 and J = 10**6: the check compares bounds. A set of 1..J
@@ -754,15 +793,55 @@ def test_scores_nonnegative():
             assert (score(Y, model, dist) >= 0).all()
 
 
-def test_classifier_config_validation():
-    cfg = ClassifierConfig()
-    assert (cfg.fold, cfg.iterations, cfg.dist) == ("abs", 101, "l1")
-    with pytest.raises(ConfigError):
-        ClassifierConfig(fold="bad")
-    with pytest.raises(ConfigError):
-        ClassifierConfig(iterations=0)
-    with pytest.raises(ConfigError):
-        ClassifierConfig(dist="linf")
+def _select(**settings):
+    from refold.evaluation import select_thresholds
+
+    X = np.random.default_rng(5).normal(size=(12, 2))
+    flags = np.arange(12) < 8
+    return select_thresholds(X, [np.arange(12)], flags, (1.0,), 3, [0], **settings)
+
+
+def _stack(iterations=DEFAULT_ITERATIONS, fold=DEFAULT_FOLD, dist=DEFAULT_DISTANCE):
+    X = np.random.default_rng(5).normal(size=(4, 2))
+    return fit_stack(X, [np.arange(4)], iterations, fold, [np.arange(4)], (1,), dist)
+
+
+SETTINGS_CALLS = {
+    "train_ref": lambda **settings: train_ref([[1.0], [2.0]], **settings),
+    "select_thresholds": _select,
+    "fit_stack": _stack,
+}
+
+
+def test_settings_share_the_paper_defaults():
+    import inspect
+
+    from refold.evaluation import select_thresholds
+
+    assert (DEFAULT_FOLD, DEFAULT_ITERATIONS, DEFAULT_DISTANCE) == ("abs", 101, "l1")
+    defaults = {"fold": DEFAULT_FOLD, "iterations": DEFAULT_ITERATIONS, "dist": DEFAULT_DISTANCE}
+    for fn in (train_ref, select_thresholds, score, distance_to_origin):
+        params = inspect.signature(fn).parameters
+        for name in defaults.keys() & params.keys():
+            assert params[name].default == defaults[name], (fn.__name__, name)
+
+
+@pytest.mark.parametrize("call", SETTINGS_CALLS)
+def test_settings_validation(call):
+    """Every entry that takes the classifier's settings holds them to one
+    rule each, checked fold first, then distance, then iterations."""
+    run = SETTINGS_CALLS[call]
+    run(iterations=3)
+    cases = [({"fold": "bad"}, "unknown fold operation 'bad'"),
+             ({"iterations": 0}, "iterations must be >= 1, got 0"),
+             ({"fold": "bad", "iterations": 0}, "unknown fold operation 'bad'")]
+    if call != "train_ref":  # train_ref takes no distance
+        cases += [({"dist": "linf"}, "unknown distance 'linf'"),
+                  ({"dist": "linf", "iterations": 0}, "unknown distance 'linf'"),
+                  ({"fold": "bad", "dist": "linf"}, "unknown fold operation 'bad'")]
+    for settings, message in cases:
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            run(**settings)
 
 
 def test_training_coverage_of_univariate_normal():

@@ -265,6 +265,28 @@ def test_schema_validation():
         DatasetSchema(label_column="name", header=False)
 
 
+def test_schema_holds_columns_to_the_integer_rule(tmp_path):
+    # a fraction used to drop nothing, a bool to stand for column 1, and an
+    # int delimiter to raise a raw TypeError
+    for kwargs, message in [
+        ({"drop_columns": (1.5,)}, "drop_columns must be a sequence of integers, got (1.5,)"),
+        ({"drop_columns": (True,)}, "drop_columns must be a sequence of integers, got (True,)"),
+        ({"drop_columns": None}, "drop_columns must be a sequence of integers, got None"),
+        ({"label_column": True}, "label_column must be an integer, a name or None, got True"),
+        ({"label_column": 1.0}, "label_column must be an integer, a name or None, got 1.0"),
+        ({"delimiter": 5}, "delimiter must be a single character, got 5"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            DatasetSchema(**kwargs)
+        assert str(exc.value) == message
+    # numpy integers are integers, and a list of drop columns reads as a tuple
+    p = write(tmp_path, "1,2,3,a\n4,5,6,b\n")
+    schema = DatasetSchema(label_column=np.int64(3), drop_columns=[np.int32(1)])
+    assert schema.drop_columns == (1,)
+    ds = load_dataset(p, schema)
+    assert ds.features.tolist() == [[1.0, 3.0], [4.0, 6.0]] and ds.labels == ("a", "b")
+
+
 def test_features_read_only(tmp_path):
     p = write(tmp_path, "1,2,a\n3,4,b\n")
     ds = load_dataset(p)

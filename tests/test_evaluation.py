@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracle
-from refold.core import ClassifierConfig, train_ref
+from refold.core import fit_stack, train_ref
 from refold.errors import (
     ConfigError,
     EvaluationError,
@@ -147,10 +147,16 @@ def test_split_plan_errors():
      lambda v: _select_on_a_small_pool(k=v)),
     ("cv_folds", 2.5, "cv_folds must be an integer, got 2.5",
      lambda v: _select_on_a_small_pool(k=v)),
-    ("iterations", True, "iterations must be an integer, got True",
-     lambda v: ClassifierConfig(iterations=v)),
-    ("iterations", 2.5, "iterations must be an integer, got 2.5",
-     lambda v: ClassifierConfig(iterations=v)),
+] + [
+    # every entry that takes the classifier's settings
+    ("iterations", value, f"iterations must be an integer, got {value}", direct)
+    for value in (True, 2.5)
+    for direct in (
+        lambda v: train_ref([[1.0], [2.0]], iterations=v),
+        lambda v: _select_on_a_small_pool(k=2, iterations=v),
+        lambda v: fit_stack(np.zeros((2, 1)), [np.arange(2)], v, "abs", [np.arange(2)], (1,),
+                            "l1"),
+    )
 ])
 def test_protocol_rules_give_one_message(field, value, message, direct):
     # a spec and the protocol function it configures reject a value alike
@@ -275,7 +281,7 @@ def test_seeded_planners_reject_aliasing_seeds(planner, seed, message):
     call = {
         "make_split_plan": lambda: make_split_plan(["t"] * 10 + ["o"] * 10, "t", seed=seed),
         "BenchSpec": lambda: BenchSpec(datasets=("iris",), seed=seed),
-        "select_threshold": lambda: select_threshold(X, flags, ClassifierConfig(), seed=seed),
+        "select_threshold": lambda: select_threshold(X, flags, seed=seed),
     }[planner]
     with pytest.raises(ConfigError, match=message):
         call()
@@ -283,16 +289,17 @@ def test_seeded_planners_reject_aliasing_seeds(planner, seed, message):
 
 # -------------------------------------------------- threshold selection
 
-def select_threshold(X, flags, config, grid=DEFAULT_THRESHOLD_GRID, k=5, seed=0):
-    """select_thresholds on the one pool of every row of X."""
+def select_threshold(X, flags, grid=DEFAULT_THRESHOLD_GRID, k=5, seed=0, **settings):
+    """select_thresholds on the one pool of every row of X, for the
+    classifier of the given settings."""
     flags = np.asarray(flags, dtype=bool)
-    return select_thresholds(X, [np.arange(len(X))], flags, config, grid, k, [seed])[0]
+    return select_thresholds(X, [np.arange(len(X))], flags, grid, k, [seed], **settings)[0]
 
 
-def _select_on_a_small_pool(k):
+def _select_on_a_small_pool(k, iterations=3):
     """select_threshold with k folds on a pool of 2 targets and 1 outlier."""
     X, flags = _separable_pool(np.random.default_rng(3), n_targets=2, n_outliers=1)
-    return select_threshold(X, flags, ClassifierConfig(iterations=3), k=k)
+    return select_threshold(X, flags, k=k, iterations=iterations)
 
 
 def _separable_pool(rng, n_targets=60, n_outliers=30, d=2, radius=10.0):
@@ -309,8 +316,7 @@ def _separable_pool(rng, n_targets=60, n_outliers=30, d=2, radius=10.0):
 def test_select_threshold_singleton_grid():
     rng = np.random.default_rng(23)
     X, flags = _separable_pool(rng)
-    cfg = ClassifierConfig(iterations=11)
-    assert select_threshold(X, flags, cfg, grid=(1.0,), seed=5) == 1.0
+    assert select_threshold(X, flags, grid=(1.0,), seed=5, iterations=11) == 1.0
 
 
 def test_select_threshold_all_zero_ties_to_default():
@@ -318,17 +324,16 @@ def test_select_threshold_all_zero_ties_to_default():
     # so the tie rule returns the grid value closest to 1.0
     rng = np.random.default_rng(29)
     X, flags = _separable_pool(rng)
-    cfg = ClassifierConfig(iterations=5)
-    t = select_threshold(X, ~flags, cfg, grid=(0.3, 0.5, 1.0, 1.1), seed=5)
+    t = select_threshold(X, ~flags, grid=(0.3, 0.5, 1.0, 1.1), seed=5, iterations=5)
     assert t == 1.0
 
 
 def test_select_threshold_matches_brute_force_reevaluation():
     rng = np.random.default_rng(31)
     X, flags = _separable_pool(rng, n_targets=50, n_outliers=25)
-    cfg = ClassifierConfig(iterations=21)
     seed = 77
-    chosen = select_threshold(X, flags, cfg, DEFAULT_THRESHOLD_GRID, k=5, seed=seed)
+    # the default fold and distance: abs and l1
+    chosen = select_threshold(X, flags, DEFAULT_THRESHOLD_GRID, k=5, seed=seed, iterations=21)
 
     # independent re-evaluation: same folds, but scoring through the
     # straight-line oracle implementation
@@ -339,8 +344,8 @@ def test_select_threshold_matches_brute_force_reevaluation():
         val_flags = flags[val]
         if val_flags.all() or not val_flags.any():
             continue
-        mus, sigmas, _ = oracle.train(X[fit].tolist(), cfg.iterations, cfg.fold)
-        svals = [oracle.score(X[i].tolist(), mus, sigmas, cfg.fold, cfg.dist) for i in val]
+        mus, sigmas, _ = oracle.train(X[fit].tolist(), 21, "abs")
+        svals = [oracle.score(X[i].tolist(), mus, sigmas, "abs", "l1") for i in val]
         for t in DEFAULT_THRESHOLD_GRID:
             tp = sum(1 for s, f in zip(svals, val_flags) if s <= t and f)
             fn = sum(1 for s, f in zip(svals, val_flags) if s > t and f)
@@ -358,8 +363,7 @@ def test_select_threshold_matches_brute_force_reevaluation():
 def test_select_threshold_separable_picks_generous_threshold():
     rng = np.random.default_rng(37)
     X, flags = _separable_pool(rng)
-    cfg = ClassifierConfig(iterations=31)
-    t = select_threshold(X, flags, cfg, DEFAULT_THRESHOLD_GRID, seed=11)
+    t = select_threshold(X, flags, DEFAULT_THRESHOLD_GRID, seed=11, iterations=31)
     assert t in DEFAULT_THRESHOLD_GRID
 
 
@@ -367,85 +371,94 @@ def test_select_threshold_requires_outliers():
     rng = np.random.default_rng(41)
     X = rng.normal(size=(30, 2))
     with pytest.raises(SelectionError):
-        select_threshold(X, [True] * 30, ClassifierConfig())
+        select_threshold(X, [True] * 30)
     with pytest.raises(SelectionError):
-        select_threshold(X, [False] * 30, ClassifierConfig())
+        select_threshold(X, [False] * 30)
+
+
+def test_select_thresholds_checks_its_settings_when_no_fold_is_usable():
+    """Leave-one-out on 3 targets and 1 outlier leaves no fold whose
+    validation rows hold both classes, so nothing is fitted; a bad setting
+    is still its ConfigError, not the SelectionError."""
+    X, flags = _separable_pool(np.random.default_rng(3), n_targets=3, n_outliers=1)
+    with pytest.raises(SelectionError, match="^no CV fold had both classes"):
+        select_threshold(X, flags, k=4)
+    for settings, message in [({"fold": "bad"}, "unknown fold operation 'bad'"),
+                              ({"dist": "linf"}, "unknown distance 'linf'"),
+                              ({"iterations": 0}, "iterations must be >= 1, got 0")]:
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            select_threshold(X, flags, k=4, **settings)
 
 
 def test_select_thresholds_rejects_bad_row_indices():
     X, flags = _separable_pool(np.random.default_rng(43), n_targets=25, n_outliers=15)
-    cfg = ClassifierConfig(iterations=5)
     good = np.arange(40)
     for bad in (good.astype(float), np.append(good[1:], 40), np.arange(-5, 35), good < 20):
         for pools in ([bad], [good, bad]):
             p = len(pools) - 1
             with pytest.raises(ConfigError,
                                match=rf"^pools\[{p}\] must hold integer row indices in 0\.\.39$"):
-                select_thresholds(X, pools, flags, cfg, (0.5, 1.0), 5, [0] * len(pools))
+                select_thresholds(X, pools, flags, (0.5, 1.0), 5, [0] * len(pools), iterations=5)
     # an empty pool keeps its error
     with pytest.raises(SelectionError, match="no target samples"):
-        select_thresholds(X, [good[:0]], flags, cfg, (0.5, 1.0), 5, [0])
+        select_thresholds(X, [good[:0]], flags, (0.5, 1.0), 5, [0], iterations=5)
     with pytest.raises(ShapeError, match="^training data needs at least one feature dimension$"):
-        select_thresholds(np.empty((40, 0)), [good], flags, cfg, (0.5, 1.0), 5, [0])
+        select_thresholds(np.empty((40, 0)), [good], flags, (0.5, 1.0), 5, [0], iterations=5)
 
 
 def test_select_thresholds_takes_one_seed_per_pool():
     # a seed short used to raise a raw IndexError, and an extra seed passed
     # unnoticed
     X, flags = _separable_pool(np.random.default_rng(43), n_targets=25, n_outliers=15)
-    cfg = ClassifierConfig(iterations=5)
     pools = [np.arange(40), np.arange(40)]
     for seeds in ([0], [0, 1, 2], []):
         with pytest.raises(ConfigError,
                            match=rf"^need one CV seed per pool: got {len(seeds)} for 2 pools$"):
-            select_thresholds(X, pools, flags, cfg, (0.5, 1.0), 5, seeds)
+            select_thresholds(X, pools, flags, (0.5, 1.0), 5, seeds, iterations=5)
 
 
 def test_select_thresholds_checks_its_grid():
     # a decreasing grid used to pass unnoticed
     X, flags = _separable_pool(np.random.default_rng(43), n_targets=25, n_outliers=15)
-    cfg = ClassifierConfig(iterations=5)
     pools = [np.arange(40), np.arange(40)]
     for grid in ((1.0, 0.5), (), (0.5, 0.5), (0.0, 1.0), (float("nan"),)):
         with pytest.raises(ConfigError, match="^threshold grid must be strictly increasing"):
-            select_thresholds(X, pools, flags, cfg, grid, 5, [0, 1])
+            select_thresholds(X, pools, flags, grid, 5, [0, 1], iterations=5)
     # a grid given as a list of numbers is read as its floats
-    picked = select_thresholds(X, pools, flags, cfg, [0.5, 1], 5, [0, 1])
-    assert picked == select_thresholds(X, pools, flags, cfg, (0.5, 1.0), 5, [0, 1])
+    picked = select_thresholds(X, pools, flags, [0.5, 1], 5, [0, 1], iterations=5)
+    assert picked == select_thresholds(X, pools, flags, (0.5, 1.0), 5, [0, 1], iterations=5)
 
 
 def test_select_thresholds_takes_target_flags_as_a_list():
     # a list of bools used to raise a raw TypeError from is_target[pool]
     X, flags = _separable_pool(np.random.default_rng(43), n_targets=25, n_outliers=15)
-    cfg = ClassifierConfig(iterations=5)
     pools = [np.arange(40), np.arange(3, 40)]
-    picked = select_thresholds(X, pools, flags, cfg, (0.5, 1.0), 5, [0, 1])
-    assert select_thresholds(X, pools, flags.tolist(), cfg, (0.5, 1.0), 5, [0, 1]) == picked
+    picked = select_thresholds(X, pools, flags, (0.5, 1.0), 5, [0, 1], iterations=5)
+    assert select_thresholds(X, pools, flags.tolist(), (0.5, 1.0), 5, [0, 1],
+                             iterations=5) == picked
     for bad in (flags[:-1], np.append(flags, True), flags.astype(int), flags[:, np.newaxis],
                 ["t"] * 40, True):
         with pytest.raises(ConfigError, match="^is_target must hold one boolean per row of "
                                               "features, 40 in all$"):
-            select_thresholds(X, pools, bad, cfg, (0.5, 1.0), 5, [0, 1])
+            select_thresholds(X, pools, bad, (0.5, 1.0), 5, [0, 1], iterations=5)
 
 
 def test_select_thresholds_takes_pools_as_lists():
     # a list pool is indexed as the integer array it holds, and an empty
     # list keeps the empty pool's error
     X, flags = _separable_pool(np.random.default_rng(43), n_targets=25, n_outliers=15)
-    cfg = ClassifierConfig(iterations=5)
-    args = (flags, cfg, (0.5, 1.0), 5, [3])
-    assert (select_thresholds(X, [list(range(40))], *args)
-            == select_thresholds(X, [np.arange(40)], *args))
+    args = (flags, (0.5, 1.0), 5, [3])
+    assert (select_thresholds(X, [list(range(40))], *args, iterations=5)
+            == select_thresholds(X, [np.arange(40)], *args, iterations=5))
     with pytest.raises(SelectionError, match="no target samples"):
-        select_thresholds(X, [[]], *args)
+        select_thresholds(X, [[]], *args, iterations=5)
 
 
 def test_select_threshold_deterministic():
     rng = np.random.default_rng(47)
     X, flags = _separable_pool(rng)
-    cfg = ClassifierConfig(iterations=7)
-    a = select_threshold(X, flags, cfg, seed=13)
-    b = select_threshold(X, flags, cfg, seed=13)
+    a = select_threshold(X, flags, seed=13, iterations=7)
+    b = select_threshold(X, flags, seed=13, iterations=7)
     assert a == b
 
 
@@ -462,7 +475,7 @@ def test_select_threshold_plans_every_fold_before_fitting():
     with pytest.raises((RuntimeWarning, NumericError)):
         train_ref(X[fit], 3)
     with pytest.raises(SelectionError, match="a CV fold has 1 target training rows"):
-        select_threshold(X, flags, ClassifierConfig(iterations=3), k=2, seed=7)
+        select_threshold(X, flags, k=2, seed=7, iterations=3)
 
 
 @pytest.mark.parametrize("action", ["error", "ignore"])
@@ -478,7 +491,6 @@ def test_select_threshold_raises_the_first_failing_fold(action):
     folds = oracle.kfold(range(18), 3, 23)
     assert [sorted({0, 1} & set(fit)) for fit, _ in folds[:2]] == [[0], [0, 1]]
     assert all(0 < flags[list(val)].sum() < len(val) for _, val in folds[:2])
-    config = ClassifierConfig("sqr", 4)
     kind, message = {
         "error": (RuntimeWarning, "overflow encountered in reduce"),
         "ignore": (NumericError, "column total of dimension 2 overflows at iteration 1"),
@@ -488,7 +500,7 @@ def test_select_threshold_raises_the_first_failing_fold(action):
         with pytest.raises(kind, match=f"^{message}$"):
             train_ref(X[[i for i in folds[1][0] if flags[i]]], 4, "sqr")
         with pytest.raises(kind, match=f"^{message}$"):
-            select_threshold(X, flags, config, k=3, seed=23)
+            select_threshold(X, flags, k=3, seed=23, fold="sqr", iterations=4)
 
 
 def test_select_thresholds_across_pools_matches_each_pool(monkeypatch):
@@ -506,13 +518,13 @@ def test_select_thresholds_across_pools_matches_each_pool(monkeypatch):
     fit_stack = refold.evaluation.fit_stack
     monkeypatch.setattr(refold.evaluation, "fit_stack",
                         lambda X, fit, *args: calls.append(len(fit)) or fit_stack(X, fit, *args))
-    for cfg in (ClassifierConfig(iterations=9), ClassifierConfig("sqr", 7, "l2"),
-                ClassifierConfig("tanh", 11, "l1")):
+    for cfg in ({"iterations": 9}, {"fold": "sqr", "iterations": 7, "dist": "l2"},
+                {"fold": "tanh", "iterations": 11, "dist": "l1"}):
         calls.clear()
-        each = [select_threshold(X[pool], flags[pool], cfg, grid, k=4, seed=seed)
+        each = [select_threshold(X[pool], flags[pool], grid, k=4, seed=seed, **cfg)
                 for pool, seed in zip(pools, seeds)]
         alone = sum(calls)
         assert len(calls) == len(pools)
         calls.clear()
-        assert select_thresholds(X, pools, flags, cfg, grid, 4, seeds) == each
+        assert select_thresholds(X, pools, flags, grid, 4, seeds, **cfg) == each
         assert len(calls) == 1 and calls[0] == alone

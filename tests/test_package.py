@@ -5,7 +5,7 @@ import types
 import refold
 
 PUBLIC = [
-    "BenchReport", "BenchSpec", "ClassifierConfig", "ConfigError", "DEFAULT_DISTANCE",
+    "BenchReport", "BenchSpec", "ConfigError", "DEFAULT_DISTANCE",
     "DEFAULT_FOLD", "DEFAULT_ITERATIONS", "DEFAULT_THRESHOLD", "DEFAULT_THRESHOLD_GRID",
     "DISTANCES", "DataFormatError", "Dataset", "DatasetSchema", "EvaluationError", "FOLD_OPS",
     "InsufficientDataError", "InvalidInputError", "LearningCurve", "ModelFormatError",

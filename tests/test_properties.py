@@ -27,7 +27,6 @@ from refold.bench import BenchSpec, parse_bench_spec, serialize_bench_spec
 from refold.core import DISTANCES, FOLD_OPS, RefModel, fit_stack, score, train_ref
 from refold import cli, datasets, evaluation
 from refold.datasets import DatasetSchema, load_dataset
-from refold.core import ClassifierConfig
 from refold.errors import (ConfigError, DataFormatError, EvaluationError, ModelFormatError,
                            NumericError, SelectionError)
 from refold.evaluation import (
@@ -693,8 +692,8 @@ def selection_cases(draw):
              for _ in range(draw(st.integers(1, 3)))]
     grid = tuple(sorted(draw(st.sets(st.sampled_from((0.3, 0.5, 0.8, 1.0, 1.1, 1.5, 2.5)),
                                      min_size=1, max_size=3))))
-    config = ClassifierConfig(draw(st.sampled_from(FOLD_OPS)), draw(st.integers(1, 4)),
-                              draw(st.sampled_from(DISTANCES)))
+    config = {"fold": draw(st.sampled_from(FOLD_OPS)), "iterations": draw(st.integers(1, 4)),
+              "dist": draw(st.sampled_from(DISTANCES))}
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(pools),
                           max_size=len(pools)))
     return (features, pools, is_target, config, grid, draw(st.integers(2, 10)), seeds,
@@ -706,8 +705,8 @@ def loop_fold_scores(features, pools, is_target, config, k, seeds):
     one train_ref per fold; every pool's folds are planned first, one pool
     at a time."""
     folds = [evaluation._cv_plan([pool], is_target, k, [seed]) for pool, seed in zip(pools, seeds)]
-    return [[(score(features[val], train_ref(features[fit], config.iterations, config.fold),
-                    config.dist), is_target[val]) for _, fit, val in pool_folds]
+    return [[(score(features[val], train_ref(features[fit], config["iterations"], config["fold"]),
+                    config["dist"]), is_target[val]) for _, fit, val in pool_folds]
             for pool_folds in folds]
 
 
@@ -726,8 +725,8 @@ def test_select_thresholds_picks_what_a_gmean_loop_picks(case):
     features, pools, is_target, config, grid, k, seeds, tie = case
     fold_scores = outcome(loop_fold_scores, features, pools, is_target, config, k, seeds)
     if isinstance(fold_scores, tuple):
-        args = (features, pools, is_target, config, grid, k, seeds)
-        assert outcome(select_thresholds, *args) == fold_scores
+        args = (features, pools, is_target, grid, k, seeds)
+        assert outcome(lambda: select_thresholds(*args, **config)) == fold_scores
         return
     if tie and fold_scores[0]:
         grid = tuple(sorted({float(s) for s in fold_scores[0][0][0] if s > 0}))[:3] or grid
@@ -735,7 +734,8 @@ def test_select_thresholds_picks_what_a_gmean_loop_picks(case):
                 for t in grid] for s, flags in pool] for pool in fold_scores]
     want = outcome(lambda: [best_threshold(table, grid) for table in tables])
     with mock.patch.object(evaluation, "best_threshold", wraps=best_threshold) as spy:
-        got = outcome(select_thresholds, features, pools, is_target, config, grid, k, seeds)
+        got = outcome(lambda: select_thresholds(features, pools, is_target, grid, k, seeds,
+                                                **config))
     assert got == want
     seen = [bits(c.args[0]) for c in spy.call_args_list]
     assert seen == [bits(table) for table in tables[:len(seen)]]
