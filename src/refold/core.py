@@ -24,7 +24,10 @@ come from einsum, whose one-operand loop keeps that running-total order at a
 third of add.reduce's cost on 20-wide rows. A total that comes out exactly
 zero, whose sign einsum may get wrong, and the re-sum that reports an
 overflowing total (einsum raises no floating-point warnings) go through the
-strict add.reduce.
+strict add.reduce. Both orders are numpy's implementation, not its contract,
+so a known-answer probe checks each once per process, on its first use:
+where einsum fails it, totals take add.reduce, and where add.reduce fails
+too, the last row of a cumsum, which is a running total by definition.
 transform_ref replays on a feature-major (D, M) copy of the samples, so each
 step subtracts and divides whole contiguous rows by one scalar each.
 
@@ -39,6 +42,7 @@ Its memory budget counts the step rows beside the gathered rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +86,8 @@ def _column_totals(a: np.ndarray) -> np.ndarray:
     # 256 rows or more, of at most 64 columns. It starts from +0.0, so a
     # total that comes out zero may carry the wrong sign: any zero total is
     # summed again strictly.
-    if a.ndim == 2 and 2 <= a.shape[1] <= 64 and len(a) >= 256 and a.flags.c_contiguous:
+    if (a.ndim == 2 and 2 <= a.shape[1] <= 64 and len(a) >= 256 and a.flags.c_contiguous
+            and _sums_in_order("einsum")):
         totals = np.einsum("ij->j", a)
         if np.count_nonzero(totals) == len(totals):
             return totals
@@ -97,9 +102,33 @@ def _strict_totals(a: np.ndarray) -> np.ndarray:
     # bits, signed zeros included. A single column is the contiguous axis,
     # which add.reduce sums pairwise, so it (like any other layout) takes the
     # last row of a cumsum, which carries one running total in index order.
-    if a.shape[-1] > 1 and a.flags.c_contiguous:
+    if a.shape[-1] > 1 and a.flags.c_contiguous and _sums_in_order("add.reduce"):
         return np.add.reduce(a, axis=-2, initial=-0.0)
     return np.cumsum(a, axis=-2)[..., -1, :]
+
+
+_SUMS = {"einsum": lambda a: np.einsum("ij->j", a),
+         "add.reduce": lambda a: np.add.reduce(a, axis=0, initial=-0.0)}
+
+
+@functools.cache
+def _sums_in_order(name: str) -> bool:
+    """Whether the named sum of _SUMS adds a block's rows in the
+    running-total order on this numpy: probed once per process, on the
+    sum's first use."""
+    return _adds_in_order(_SUMS[name])
+
+
+def _adds_in_order(total) -> bool:
+    """Whether total(a) gives, bit for bit, the running totals of the
+    columns of a (256, 3) block of magnitudes from 1e-8 to 1e8, which a
+    pairwise sum or a sum split into partial totals does not."""
+    # built by Python's arithmetic, so that the probe pages in no numpy code
+    # beyond the sum it checks
+    a = np.array([((k * 7919) % 997 - 498.5) * 10.0 ** (k % 17 - 8)
+                  for k in range(768)]).reshape(256, 3)
+    running = [functools.reduce(float.__add__, column) for column in a.T.tolist()]
+    return total(a).tobytes() == np.array(running).tobytes()
 
 
 def _square_totals(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -10,6 +10,17 @@ read in one vectorized pass; any other goes through the row-by-row parse,
 which alone decides what is rejected and how. read_chunks yields each
 chunk's matrix and labels, for callers that score or filter rows as they
 are read; load_dataset joins the chunks into one Dataset.
+
+A regular file whose first chunk comes back full (so the file may hold
+more) is parsed in two processes where it may run on two CPUs: a forked
+helper reads the file again and converts every other chunk (1, 3, 5, ...)
+as this process would, sending each matrix down a pipe. This process still
+decodes every chunk, reads every label and converts the rest, and converts
+an odd chunk itself whenever the helper sends no matrix for it, so errors
+are raised here alone, in file order, with the same text. The bits, labels
+and first error are those of a one-process parse. The file must not change
+while it is read.
+
 There is no network access anywhere; benchmark files are supplied locally
 and checked against the registry table below (expected class/sample/dimension
 counts) so a wrong or modified file fails loudly instead of skewing results.
@@ -19,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -107,9 +119,12 @@ def read_chunks(path, schema: DatasetSchema | None = None):
     schema = schema or DatasetSchema()
     path = os.fspath(path)
     d = schema.delimiter
-    # closed on return or raise, not when the generator is collected
-    with closing(read_lines(path, DataFormatError, _CHUNK_LINES)) as chunks:
+    # closed on return or raise, not when the generator is collected: the
+    # helper, if one was started, is killed and reaped first
+    with closing(read_lines(path, DataFormatError, _CHUNK_LINES)) as chunks, \
+            closing(_Helper()) as helper:
         lines = next(chunks, [])
+        full = len(lines) == _CHUNK_LINES  # the file may hold more chunks
         row_offset = 0
         header_names: list[str] | None = None
         if schema.header:
@@ -136,11 +151,15 @@ def read_chunks(path, schema: DatasetSchema | None = None):
         if not cols:
             raise DataFormatError(f"{path}: no feature columns left after selection")
 
+        if full and _helper_may_run(path):
+            helper.start(path, schema.header, d, width, cols)
         names: dict[str, str] = {}
         blank = None  # file row of the first blank label
-        row = row_offset
+        row, odd = row_offset, False
         while lines:
-            matrix = _loadtxt(lines, d, width, cols)
+            matrix = helper.matrix(len(lines), len(cols)) if odd else None
+            if matrix is None:
+                matrix = _loadtxt(lines, d, width, cols)
             if matrix is None:
                 matrix = _parse_rows(lines, d, width, cols, path, row)
             labels = []
@@ -157,7 +176,7 @@ def read_chunks(path, schema: DatasetSchema | None = None):
                 if blank is None and "" in names:
                     blank = row + labels.index("") + 1
             yield matrix, labels
-            row += len(lines)
+            row, odd = row + len(lines), not odd
             # dropped before the next chunk is read: one chunk's text is alive
             del lines, matrix, labels
             lines = next(chunks, [])
@@ -182,21 +201,23 @@ def load_dataset(
     """
     path = os.fspath(path)
     matrix, labels, names = None, [], {}
-    for chunk, chunk_labels in read_chunks(path, schema):
-        names.update(dict.fromkeys(chunk_labels))
-        if target_class is not None:
-            keep = [i for i, lab in enumerate(chunk_labels) if lab == target_class]
-            chunk, chunk_labels = chunk[keep], [target_class] * len(keep)
-        if matrix is None:
-            matrix = np.empty((0, chunk.shape[1]))
-        n = len(matrix)
-        # grown to the rows it holds, so no spare capacity is touched: realloc
-        # extends the block or remaps its pages. No view of matrix exists for
-        # the resize to invalidate.
-        matrix.resize((n + len(chunk), chunk.shape[1]), refcheck=False)
-        matrix[n:] = chunk
-        labels += chunk_labels
-        del chunk  # not held while the next chunk is parsed
+    # closed on a raise here too, which stops the parse's helper at once
+    with closing(read_chunks(path, schema)) as chunks:
+        for chunk, chunk_labels in chunks:
+            names.update(dict.fromkeys(chunk_labels))
+            if target_class is not None:
+                keep = [i for i, lab in enumerate(chunk_labels) if lab == target_class]
+                chunk, chunk_labels = chunk[keep], [target_class] * len(keep)
+            if matrix is None:
+                matrix = np.empty((0, chunk.shape[1]))
+            n = len(matrix)
+            # grown to the rows it holds, so no spare capacity is touched:
+            # realloc extends the block or remaps its pages. No view of
+            # matrix exists for the resize to invalidate.
+            matrix.resize((n + len(chunk), chunk.shape[1]), refcheck=False)
+            matrix[n:] = chunk
+            labels += chunk_labels
+            del chunk  # not held while the next chunk is parsed
     if target_class is not None:
         check_class(target_class, tuple(names))
     matrix.setflags(write=target_class is not None)
@@ -237,6 +258,108 @@ def _loadtxt(lines, delimiter, width, cols) -> np.ndarray | None:
     if m.shape[0] != len(lines) or not np.isfinite(m).all():
         return None
     return m
+
+
+# the helper's mark for an odd chunk that _loadtxt defers; a matrix is sent
+# as its row count, then its bytes
+_DEFERRED = b"\xff" * 8
+
+
+def _helper_may_run(path) -> bool:
+    """Whether a forked helper may convert chunks: fork exists, this process
+    may run on two CPUs or more, and the path is a regular file, which the
+    helper can read again (a pipe it cannot). From Python 3.12 fork warns
+    in a process with threads, and numpy's BLAS pool is one, so those
+    interpreters parse in one process."""
+    return (sys.version_info < (3, 12) and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and os.path.isfile(path))
+
+
+class _Helper:
+    """A forked child that converts the odd data chunks (1, 3, 5, ...) of a
+    file and sends their matrices down a pipe, in chunk order.
+
+    Only matrices cross the pipe. Where the helper sends none (it deferred
+    the chunk, or it is gone), matrix() returns None and read_chunks
+    converts the chunk itself, so a failed or killed helper costs speed
+    alone. Until start() forks one, and where no pipe or process can be
+    made, there is no helper, and matrix() returns None. close() kills and
+    reaps it.
+    """
+
+    pid = pipe = None
+
+    def start(self, path, header, delimiter, width, cols) -> None:
+        parent = os.getpid()
+        try:
+            r, w = os.pipe()
+        except OSError:
+            return
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                # the read end closed, a helper whose parent died gets EPIPE
+                os.close(r)
+                with open(w, "wb") as out:
+                    _send_odd_chunks(out, path, header, delimiter, width, cols)
+        except OSError:
+            pass  # no process: read_chunks converts every chunk
+        finally:
+            if os.getpid() != parent:
+                os._exit(0)  # the helper's one way out, whatever it raised
+            os.close(w)
+        if self.pid:
+            self.pipe = open(r, "rb")
+        else:
+            os.close(r)
+
+    def matrix(self, n: int, ncols: int) -> np.ndarray | None:
+        """The next odd chunk's (n, ncols) matrix, or None: the helper
+        deferred the chunk, or it sent no matrix of n rows and is stopped."""
+        if self.pipe is None:
+            return None
+        head = self.pipe.read(8)
+        if head == _DEFERRED:
+            return None
+        m = np.empty((n, ncols))
+        if head == n.to_bytes(8, "little") and self.pipe.readinto(m) == m.nbytes:
+            return m
+        self.close()  # gone, or out of step with this process's read
+        return None
+
+    def close(self) -> None:
+        """Kill and reap the helper, in whatever state it is."""
+        if self.pid:
+            import signal  # paid for only by a parse that forked
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pipe.close()
+            self.pid = self.pipe = None
+
+
+def _send_odd_chunks(out, path, header, delimiter, width, cols) -> None:
+    """The helper's work: the data chunks of the file as read_chunks splits
+    them, and for each odd one its _loadtxt matrix (row count, then bytes)
+    or _DEFERRED, flushed at once. Any error ends the helper."""
+    with closing(read_lines(path, DataFormatError, _CHUNK_LINES)) as chunks:
+        lines = next(chunks, [])
+        if header:
+            del lines[:1]
+            lines = lines or next(chunks, [])
+        odd = False
+        while lines:
+            if odd:
+                m = _loadtxt(lines, delimiter, width, cols)
+                if m is None:
+                    out.write(_DEFERRED)
+                else:
+                    out.write(len(m).to_bytes(8, "little"))
+                    out.write(m)
+                out.flush()
+            del lines  # one chunk's text is alive, as in read_chunks
+            lines, odd = next(chunks, []), not odd
 
 
 def _parse_rows(lines, delimiter, width, cols, path, row_offset) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Shared fixtures: repository paths, synthetic benchmark datasets, and a
 fit_stack that records its fits' steps."""
 
+import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -29,6 +31,52 @@ def pytest_configure(config):
     # pytest options the perfbench tests share: they leak a subprocess pipe
     # and would fail on its ResourceWarning.
     config.addinivalue_line("filterwarnings", "error")
+
+
+# for tests that need a forked helper: the parse forks none without
+# os.fork, nor from Python 3.12, where fork warns in a process with threads
+# (numpy's BLAS pool is one)
+needs_fork = pytest.mark.skipif(sys.version_info >= (3, 12) or not hasattr(os, "fork"),
+                                reason="the parse forks no helper on this interpreter")
+
+
+def parse_on_cpus(monkeypatch, n):
+    """Have the parse see n CPUs: on two, a file whose first chunk is full
+    is parsed with a forked helper; on one, in this process alone."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the helpers forked while the test runs."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def load_outcome(path, schema=None):
+    """What load_dataset gives: the features' bits and labels, or the error."""
+    from refold.datasets import load_dataset
+    from refold.errors import ConfigError, DataFormatError
+
+    try:
+        ds = load_dataset(path, schema)
+    except (DataFormatError, ConfigError) as exc:
+        return type(exc), str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels, ds.class_names
+
+
+def assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_no_child, needs_fork, parse_on_cpus
 
 from refold import core, datasets
 from refold.bench import BenchSpec
@@ -181,7 +182,8 @@ GOLDEN_PREDICT = "3d163a22207c0d8ba34f30128df9f73a11f83db7c96b991791504b26647630
 
 @pytest.mark.parametrize("chunk_lines", [7, 8192])
 def test_predict_golden_bytes(tmp_path, capsys, monkeypatch, chunk_lines):
-    # read 7 lines at a time, the file spans 286 chunks
+    # read 7 lines at a time, the file spans 286 chunks, and on two CPUs a
+    # forked helper converts every other one
     monkeypatch.setattr(datasets, "_CHUNK_LINES", chunk_lines)
     rng = np.random.default_rng(2024)
     X = rng.normal(size=(2000, 5)) * rng.uniform(0.5, 3.0, 5) + rng.uniform(-5, 5, 5)
@@ -194,15 +196,18 @@ def test_predict_golden_bytes(tmp_path, capsys, monkeypatch, chunk_lines):
         encoding="utf-8",
     )
     model = str(tmp_path / "m.refold")
-    assert main(["train", "--data", str(labeled), "--target-class", "t",
-                 "--out", model]) == 0
-    capsys.readouterr()
-    assert main(["predict", "--model", model, "--data", str(plain)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_PREDICT
-    assert main(["predict", "--model", model, "--data", str(labeled),
-                 "--label-column", "last"]) == 0
-    assert capsys.readouterr().out == out
+    for cpus in (2, 1):
+        parse_on_cpus(monkeypatch, cpus)
+        assert main(["train", "--data", str(labeled), "--target-class", "t",
+                     "--out", model]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", model, "--data", str(plain)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_PREDICT
+        assert main(["predict", "--model", model, "--data", str(labeled),
+                     "--label-column", "last"]) == 0
+        assert capsys.readouterr().out == out
+        assert_no_child()
 
 
 # --------------------------------------------------------------------- eval
@@ -231,23 +236,27 @@ def test_eval_golden_bytes(trained_model, tmp_path, capsys, monkeypatch, chunk_l
     # the fixture's versicolor model on its own labeled file, one run per
     # Iris class (setosa gives tpr=0 and gmean=0), then a 101-iteration
     # versicolor model under the l2 distance and threshold 0.1; read 7
-    # lines at a time, Iris spans 22 chunks
+    # lines at a time, Iris spans 22 chunks, and on two CPUs a forked
+    # helper converts every other one
     monkeypatch.setattr(datasets, "_CHUNK_LINES", chunk_lines)
     model_path, data = trained_model
     runs = [[model_path, c, "l1", "1.0"] for c in ("setosa", "versicolor", "virginica")]
     model_101 = str(tmp_path / "m101.refold")
-    assert main(["train", "--data", data, "--target-class", "versicolor",
-                 "--out", model_101]) == 0
-    runs += [[model_101, c, "l2", "0.1"] for c in ("setosa", "versicolor", "virginica")]
-    capsys.readouterr()
-    out = ""
-    for model, target, dist, threshold in runs:
-        assert main(["eval", "--model", model, "--data", data, "--target-class", target,
-                     "--dist", dist, "--threshold", threshold]) == 0
-        out += capsys.readouterr().out
-    assert out.count("\n") == 6
-    assert out.startswith("tp=0 fn=50 ")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_EVAL
+    for cpus in (2, 1):
+        parse_on_cpus(monkeypatch, cpus)
+        assert main(["train", "--data", data, "--target-class", "versicolor",
+                     "--out", model_101]) == 0
+        capsys.readouterr()
+        out = ""
+        for model, target, dist, threshold in runs + [
+                [model_101, c, "l2", "0.1"] for c in ("setosa", "versicolor", "virginica")]:
+            assert main(["eval", "--model", model, "--data", data, "--target-class", target,
+                         "--dist", dist, "--threshold", threshold]) == 0
+            out += capsys.readouterr().out
+        assert out.count("\n") == 6
+        assert out.startswith("tp=0 fn=50 ")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_EVAL
+        assert_no_child()
 
 
 def test_eval_boundary_score_is_target(tmp_path, capsys):
@@ -626,9 +635,11 @@ def test_model_width_is_checked_at_the_first_chunk(trained_model, tmp_path, caps
     argv = [command, "--model", model, "--data", str(data)]
     argv += ["--label-column", "last"] if command == "predict" else ["--target-class", target]
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 8)
+    parse_on_cpus(monkeypatch, 2)
     capsys.readouterr()
     line = single_error_line(capsys, main(argv), "ShapeError")
     assert line.endswith("sample has 4 dimensions, model has 2")
+    assert_no_child()
 
 
 def labeled_rows(tmp_path, rows=20_000, dim=20):
@@ -658,14 +669,18 @@ def test_train_holds_only_the_target_rows(tmp_path, capsys, monkeypatch):
     1.75x the targets' matrix: their rows, held once from parse to model,
     one chunk's text and a scratch block. Keeping every row, and copying the
     whole matrix again when joining it, took 4.3x; joining the target rows'
-    chunk parts, then fitting a copy of the joined rows, took 2.36x."""
+    chunk parts, then fitting a copy of the joined rows, took 2.36x. The
+    bound holds with a forked helper (two CPUs) and without (one): a matrix
+    read from its pipe costs what one converted here does."""
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 1024)
     monkeypatch.setattr(core, "_SCRATCH_ROWS", 1024)
     data, _, target_bytes = labeled_rows(tmp_path)
-    peak = traced_peak(["train", "--data", data, "--target-class", "t",
-                        "--out", str(tmp_path / "m.refold")])
-    assert capsys.readouterr().out == "J=101 D=20 N=10000\n"
-    assert peak < 1.75 * target_bytes, peak / target_bytes
+    for cpus in (2, 1):
+        parse_on_cpus(monkeypatch, cpus)
+        peak = traced_peak(["train", "--data", data, "--target-class", "t",
+                            "--out", str(tmp_path / "m.refold")])
+        assert capsys.readouterr().out == "J=101 D=20 N=10000\n"
+        assert peak < 1.75 * target_bytes, (cpus, peak / target_bytes)
 
 
 def test_predict_holds_a_chunk_beside_its_output(tmp_path, capfd, monkeypatch):
@@ -673,18 +688,43 @@ def test_predict_holds_a_chunk_beside_its_output(tmp_path, capfd, monkeypatch):
     plus its output text: one chunk's rows are parsed and replayed at a
     time, and its text is dropped before the next chunk's is read. Holding
     the matrix and a replayed copy of it took 1.76 times that, and holding
-    two chunks' text at once 0.48."""
+    two chunks' text at once 0.48. The bound holds with a forked helper
+    (two CPUs) and without (one)."""
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 1024)
     data, matrix_bytes, _ = labeled_rows(tmp_path)
     model = str(tmp_path / "m.refold")
     assert main(["train", "--data", data, "--target-class", "t", "--iters", "5",
                  "--out", model]) == 0
     capfd.readouterr()
-    peak = traced_peak(["predict", "--model", model, "--data", data,
-                        "--label-column", "last"])
-    out = capfd.readouterr().out
-    assert out.count("\n") == 20_000
-    assert peak < 0.45 * (matrix_bytes + len(out)), peak / (matrix_bytes + len(out))
+    for cpus in (2, 1):
+        parse_on_cpus(monkeypatch, cpus)
+        peak = traced_peak(["predict", "--model", model, "--data", data,
+                            "--label-column", "last"])
+        out = capfd.readouterr().out
+        assert out.count("\n") == 20_000
+        assert peak < 0.45 * (matrix_bytes + len(out)), (cpus, peak / (matrix_bytes + len(out)))
+
+
+@needs_fork
+def test_commands_leave_no_helper_behind(trained_model, tmp_path, capsys, monkeypatch,
+                                         forks):
+    """train, predict and eval each fork a helper for a file of many chunks,
+    and reap it before they return, succeeding or failing."""
+    model, data = trained_model
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 8)
+    parse_on_cpus(monkeypatch, 2)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(Path(data).read_text(encoding="utf-8").replace("5.7,", "5.7x,"),
+                   encoding="utf-8")
+    for path, rc in ((data, 0), (str(bad), 1)):
+        for argv in (["train", "--target-class", "setosa", "--out", str(tmp_path / "m2")],
+                     ["predict", "--model", model, "--label-column", "last"],
+                     ["eval", "--model", model, "--target-class", "setosa"]):
+            forks.clear()
+            assert main([*argv, "--data", path]) == rc
+            assert len(forks) == 1
+            assert_no_child()
+    assert "not a number: '5.7x'" in capsys.readouterr().err
 
 
 def test_label_column_none_rejected_by_train_and_eval(trained_model, tmp_path, capsys):

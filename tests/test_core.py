@@ -1,11 +1,14 @@
 """Unit and property tests for the core classifier."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracle
+from refold import core
 from refold.core import (
     DEFAULT_DISTANCE,
     DEFAULT_FOLD,
@@ -653,6 +656,76 @@ def test_column_totals_take_the_fast_path_in_index_order(shape):
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     assert np.signbit(want[-2]) and want[-1] == 0.0 and not np.signbit(want[-1])
+
+
+def pairwise_totals(a):
+    """Column totals of a matrix of 2**k rows by a pairwise tree."""
+    while len(a) > 1:
+        a = a[0::2] + a[1::2]
+    return a[0]
+
+
+def test_summation_probe_rejects_other_orders():
+    """This numpy's einsum and add.reduce pass the known-answer probe, as
+    do a cumsum and the plain loop; a pairwise tree, an 8-way split and
+    add.reduce along the contiguous axis (pairwise in blocks) fail it."""
+    assert core._sums_in_order("einsum") and core._sums_in_order("add.reduce")
+    for total in (loop_totals, lambda a: np.cumsum(a, axis=0)[-1]):
+        assert core._adds_in_order(total)
+    for total in (pairwise_totals,
+                  lambda a: sum(np.add.reduce(a[k::8], axis=0, initial=-0.0) for k in range(8)),
+                  lambda a: np.add.reduce(a.T.copy(), axis=1)):
+        assert not core._adds_in_order(total)
+
+
+def test_summation_probe_runs_on_first_use():
+    """Each sum is probed once, when first used: add.reduce by any fit,
+    einsum by the first fit of 256 rows or more."""
+    code = ("import refold.cli, refold.core as core; n = core._sums_in_order.cache_info; "
+            "a = n().currsize; core.train_ref([[1.0, 2.0], [3.0, 5.0]], iterations=2); "
+            "b = n().currsize; core.train_ref([[1.0, 2.0], [3.0, 5.0]] * 128, iterations=2); "
+            "print(a, b, n().currsize, n().misses)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout == "0 1 2 2\n", proc.stderr
+
+
+@pytest.mark.parametrize("passing", [{"add.reduce"}, set()],
+                         ids=["einsum-fails", "both-fail"])
+def test_each_summation_fallback_gives_the_same_bits(monkeypatch, passing):
+    """Where the probe fails einsum, totals come from add.reduce, and where
+    it fails that too, from a cumsum: models, scores and stacked fits keep
+    their bits, on blocks that einsum would take."""
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(3000, 6)) * 10.0 ** rng.uniform(-3, 3, size=6)
+    Y = rng.normal(size=(500, 6)) * 2.0
+    rows = [np.arange(0, 3000, 2), np.arange(1, 1500)]
+
+    def outputs():
+        out = []
+        for fold in ("abs", "cos"):
+            model = train_ref(X, iterations=21, fold=fold)
+            out += [model.mu.tobytes(), model.sigma.tobytes(), score(Y, model).tobytes()]
+            scores = fit_stack(X, rows, 21, fold, rows, [1, 21], "l2")
+            out += [scores[k].tobytes() for k in sorted(scores)]
+        return out
+
+    cumsums, cumsum = [], np.cumsum
+
+    def counted(*args, **kwargs):
+        cumsums.append(1)
+        return cumsum(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("einsum summed a block the probe failed it on")
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    want, strict = outputs(), len(cumsums)
+    monkeypatch.setattr(core, "_sums_in_order", lambda name: name in passing)
+    monkeypatch.setattr(np, "einsum", refused)
+    cumsums.clear()
+    assert outputs() == want
+    assert (len(cumsums) > strict) == (not passing)
 
 
 @pytest.mark.parametrize("shape", [(5000, 20), (1000, 1), (7, 3), (50, 2)])

@@ -1,10 +1,13 @@
 """Tests for dataset parsing, schema handling, and the benchmark registry."""
 
 import os
+import signal
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_no_child, load_outcome, needs_fork, parse_on_cpus
 
 from refold import datasets
 from refold.datasets import (
@@ -430,6 +433,167 @@ def test_line_ends_across_chunks(tmp_path, monkeypatch, line_end):
     p.write_bytes(rows_text(7, bad=(6, "6,x,a"), line_end=line_end).encode("utf-8"))
     with pytest.raises(DataFormatError, match="row 6 column 1"):
         load_dataset(p)
+
+
+# ------------------------------------------------------ two-process parse
+
+def both_ways(monkeypatch, forks, path, schema=None):
+    """The outcome with a forked helper, once it is checked equal to the
+    outcome in one process, and that either leaves no child behind."""
+    forks.clear()
+    parse_on_cpus(monkeypatch, 2)
+    helped = load_outcome(path, schema)
+    assert forks, "no helper was forked"
+    assert_no_child()
+    parse_on_cpus(monkeypatch, 1)
+    assert load_outcome(path, schema) == helped
+    assert_no_child()
+    return helped
+
+
+@needs_fork
+def test_helper_converts_the_odd_chunks(tmp_path, monkeypatch, forks):
+    """Chunks 1, 3, 5, ... come from the helper, bit for bit what this
+    process converts, and a file of one chunk forks none."""
+    received = []
+    matrix = datasets._Helper.matrix
+
+    def spy(self, n, ncols):
+        received.append(matrix(self, n, ncols))
+        return received[-1]
+
+    monkeypatch.setattr(datasets._Helper, "matrix", spy)
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
+    values = np.random.default_rng(3).standard_normal((38, 3)) * 10.0 ** np.arange(-4, 5, 4)
+    p = write(tmp_path, "".join(",".join("%.17g" % v for v in row) + ",a\n"
+                                for row in values.tolist()))
+    shape, bits, _, _ = both_ways(monkeypatch, forks, p)
+    assert shape == values.shape and bits == values.tobytes()
+    # chunks 1, 3, 5, 7, 9 of 10 from the helper, none in one process
+    assert [None if m is None else len(m) for m in received] == [4, 4, 4, 4, 2] + [None] * 5
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 40)
+    forks.clear()
+    parse_on_cpus(monkeypatch, 2)
+    assert load_outcome(p)[1] == values.tobytes() and not forks
+
+
+# each file spans at least three chunks of 4 lines, and a fault sits in
+# chunk 1 or 3, which the helper converts: (text, schema, error's end or None)
+TWO_PROCESS_FILES = {
+    "bad-cell": (rows_text(16, bad=(6, "6,x,a")), {}, "row 6 column 1: not a number: 'x'"),
+    "bad-cell-in-the-last-chunk": (rows_text(15, bad=(14, "14,-14e,a")), {},
+                                   "row 14 column 1: not a number: '-14e'"),
+    "ragged-row": (rows_text(16, bad=(7, "7,a")), {}, "row 7 has 2 fields, expected 3"),
+    "padded-cell": (rows_text(16, bad=(5, "5,\u00a0-5,b")), {}, None),
+    "blank-label-after-the-last-chunk": (rows_text(16, bad=(2, "2,-2, ")), {},
+                                         "row 2 column 2: blank label"),
+    "blank-label-then-a-bad-cell": (rows_text(16, bad=(2, "2,-2, ")).replace("14,-14", "14,x"),
+                                    {}, "row 14 column 1: not a number: 'x'"),
+    "header": ("x,y,cls\n" + rows_text(16), {"header": True, "label_column": "cls"}, None),
+    "header-and-a-bad-cell": ("x,y,cls\n" + rows_text(16, bad=(6, "6,x,a")), {"header": True},
+                              "row 7 column 1: not a number: 'x'"),
+    "trailing-blank-lines": (rows_text(14) + "\n" * 9, {}, None),
+    "blank-line-in-an-odd-chunk": (rows_text(14, bad=(6, "")), {},
+                                   "row 6 has 1 fields, expected 3"),
+    "crlf": (rows_text(17, line_end="\r\n"), {}, None),
+    "cr": (rows_text(17, line_end="\r"), {}, None),
+    "cr-and-a-bad-cell": (rows_text(17, bad=(13, "13,1..3,b"), line_end="\r"), {},
+                          "row 13 column 1: not a number: '1..3'"),
+    "label-first": ("".join(f"{'ab'[i % 2]},{i},{-i}\n" for i in range(13)),
+                    {"label_column": 0}, None),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("case", sorted(TWO_PROCESS_FILES))
+def test_helper_changes_no_outcome(tmp_path, monkeypatch, forks, case):
+    """Bits, labels and class names, or the error's type and text, are
+    those of the parse in one process."""
+    text, schema, error = TWO_PROCESS_FILES[case]
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
+    got = both_ways(monkeypatch, forks, write(tmp_path, text), DatasetSchema(**schema))
+    if error is None:
+        assert got[0][0] >= 13
+    else:
+        assert got[0] is DataFormatError and got[1].endswith(error)
+
+
+# 3,000 rows of 10 bytes, chunks of 512 lines (about 5 KB) against the text
+# layer's 8 KB read blocks
+UTF8_CHUNKS = "".join(f"{i % 10}.5,{i % 7}.5,{'ab'[i % 2]}\n" for i in range(3000))
+
+
+@needs_fork
+@pytest.mark.parametrize("at, cell", [(9_000, 500), (18_000, 6_000), (22_000, 12_000),
+                                      (29_000, 18_760)],
+                         ids=["chunk-1", "chunk-3", "chunk-3-reads-ahead", "chunk-4"])
+def test_helper_changes_no_non_utf8_outcome(tmp_path, monkeypatch, forks, at, cell):
+    """A bad byte is named at its offset when the chunk whose lines reach
+    its read block is read, and a bad cell in a chunk read before that,
+    converted by either process, is reported first."""
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 512)
+    data = bytearray(UTF8_CHUNKS.encode("utf-8"))
+    data[at] = 0xFF
+    p = tmp_path / "data.csv"
+    p.write_bytes(bytes(data))
+    got = both_ways(monkeypatch, forks, p)
+    assert got == (DataFormatError, f"{p}: not UTF-8 text (invalid start byte at byte {at}); "
+                                    "re-encode the file as UTF-8")
+    data[cell:cell + 10] = b"1.5,x.5,a\n"
+    p.write_bytes(bytes(data))
+    assert both_ways(monkeypatch, forks, p) == (
+        DataFormatError, f"{p}: row {cell // 10 + 1} column 1: not a number: 'x.5'")
+
+
+@needs_fork
+def test_no_helper_is_left_behind(tmp_path, monkeypatch, forks):
+    """The helper is reaped when the parse ends, fails in a chunk it
+    converts, is closed early, or is interrupted from the consumer."""
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
+    parse_on_cpus(monkeypatch, 2)
+    good, bad = write(tmp_path, rows_text(40)), write(tmp_path, rows_text(40, bad=(6, "6,x,a")),
+                                                       "bad.csv")
+    assert len(list(datasets.read_chunks(good))) == 10
+    assert_no_child()
+    with pytest.raises(DataFormatError, match="row 6 column 1"):
+        load_dataset(bad)
+    assert_no_child()
+    chunks = datasets.read_chunks(good)
+    next(chunks), next(chunks)
+    chunks.close()
+    assert_no_child()
+    with pytest.raises(KeyboardInterrupt):
+        with closing(datasets.read_chunks(good)) as chunks:
+            for k, _ in enumerate(chunks):
+                if k == 3:
+                    raise KeyboardInterrupt
+    assert_no_child()
+    assert len(forks) == 4
+
+
+@needs_fork
+def test_parse_outlives_a_killed_helper(tmp_path, monkeypatch, forks):
+    """A helper killed mid-file leaves this process to convert the rest
+    alone, to the same bits."""
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
+    values = np.random.default_rng(4).standard_normal((60, 2))
+    p = write(tmp_path, "".join("%.17g,%.17g,a\n" % tuple(row) for row in values.tolist()))
+    parse_on_cpus(monkeypatch, 2)
+    parts = []
+    with closing(datasets.read_chunks(p)) as chunks:
+        for k, (m, _) in enumerate(chunks):
+            parts.append(m)
+            if k == 3:
+                os.kill(forks[0], signal.SIGKILL)
+    assert np.concatenate(parts).tobytes() == values.tobytes()
+    assert_no_child()
+
+
+def test_one_cpu_forks_no_helper(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
+    parse_on_cpus(monkeypatch, 1)
+    assert load_dataset(write(tmp_path, rows_text(40))).n_samples == 40
+    assert not forks
 
 
 # 20,000 rows of 10 bytes: past two default chunks of lines and many of

@@ -41,6 +41,7 @@ from refold.rng import SplitMix64
 from refold.textio import read_lines
 
 import oracle
+from conftest import load_outcome, parse_on_cpus
 
 # derandomized so every run tries the same examples, with no example
 # database to replay from
@@ -265,15 +266,6 @@ def fast_path_files(draw):
     return "\n".join(lines) + draw(st.sampled_from(("", "\n"))), schema
 
 
-def load_outcome(path, schema):
-    """What load_dataset gives: the features' bits and labels, or the error."""
-    try:
-        ds = load_dataset(path, schema)
-    except (DataFormatError, ConfigError) as exc:
-        return type(exc), str(exc)
-    return ds.features.shape, bits(ds.features), ds.labels, ds.class_names
-
-
 @PROPERTY_SETTINGS
 @given(fast_path_files())
 def test_fast_parse_agrees_with_row_parse(case):
@@ -302,7 +294,8 @@ def chunked_files(draw):
 @given(chunked_files())
 def test_chunk_size_does_not_change_the_outcome(case):
     """Chunks of 1, 2 or 3 lines give the bits, labels and class names, or
-    the error, that one chunk holding the whole file gives."""
+    the error, that one chunk holding the whole file gives, whether a forked
+    helper converts every other chunk (two CPUs) or not (one)."""
     text, schema = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
@@ -310,9 +303,11 @@ def test_chunk_size_does_not_change_the_outcome(case):
             fh.write(text)
         whole = load_outcome(path, schema)
         for chunk_lines in (1, 2, 3):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(datasets, "_CHUNK_LINES", chunk_lines)
-                assert load_outcome(path, schema) == whole, chunk_lines
+            for cpus in (2, 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(datasets, "_CHUNK_LINES", chunk_lines)
+                    parse_on_cpus(mp, cpus)
+                    assert load_outcome(path, schema) == whole, (chunk_lines, cpus)
 
 
 # a bad byte anywhere in text with multibyte characters and every line end,
