@@ -279,6 +279,9 @@ def main(argv=None) -> int:
             kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
             print(f"refold: error: {kind}: {exc}", file=sys.stderr)
             return 1
+        except KeyboardInterrupt:  # 128 + SIGINT, as shells report an interrupted command
+            print("refold: error: KeyboardInterrupt: interrupted", file=sys.stderr)
+            return 130
 
 
 if __name__ == "__main__":

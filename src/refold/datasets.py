@@ -13,13 +13,16 @@ are read; load_dataset joins the chunks into one Dataset.
 
 A regular file whose first chunk comes back full (so the file may hold
 more) is parsed in two processes where it may run on two CPUs: a forked
-helper reads the file again and converts every other chunk (1, 3, 5, ...)
-as this process would, sending each matrix down a pipe. This process still
-decodes every chunk, reads every label and converts the rest, and converts
-an odd chunk itself whenever the helper sends no matrix for it, so errors
-are raised here alone, in file order, with the same text. The bits, labels
-and first error are those of a one-process parse. The file must not change
-while it is read.
+helper reads the file again and converts every other chunk of read_lines
+(1, 3, 5, ...) as this process would, until the first one it cannot
+convert in one pass, sending each matrix down a pipe. This process still
+decodes every chunk, reads every label and converts the rest, so errors
+are raised here alone, with the same text. Faults of one kind are reported
+in file order, but a chunk is decoded whole before its cells are read, so
+a non-UTF-8 byte is reported before an earlier bad cell of the same chunk,
+or of the text layer's 8 KB read-ahead. The bits, labels and first error
+are those of a one-process parse. The file must not change while it is
+read.
 
 There is no network access anywhere; benchmark files are supplied locally
 and checked against the registry table below (expected class/sample/dimension
@@ -33,6 +36,7 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -45,6 +49,10 @@ DEFAULT_DATA_DIR = "data"
 # lines parsed per np.loadtxt call: the text held at once stays one chunk's,
 # and larger chunks peak higher on np.loadtxt's own temporaries
 _CHUNK_LINES = 8192
+
+# whether the parse may fork a helper: fork exists, and Python is older than
+# 3.12, from which fork warns in a process with threads (numpy's BLAS pool is one)
+MAY_FORK = sys.version_info < (3, 12) and hasattr(os, "fork")
 
 
 @dataclass(frozen=True)
@@ -125,14 +133,15 @@ def read_chunks(path, schema: DatasetSchema | None = None):
             closing(_Helper()) as helper:
         lines = next(chunks, [])
         full = len(lines) == _CHUNK_LINES  # the file may hold more chunks
-        row_offset = 0
         header_names: list[str] | None = None
         if schema.header:
             if not lines:
                 raise DataFormatError(f"{path}: empty file, header expected")
             header_names = [c.strip() for c in lines.pop(0).split(d)]
-            row_offset = 1
-            lines = lines or next(chunks, [])
+        # chunks are counted as read_lines yields them: where the header
+        # fills chunk 0 alone, the data starts at chunk 1, which is odd
+        row, odd = int(schema.header), not lines
+        lines = lines or next(chunks, [])
 
         if not lines:
             raise DataFormatError(f"{path}: no data rows")
@@ -151,11 +160,10 @@ def read_chunks(path, schema: DatasetSchema | None = None):
         if not cols:
             raise DataFormatError(f"{path}: no feature columns left after selection")
 
-        if full and _helper_may_run(path):
-            helper.start(path, schema.header, d, width, cols)
+        if full:
+            helper.start(path, d, width, cols)
         names: dict[str, str] = {}
         blank = None  # file row of the first blank label
-        row, odd = row_offset, False
         while lines:
             matrix = helper.matrix(len(lines), len(cols)) if odd else None
             if matrix is None:
@@ -260,37 +268,28 @@ def _loadtxt(lines, delimiter, width, cols) -> np.ndarray | None:
     return m
 
 
-# the helper's mark for an odd chunk that _loadtxt defers; a matrix is sent
-# as its row count, then its bytes
-_DEFERRED = b"\xff" * 8
-
-
-def _helper_may_run(path) -> bool:
-    """Whether a forked helper may convert chunks: fork exists, this process
-    may run on two CPUs or more, and the path is a regular file, which the
-    helper can read again (a pipe it cannot). From Python 3.12 fork warns
-    in a process with threads, and numpy's BLAS pool is one, so those
-    interpreters parse in one process."""
-    return (sys.version_info < (3, 12) and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-            and os.path.isfile(path))
-
-
 class _Helper:
-    """A forked child that converts the odd data chunks (1, 3, 5, ...) of a
-    file and sends their matrices down a pipe, in chunk order.
+    """A forked child that converts the odd chunks (1, 3, 5, ...) of a
+    file's read_lines and sends their matrices down a pipe, in chunk order,
+    until the first chunk it cannot convert in one pass.
 
-    Only matrices cross the pipe. Where the helper sends none (it deferred
-    the chunk, or it is gone), matrix() returns None and read_chunks
-    converts the chunk itself, so a failed or killed helper costs speed
-    alone. Until start() forks one, and where no pipe or process can be
-    made, there is no helper, and matrix() returns None. close() kills and
-    reaps it.
+    Only matrices cross the pipe. Where the helper sends none (it stopped,
+    or it is gone), matrix() stops it and returns None, and read_chunks
+    converts that chunk and every later one itself, so a failed or killed
+    helper costs speed alone. Until start() forks one, and where no helper
+    may run or no pipe or process can be made, there is no helper, and
+    matrix() returns None. close() kills and reaps it.
     """
 
     pid = pipe = None
 
-    def start(self, path, header, delimiter, width, cols) -> None:
+    def start(self, path, delimiter, width, cols) -> None:
+        """Fork the helper where one may run: MAY_FORK holds, this process
+        may run on two CPUs or more, and the path is a regular file, which
+        the helper can read again (a pipe it cannot)."""
+        if not (MAY_FORK and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2 and os.path.isfile(path)):
+            return
         parent = os.getpid()
         try:
             r, w = os.pipe()
@@ -302,7 +301,7 @@ class _Helper:
                 # the read end closed, a helper whose parent died gets EPIPE
                 os.close(r)
                 with open(w, "wb") as out:
-                    _send_odd_chunks(out, path, header, delimiter, width, cols)
+                    _send_odd_chunks(out, path, delimiter, width, cols)
         except OSError:
             pass  # no process: read_chunks converts every chunk
         finally:
@@ -315,17 +314,14 @@ class _Helper:
             os.close(r)
 
     def matrix(self, n: int, ncols: int) -> np.ndarray | None:
-        """The next odd chunk's (n, ncols) matrix, or None: the helper
-        deferred the chunk, or it sent no matrix of n rows and is stopped."""
+        """The next odd chunk's (n, ncols) matrix, or None: the helper sent
+        no matrix of n rows, and is stopped."""
         if self.pipe is None:
             return None
-        head = self.pipe.read(8)
-        if head == _DEFERRED:
-            return None
         m = np.empty((n, ncols))
-        if head == n.to_bytes(8, "little") and self.pipe.readinto(m) == m.nbytes:
+        if self.pipe.read(8) == n.to_bytes(8, "little") and self.pipe.readinto(m) == m.nbytes:
             return m
-        self.close()  # gone, or out of step with this process's read
+        self.close()  # done, gone, or out of step with this process's read
         return None
 
     def close(self) -> None:
@@ -339,27 +335,19 @@ class _Helper:
             self.pid = self.pipe = None
 
 
-def _send_odd_chunks(out, path, header, delimiter, width, cols) -> None:
-    """The helper's work: the data chunks of the file as read_chunks splits
-    them, and for each odd one its _loadtxt matrix (row count, then bytes)
-    or _DEFERRED, flushed at once. Any error ends the helper."""
+def _send_odd_chunks(out, path, delimiter, width, cols) -> None:
+    """The helper's work: for each odd chunk of the file's read_lines, its
+    _loadtxt matrix (row count, then bytes), flushed at once. The first
+    chunk that _loadtxt defers, or any error, ends the helper."""
     with closing(read_lines(path, DataFormatError, _CHUNK_LINES)) as chunks:
-        lines = next(chunks, [])
-        if header:
-            del lines[:1]
-            lines = lines or next(chunks, [])
-        odd = False
-        while lines:
-            if odd:
-                m = _loadtxt(lines, delimiter, width, cols)
-                if m is None:
-                    out.write(_DEFERRED)
-                else:
-                    out.write(len(m).to_bytes(8, "little"))
-                    out.write(m)
-                out.flush()
-            del lines  # one chunk's text is alive, as in read_chunks
-            lines, odd = next(chunks, []), not odd
+        for lines in islice(chunks, 1, None, 2):
+            m = _loadtxt(lines, delimiter, width, cols)
+            if m is None:
+                return
+            out.write(len(m).to_bytes(8, "little"))
+            out.write(m)
+            out.flush()
+            del lines, m  # one chunk's text is alive, as in read_chunks
 
 
 def _parse_rows(lines, delimiter, width, cols, path, row_offset) -> np.ndarray:

@@ -2,7 +2,6 @@
 fit_stack that records its fits' steps."""
 
 import os
-import sys
 import warnings
 from pathlib import Path
 
@@ -33,11 +32,14 @@ def pytest_configure(config):
     config.addinivalue_line("filterwarnings", "error")
 
 
-# for tests that need a forked helper: the parse forks none without
-# os.fork, nor from Python 3.12, where fork warns in a process with threads
-# (numpy's BLAS pool is one)
-needs_fork = pytest.mark.skipif(sys.version_info >= (3, 12) or not hasattr(os, "fork"),
-                                reason="the parse forks no helper on this interpreter")
+def needs_fork(test):
+    """Skip the test where the parse's own rule forks no helper. refold is
+    imported here, not at the top: test_properties runs a copy of this file
+    where refold is not importable."""
+    from refold.datasets import MAY_FORK
+
+    return pytest.mark.skipif(not MAY_FORK,
+                              reason="the parse forks no helper on this interpreter")(test)
 
 
 def parse_on_cpus(monkeypatch, n):

@@ -1,10 +1,13 @@
 """CLI tests: flag surface, output formats, exit codes."""
 
+import errno
 import hashlib
 import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -725,6 +728,39 @@ def test_commands_leave_no_helper_behind(trained_model, tmp_path, capsys, monkey
             assert len(forks) == 1
             assert_no_child()
     assert "not a number: '5.7x'" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_interrupt_is_one_error_line(trained_model, tmp_path):
+    """SIGINT in the middle of a command prints the one error line and
+    exits 130 (128 + SIGINT), with no traceback and no child left."""
+    model, _ = trained_model
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    fd, deadline = None, time.monotonic() + 60
+    with subprocess.Popen([sys.executable, "-m", "refold", "predict", "--model", model,
+                           "--data", str(fifo)], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, cwd=str(REPO_ROOT),
+                          env=child_env()) as proc:
+        try:
+            # the write end opens once the command has opened the read end
+            while fd is None:
+                try:
+                    fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                except OSError as exc:
+                    assert exc.errno == errno.ENXIO and proc.poll() is None
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            os.write(fd, b"5.1,3.5")  # a partial row: the parse waits for more
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # only if the command is still running
+            if fd is not None:
+                os.close(fd)
+    assert (proc.returncode, out, err) == (130, "", "refold: error: KeyboardInterrupt: "
+                                                    "interrupted\n")
+    assert_no_child()
 
 
 def test_label_column_none_rejected_by_train_and_eval(trained_model, tmp_path, capsys):

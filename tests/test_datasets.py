@@ -376,7 +376,7 @@ def test_load_dataset_is_bit_identical_at_every_chunk_size(tmp_path, monkeypatch
     classes = ["c" if i in (5, 6, 31) else "ab"[i % 2] for i in range(40)]
     rows = [",".join("%.17g" % v for v in row) + "," + c
             for row, c in zip(values.tolist(), classes)]
-    rows[9] = rows[9].replace(",", " , ", 1)  # a padded cell: read row by row
+    rows[9] = rows[9].replace(",", " , ", 1)  # a cell padded with spaces
     p = write(tmp_path, "\n".join(rows) + "\n")
     monkeypatch.setattr(datasets, "_CHUNK_LINES", chunk_lines)
     ds = load_dataset(p)
@@ -453,8 +453,9 @@ def both_ways(monkeypatch, forks, path, schema=None):
 
 @needs_fork
 def test_helper_converts_the_odd_chunks(tmp_path, monkeypatch, forks):
-    """Chunks 1, 3, 5, ... come from the helper, bit for bit what this
-    process converts, and a file of one chunk forks none."""
+    """Chunks 1, 3, 5, ... of read_lines come from the helper, bit for bit
+    what this process converts, up to the first chunk that it defers; a
+    file of one chunk forks none."""
     received = []
     matrix = datasets._Helper.matrix
 
@@ -465,12 +466,30 @@ def test_helper_converts_the_odd_chunks(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(datasets._Helper, "matrix", spy)
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
     values = np.random.default_rng(3).standard_normal((38, 3)) * 10.0 ** np.arange(-4, 5, 4)
-    p = write(tmp_path, "".join(",".join("%.17g" % v for v in row) + ",a\n"
-                                for row in values.tolist()))
+    text = "".join(",".join("%.17g" % v for v in row) + ",a\n" for row in values.tolist())
+    p = write(tmp_path, text)
     shape, bits, _, _ = both_ways(monkeypatch, forks, p)
     assert shape == values.shape and bits == values.tobytes()
     # chunks 1, 3, 5, 7, 9 of 10 from the helper, none in one process
     assert [None if m is None else len(m) for m in received] == [4, 4, 4, 4, 2] + [None] * 5
+    # a header alone in chunk 0: the data rows of chunks 1, 3, ..., 37 from the helper
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 1)
+    received.clear()
+    header = write(tmp_path, "x,y,z,cls\n" + text, "header.csv")
+    assert both_ways(monkeypatch, forks, header, DatasetSchema(header=True))[1] == bits
+    assert np.concatenate(received[:19]).tobytes() == values[::2].tobytes()
+    assert [m is None for m in received] == [False] * 19 + [True] * 19
+    # a chunk that _loadtxt defers but that parses stops the helper, and this
+    # process converts chunks 1 and 3. np.loadtxt (numpy 2.4.6) reads
+    # non-ASCII padding, so _loadtxt is made to defer the padded cell.
+    loadtxt = datasets._loadtxt
+    monkeypatch.setattr(datasets, "_loadtxt", lambda lines, *args: None if any(
+        "\xa0" in line for line in lines) else loadtxt(lines, *args))
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
+    received.clear()
+    padded = write(tmp_path, TWO_PROCESS_FILES["padded-cell"][0], "padded.csv")
+    assert both_ways(monkeypatch, forks, padded)[0] == (16, 2)
+    assert [m is None for m in received] == [True] * 4
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 40)
     forks.clear()
     parse_on_cpus(monkeypatch, 2)
