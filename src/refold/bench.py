@@ -488,7 +488,9 @@ def timing_probe(
     """Median-of-repeats training wall time on synthetic normal data.
 
     The generator is seeded per size, so identical seeds reproduce identical
-    inputs; medians damp scheduler noise.
+    inputs; medians damp scheduler noise. On two CPUs or more, a size of
+    core._SCRATCH_ROWS (8192) rows or more times the split fit, whose two
+    column halves are fitted in forked helpers at once.
     """
     counts = as_tuple(sizes)
     if not counts:

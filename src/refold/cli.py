@@ -109,7 +109,7 @@ def _schema(args, labeled: bool = True) -> DatasetSchema:
 def _cmd_train(args) -> int:
     # only the target rows of each chunk are kept: the other classes' rows
     # are never held beside them, and the fit works in place on the kept
-    # rows, which load_dataset returns writable
+    # rows, which load_dataset returns writable (a split fit only reads them)
     ds = load_dataset(args.data, _schema(args), target_class=args.target_class)
     model = train_ref(ds.features, iterations=args.iters, fold=args.fold, overwrite=True)
     save_model(model, args.out)
@@ -121,12 +121,14 @@ def _cmd_predict(args) -> int:
     threshold = args.threshold
     check("threshold", threshold)
     model = load_model(args.model)
-    # one chunk is scored at a time; its lines are written only once the
-    # last chunk has parsed, so a failing command prints nothing
+    # one chunk is scored at a time, by the parse's helper or here; its
+    # lines are written only once the last chunk has parsed, so a failing
+    # command prints nothing
     texts, row = [], 0
-    with closing(read_chunks(args.data, _schema(args, labeled=False))) as chunks:
-        for X, _ in chunks:
-            scores = score(X, model, args.dist).tolist()
+    with closing(read_chunks(args.data, _schema(args, labeled=False),
+                             lambda X: score(X, model, args.dist))) as chunks:
+        for scores, _ in chunks:
+            scores = scores.tolist()
             texts.append("".join(
                 "%d %.17g %s\n" % (i, s, TARGET if s <= threshold else OUTLIER)
                 for i, s in enumerate(scores, start=row)
@@ -142,12 +144,12 @@ def _cmd_eval(args) -> int:
     target = args.target_class
     # integer counts, summed chunk by chunk, are exact
     counts, classes = 0, {}
-    with closing(read_chunks(args.data, _schema(args))) as chunks:
-        for X, labels in chunks:
+    with closing(read_chunks(args.data, _schema(args),
+                             lambda X: score(X, model, args.dist))) as chunks:
+        for scores, labels in chunks:
             classes.update(dict.fromkeys(labels))
             flags = np.array([lab == target for lab in labels], dtype=bool)
-            counts = counts + confusion_counts(score(X, model, args.dist) <= args.threshold,
-                                               flags)
+            counts = counts + confusion_counts(scores <= args.threshold, flags)
     check_class(target, tuple(classes))
     tpr, tnr, g = gmeans(counts)
     write_stdout(

@@ -31,6 +31,13 @@ too, the last row of a cumsum, which is a running total by definition.
 transform_ref replays on a feature-major (D, M) copy of the samples, so each
 step subtracts and divides whole contiguous rows by one scalar each.
 
+Every step of a fit acts on one dimension at a time; only the final distance
+mixes dimensions. So where a helper may be forked (helper.may_fork: two
+CPUs or more), train_ref fits a matrix of _SCRATCH_ROWS rows or more and two
+columns or more as its two column halves, in two forked helpers at once,
+whose steps side by side are the bits of a whole fit. It writes nothing of
+the matrix meanwhile, and on any failure of a half it fits the matrix whole.
+
 fit_stack fits R models on index arrays into one matrix at once, rows-outer:
 their rows sit side by side as one (N, R * D) matrix, so each numpy call of a
 step spans all R * D columns. Non-finite working values show in the column
@@ -54,6 +61,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
+from .helper import Helper, may_fork, send
 from .textio import check, check_int
 
 FOLD_OPS = ("abs", "sqr", "cos_abs", "cos", "sin", "tanh")
@@ -243,11 +251,10 @@ class RefModel:
 
 
 def _as_samples(
-    x, what: str = "input", allow_nonfinite: bool = False, copy: bool = False
+    x, what: str = "input", allow_nonfinite: bool = False
 ) -> tuple[np.ndarray, bool]:
-    """Coerce to a float64 (N, D) matrix, a new C-ordered one with copy=True;
-    returns (matrix, was_single_row)."""
-    a = np.array(x, dtype=np.float64, order="C") if copy else np.asarray(x, dtype=np.float64)
+    """Coerce to a float64 (N, D) matrix; returns (matrix, was_single_row)."""
+    a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
     if single:
         a = a[np.newaxis, :]
@@ -424,14 +431,58 @@ def train_ref(X, iterations: int = DEFAULT_ITERATIONS, fold: str = DEFAULT_FOLD,
     and never written. Work is linear in N * D per iteration, and memory
     beyond the copy is a scratch block; the model itself stores only the J
     step vectors.
+
+    Each step acts on one dimension at a time, so X of _SCRATCH_ROWS rows or
+    more and 2 columns or more is fitted, where a helper may be forked, as
+    two column halves, each copied and fitted in a forked helper, to the
+    same bits. That split fit leaves X unwritten, overwrite=True or not. A
+    half that fails in any way (an error, a warning, a lost helper) sends no
+    steps, and X is then fitted whole as above, which raises and warns as a
+    fit in one process does.
     """
     check_settings(fold, iterations)
-    z, _ = _as_samples(X, "training data", copy=not overwrite)
-    if not (z.flags.writeable and z.flags.c_contiguous):
-        z = np.array(z, order="C")
-    if len(z) < 2:
-        raise InsufficientDataError(f"need at least 2 training samples, got {len(z)}")
-    return RefModel(*_fit_block(z, [len(z)], iterations, fold), fold)
+    x, _ = _as_samples(X, "training data")
+    if len(x) < 2:
+        raise InsufficientDataError(f"need at least 2 training samples, got {len(x)}")
+    steps = None
+    if len(x) >= _SCRATCH_ROWS and x.shape[1] >= 2 and may_fork():
+        steps = _split_fit(x, iterations, fold)
+    if steps is None:
+        if not (overwrite and x.flags.writeable and x.flags.c_contiguous):
+            x = np.array(x, order="C")
+        steps = _fit_block(x, [len(x)], iterations, fold)
+    return RefModel(*steps, fold)
+
+
+def _split_fit(x, iterations, fold):
+    """The step rows of the (N, D) matrix x, fitted as the column halves
+    [:D // 2] and [D // 2:] in two forked helpers, or None where either sends
+    no whole steps. Both helpers are killed and reaped before it returns,
+    and x is only read."""
+    d = x.shape[1]
+    halves = (slice(0, d // 2), slice(d // 2, d))
+    helpers = (Helper(), Helper())
+    steps = []
+    try:
+        for helper, cols in zip(helpers, halves):
+            helper.start(_send_half, x, cols, iterations, fold)
+        for helper, cols in zip(helpers, halves):
+            for _ in "mu", "sigma":
+                steps.append(helper.read((iterations, cols.stop - cols.start)))
+                if steps[-1] is None:
+                    return None
+    finally:
+        for helper in helpers:
+            helper.close()
+    mu0, sigma0, mu1, sigma1 = steps
+    return np.hstack((mu0, mu1)), np.hstack((sigma0, sigma1))
+
+
+def _send_half(out, x, cols, iterations, fold) -> None:
+    """A helper's work: fit a C-ordered copy of the columns cols of x, and
+    send its mu rows, then its sigma rows."""
+    for a in _fit_block(np.array(x[:, cols], order="C"), [len(x)], iterations, fold):
+        send(out, a)
 
 
 def transform_ref(y, model: RefModel) -> np.ndarray:

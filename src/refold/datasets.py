@@ -15,9 +15,11 @@ A regular file whose first chunk comes back full (so the file may hold
 more) is parsed in two processes where it may run on two CPUs: a forked
 helper reads the file again and converts every other chunk of read_lines
 (1, 3, 5, ...) as this process would, until the first one it cannot
-convert in one pass, sending each matrix down a pipe. This process still
-decodes every chunk, reads every label and converts the rest, so errors
-are raised here alone, with the same text. Faults of one kind are reported
+convert in one pass, sending each matrix down a pipe; for a caller that
+scores the chunks (predict and eval), it scores them too and sends the
+scores. This process still decodes every chunk, reads every label and
+converts and scores the rest, so errors and warnings are raised here alone,
+with the same text. Faults of one kind are reported
 in file order, but a chunk is decoded whole before its cells are read, so
 a non-UTF-8 byte is reported before an earlier bad cell of the same chunk,
 or of the text layer's 8 KB read-ahead. The bits, labels and first error
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
@@ -41,6 +42,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
+from .helper import Helper, may_fork, send
 from .textio import as_tuple, is_int, parse_float, read_lines
 
 DATA_DIR_ENV = "REFOLD_DATA_DIR"
@@ -49,11 +51,6 @@ DEFAULT_DATA_DIR = "data"
 # lines parsed per np.loadtxt call: the text held at once stays one chunk's,
 # and larger chunks peak higher on np.loadtxt's own temporaries
 _CHUNK_LINES = 8192
-
-# whether the parse may fork a helper: fork exists, and Python is older than
-# 3.12, from which fork warns in a process with threads (numpy's BLAS pool is one)
-MAY_FORK = sys.version_info < (3, 12) and hasattr(os, "fork")
-
 
 @dataclass(frozen=True)
 class DatasetSchema:
@@ -117,12 +114,18 @@ class Dataset:
         return np.array([lab == name for lab in self.labels])
 
 
-def read_chunks(path, schema: DatasetSchema | None = None):
+def read_chunks(path, schema: DatasetSchema | None = None, apply=None):
     """Parse one delimited file under the schema, a chunk of lines at a time:
     yields each chunk's (matrix, labels), an (n, D) float64 matrix and a list
     of n label strings, empty without a label column. Errors name row and
     column; a blank label raises once every chunk has been read, so the
     first fault reported is the one a whole-file parse meets first.
+
+    With apply given, a function that maps a chunk's matrix to its n float64
+    scores, each chunk's scores are yielded in place of its matrix. A forked
+    helper applies it to the chunks it converts; a chunk on which it raises
+    or warns there is converted and scored here, which raises or warns as a
+    one-process parse would.
     """
     schema = schema or DatasetSchema()
     path = os.fspath(path)
@@ -130,7 +133,7 @@ def read_chunks(path, schema: DatasetSchema | None = None):
     # closed on return or raise, not when the generator is collected: the
     # helper, if one was started, is killed and reaped first
     with closing(read_lines(path, DataFormatError, _CHUNK_LINES)) as chunks, \
-            closing(_Helper()) as helper:
+            closing(Helper()) as helper:
         lines = next(chunks, [])
         full = len(lines) == _CHUNK_LINES  # the file may hold more chunks
         header_names: list[str] | None = None
@@ -160,16 +163,20 @@ def read_chunks(path, schema: DatasetSchema | None = None):
         if not cols:
             raise DataFormatError(f"{path}: no feature columns left after selection")
 
-        if full:
-            helper.start(path, d, width, cols)
+        # the helper reads the file again, which it cannot do with a pipe
+        if full and os.path.isfile(path) and may_fork():
+            helper.start(_send_odd_chunks, path, d, width, cols, apply)
         names: dict[str, str] = {}
         blank = None  # file row of the first blank label
         while lines:
-            matrix = helper.matrix(len(lines), len(cols)) if odd else None
-            if matrix is None:
-                matrix = _loadtxt(lines, d, width, cols)
-            if matrix is None:
-                matrix = _parse_rows(lines, d, width, cols, path, row)
+            shape = (len(lines), len(cols)) if apply is None else (len(lines),)
+            values = helper.read(shape) if odd else None  # the matrix, or its scores
+            if values is None:
+                values = _loadtxt(lines, d, width, cols)
+                if values is None:
+                    values = _parse_rows(lines, d, width, cols, path, row)
+                if apply is not None:
+                    values = apply(values)
             labels = []
             if label_idx is not None:
                 # every row has `width` fields by now, so one split bounded at
@@ -183,10 +190,10 @@ def read_chunks(path, schema: DatasetSchema | None = None):
                 labels = [names.setdefault(x, x) for x in map(str.strip, cells)]
                 if blank is None and "" in names:
                     blank = row + labels.index("") + 1
-            yield matrix, labels
+            yield values, labels
             row, odd = row + len(lines), not odd
             # dropped before the next chunk is read: one chunk's text is alive
-            del lines, matrix, labels
+            del lines, values, labels
             lines = next(chunks, [])
     # checked once every chunk's cells are, as a whole-file parse would order them
     if blank is not None:
@@ -268,85 +275,16 @@ def _loadtxt(lines, delimiter, width, cols) -> np.ndarray | None:
     return m
 
 
-class _Helper:
-    """A forked child that converts the odd chunks (1, 3, 5, ...) of a
-    file's read_lines and sends their matrices down a pipe, in chunk order,
-    until the first chunk it cannot convert in one pass.
-
-    Only matrices cross the pipe. Where the helper sends none (it stopped,
-    or it is gone), matrix() stops it and returns None, and read_chunks
-    converts that chunk and every later one itself, so a failed or killed
-    helper costs speed alone. Until start() forks one, and where no helper
-    may run or no pipe or process can be made, there is no helper, and
-    matrix() returns None. close() kills and reaps it.
-    """
-
-    pid = pipe = None
-
-    def start(self, path, delimiter, width, cols) -> None:
-        """Fork the helper where one may run: MAY_FORK holds, this process
-        may run on two CPUs or more, and the path is a regular file, which
-        the helper can read again (a pipe it cannot)."""
-        if not (MAY_FORK and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) >= 2 and os.path.isfile(path)):
-            return
-        parent = os.getpid()
-        try:
-            r, w = os.pipe()
-        except OSError:
-            return
-        try:
-            self.pid = os.fork()
-            if self.pid == 0:
-                # the read end closed, a helper whose parent died gets EPIPE
-                os.close(r)
-                with open(w, "wb") as out:
-                    _send_odd_chunks(out, path, delimiter, width, cols)
-        except OSError:
-            pass  # no process: read_chunks converts every chunk
-        finally:
-            if os.getpid() != parent:
-                os._exit(0)  # the helper's one way out, whatever it raised
-            os.close(w)
-        if self.pid:
-            self.pipe = open(r, "rb")
-        else:
-            os.close(r)
-
-    def matrix(self, n: int, ncols: int) -> np.ndarray | None:
-        """The next odd chunk's (n, ncols) matrix, or None: the helper sent
-        no matrix of n rows, and is stopped."""
-        if self.pipe is None:
-            return None
-        m = np.empty((n, ncols))
-        if self.pipe.read(8) == n.to_bytes(8, "little") and self.pipe.readinto(m) == m.nbytes:
-            return m
-        self.close()  # done, gone, or out of step with this process's read
-        return None
-
-    def close(self) -> None:
-        """Kill and reap the helper, in whatever state it is."""
-        if self.pid:
-            import signal  # paid for only by a parse that forked
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pipe.close()
-            self.pid = self.pipe = None
-
-
-def _send_odd_chunks(out, path, delimiter, width, cols) -> None:
+def _send_odd_chunks(out, path, delimiter, width, cols, apply) -> None:
     """The helper's work: for each odd chunk of the file's read_lines, its
-    _loadtxt matrix (row count, then bytes), flushed at once. The first
-    chunk that _loadtxt defers, or any error, ends the helper."""
+    _loadtxt matrix, or with apply given its scores. The first chunk that
+    _loadtxt defers, or any error or warning, ends the helper."""
     with closing(read_lines(path, DataFormatError, _CHUNK_LINES)) as chunks:
         for lines in islice(chunks, 1, None, 2):
             m = _loadtxt(lines, delimiter, width, cols)
             if m is None:
                 return
-            out.write(len(m).to_bytes(8, "little"))
-            out.write(m)
-            out.flush()
+            send(out, m if apply is None else apply(m))
             del lines, m  # one chunk's text is alive, as in read_chunks
 
 

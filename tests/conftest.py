@@ -33,18 +33,20 @@ def pytest_configure(config):
 
 
 def needs_fork(test):
-    """Skip the test where the parse's own rule forks no helper. refold is
+    """Skip the test where the fork rule forks no helper. refold is
     imported here, not at the top: test_properties runs a copy of this file
     where refold is not importable."""
-    from refold.datasets import MAY_FORK
+    from refold.helper import MAY_FORK
 
     return pytest.mark.skipif(not MAY_FORK,
                               reason="the parse forks no helper on this interpreter")(test)
 
 
-def parse_on_cpus(monkeypatch, n):
-    """Have the parse see n CPUs: on two, a file whose first chunk is full
-    is parsed with a forked helper; on one, in this process alone."""
+def on_cpus(monkeypatch, n):
+    """Have the fork rule see n CPUs: on two, a file whose first chunk is
+    full is parsed with a forked helper, and a fit of 8192 rows or more and
+    two columns or more runs its column halves in two; on one, nothing
+    forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 

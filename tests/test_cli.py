@@ -8,11 +8,12 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_no_child, needs_fork, parse_on_cpus
+from conftest import assert_no_child, needs_fork, on_cpus
 
 from refold import core, datasets
 from refold.bench import BenchSpec
@@ -32,6 +33,17 @@ def child_env() -> dict:
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return env
+
+
+def test_import_loads_no_process_or_logging_module():
+    """A fresh `import refold.cli` loads none of signal, multiprocessing,
+    concurrent.futures, subprocess and logging: a helper imports signal only
+    once one is forked, so start-up pays for none of them."""
+    modules = ["signal", "multiprocessing", "concurrent.futures", "subprocess", "logging"]
+    code = "import sys, refold.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code, *modules], env=child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def run_limited(args):
@@ -200,7 +212,7 @@ def test_predict_golden_bytes(tmp_path, capsys, monkeypatch, chunk_lines):
     )
     model = str(tmp_path / "m.refold")
     for cpus in (2, 1):
-        parse_on_cpus(monkeypatch, cpus)
+        on_cpus(monkeypatch, cpus)
         assert main(["train", "--data", str(labeled), "--target-class", "t",
                      "--out", model]) == 0
         capsys.readouterr()
@@ -211,6 +223,46 @@ def test_predict_golden_bytes(tmp_path, capsys, monkeypatch, chunk_lines):
                      "--label-column", "last"]) == 0
         assert capsys.readouterr().out == out
         assert_no_child()
+
+
+@needs_fork
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_a_replay_warning_in_the_helper_is_this_process_own(tmp_path, capsys, monkeypatch,
+                                                             forks, action):
+    """A cos model whose replay overflows row 5 to inf, so that its cos warns,
+    in chunk 1 of 4 lines: the helper, which scores chunk 1, stops there,
+    and this process scores it and warns, or fails under -W error, as on
+    one CPU, with the same stdout, stderr and exit status. (capsys sees this
+    process's output alone, not what a helper would print.)"""
+    train = tmp_path / "train.csv"
+    train.write_text("".join(f"{k / 1000},{k % 3},t\n" for k in range(20)), encoding="utf-8")
+    model = str(tmp_path / "cos.refold")
+    assert main(["train", "--data", str(train), "--fold", "cos", "--iters", "3",
+                 "--out", model]) == 0
+    rows = [f"{k / 997},{k % 3}\n" for k in range(14)]
+    rows[5] = "1e308,1\n"
+    data = tmp_path / "rows.csv"
+    data.write_text("".join(rows), encoding="utf-8")
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
+    capsys.readouterr()
+    outcomes = []
+    for cpus in (2, 1):
+        on_cpus(monkeypatch, cpus)
+        forks.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            rc = main(["predict", "--model", model, "--data", str(data)])
+        outcomes.append((rc, *capsys.readouterr()))
+        assert len(forks) == (cpus == 2)
+        assert_no_child()
+    assert outcomes[0] == outcomes[1]
+    rc, out, err = outcomes[0]
+    if action == "default":
+        assert (rc, err) == (0, "refold: warning: invalid value encountered in cos\n")
+        assert out.count("\n") == 14 and "\n5 nan outlier\n" in out
+    else:
+        assert (rc, out, err) == (1, "", "refold: error: RuntimeWarning: invalid value "
+                                         "encountered in cos\n")
 
 
 # --------------------------------------------------------------------- eval
@@ -246,7 +298,7 @@ def test_eval_golden_bytes(trained_model, tmp_path, capsys, monkeypatch, chunk_l
     runs = [[model_path, c, "l1", "1.0"] for c in ("setosa", "versicolor", "virginica")]
     model_101 = str(tmp_path / "m101.refold")
     for cpus in (2, 1):
-        parse_on_cpus(monkeypatch, cpus)
+        on_cpus(monkeypatch, cpus)
         assert main(["train", "--data", data, "--target-class", "versicolor",
                      "--out", model_101]) == 0
         capsys.readouterr()
@@ -638,7 +690,7 @@ def test_model_width_is_checked_at_the_first_chunk(trained_model, tmp_path, caps
     argv = [command, "--model", model, "--data", str(data)]
     argv += ["--label-column", "last"] if command == "predict" else ["--target-class", target]
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 8)
-    parse_on_cpus(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     capsys.readouterr()
     line = single_error_line(capsys, main(argv), "ShapeError")
     assert line.endswith("sample has 4 dimensions, model has 2")
@@ -679,7 +731,7 @@ def test_train_holds_only_the_target_rows(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(core, "_SCRATCH_ROWS", 1024)
     data, _, target_bytes = labeled_rows(tmp_path)
     for cpus in (2, 1):
-        parse_on_cpus(monkeypatch, cpus)
+        on_cpus(monkeypatch, cpus)
         peak = traced_peak(["train", "--data", data, "--target-class", "t",
                             "--out", str(tmp_path / "m.refold")])
         assert capsys.readouterr().out == "J=101 D=20 N=10000\n"
@@ -700,7 +752,7 @@ def test_predict_holds_a_chunk_beside_its_output(tmp_path, capfd, monkeypatch):
                  "--out", model]) == 0
     capfd.readouterr()
     for cpus in (2, 1):
-        parse_on_cpus(monkeypatch, cpus)
+        on_cpus(monkeypatch, cpus)
         peak = traced_peak(["predict", "--model", model, "--data", data,
                             "--label-column", "last"])
         out = capfd.readouterr().out
@@ -715,7 +767,7 @@ def test_commands_leave_no_helper_behind(trained_model, tmp_path, capsys, monkey
     and reap it before they return, succeeding or failing."""
     model, data = trained_model
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 8)
-    parse_on_cpus(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     bad = tmp_path / "bad.csv"
     bad.write_text(Path(data).read_text(encoding="utf-8").replace("5.7,", "5.7x,"),
                    encoding="utf-8")

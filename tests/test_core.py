@@ -1,13 +1,17 @@
 """Unit and property tests for the core classifier."""
 
 import math
+import os
+import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import oracle
+from conftest import assert_no_child, needs_fork, on_cpus
 from refold import core
 from refold.core import (
     DEFAULT_DISTANCE,
@@ -24,6 +28,7 @@ from refold.core import (
     train_ref,
     transform_ref,
 )
+from refold.helper import MAY_FORK, Helper, send
 from refold.model_io import parse_model, serialize_model
 from refold.errors import (
     ConfigError,
@@ -951,13 +956,131 @@ def test_sigma_overflow_sanitized_to_one():
 def test_overflow_warnings_and_first_error(X, fold, warned, message):
     """Which overflow warns, how often, and where the fit fails: the
     finite-value check through column totals must not change either."""
-    import warnings
+    assert failed_fit(np.array(X), fold) == (warned, message)
+
+
+def failed_fit(X, fold):
+    """The warnings that a failing train_ref(X, 5, fold) gives, and its error."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericError) as exc:
-            train_ref(np.array(X), 5, fold)
-    assert [str(w.message) for w in caught] == warned
-    assert str(exc.value) == message
+            train_ref(X, 5, fold)
+    return [str(w.message) for w in caught], str(exc.value)
+
+
+# ------------------------------------------------------------- split fit
+
+@pytest.mark.parametrize("d", [1, 2, 3, 20, 65])
+@pytest.mark.parametrize("op", FOLD_OPS)
+def test_split_fit_gives_the_bits_of_a_whole_fit(monkeypatch, forks, op, d):
+    """On two CPUs, a fit of 8192 rows or more and two columns or more runs
+    its column halves in two forked helpers, to the bytes of a fit on one
+    CPU, and leaves X unwritten with overwrite=True; the columns either side
+    of the split, and the last, match the oracle. A fit of 8191 rows, of one
+    column or on one CPU forks nothing."""
+    rng = np.random.default_rng(d)
+    for n in (8191, 8192, 20000):
+        X = rng.normal(size=(n, d)) * rng.uniform(0.5, 4.0, d) + rng.uniform(-3.0, 3.0, d)
+        X[::7, 0] = -0.0
+        models = []
+        for cpus, overwrite in ((1, False), (2, False), (2, True), (1, True)):
+            on_cpus(monkeypatch, cpus)
+            forks.clear()
+            Z = X.copy()
+            models.append(train_ref(Z, 4, op, overwrite=overwrite))
+            split = MAY_FORK and cpus == 2 and n >= 8192 and d >= 2
+            assert len(forks) == 2 * split
+            assert (Z.tobytes() == X.tobytes()) == (split or not overwrite)
+            assert_no_child()
+        assert len({model_bytes(m) for m in models}) == 1, n
+        cols = sorted({0, max(d // 2 - 1, 0), d // 2 % d, d - 1})
+        mus, sigmas, _ = oracle.train(X[:, cols].tolist(), 4, op)
+        model = models[2]
+        atol = 1e-13 if op == "tanh" else 0.0
+        np.testing.assert_allclose(model.mu[:, cols], mus, rtol=0, atol=atol)
+        np.testing.assert_allclose(model.sigma[:, cols], sigmas, rtol=0, atol=atol)
+
+
+def grown(column, n=8192):
+    """A column of n rows: the given head, then zeros."""
+    return np.concatenate([column, np.zeros(n - len(column))])
+
+
+# test_overflow_warnings_and_first_error's cases on 8192 rows, with the
+# failing column a beside a good column b: (a, b, fold, warnings, error)
+GROWN_FAILURES = {
+    "total": ([1e308, 1e308], None, "abs", ["overflow encountered in reduce"],
+              "column total of dimension {a} overflows at iteration 1"),
+    # a mean of 8192 rows lies within 2.2e304 of zero: the deviation from it
+    # overflows only next to the largest doubles
+    "deviation": ([1.7976e308, -1.5e308, -1.5e308], None, "abs",
+                  ["overflow encountered in subtract"],
+                  "non-finite working values at iteration 1"),
+    "fold": ([1e200], None, "sqr", [], "non-finite working values at iteration 2"),
+    "later-total": ([1.7e308], None, "abs", ["overflow encountered in reduce"],
+                    "column total of dimension {a} overflows at iteration 2"),
+    # the halves fail at different iterations: a at 1, b at 2
+    "halves-differ": ([1e308, 1e308], [1.7e308], "abs", ["overflow encountered in reduce"],
+                      "column total of dimension {a} overflows at iteration 1"),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("swap", [False, True], ids=["first-half", "second-half"])
+@pytest.mark.parametrize("case", sorted(GROWN_FAILURES))
+def test_split_fit_warns_and_fails_as_a_whole_fit(monkeypatch, forks, case, swap):
+    """A half that warns or fails sends nothing, and X is fitted whole: the
+    same warnings and first error on two CPUs as on one, with the failing
+    column in either half."""
+    head_a, head_b, fold, warned, message = GROWN_FAILURES[case]
+    a = grown(head_a)
+    b = np.arange(8192.0) if head_b is None else grown(head_b)
+    X = np.column_stack([b, a] if swap else [a, b])
+    want = (warned, message.format(a=1 + swap))
+    for cpus in (2, 1):
+        on_cpus(monkeypatch, cpus)
+        forks.clear()
+        assert failed_fit(X.copy(), fold) == want
+        assert len(forks) == (2 if cpus == 2 else 0)
+        assert_no_child()
+
+
+@needs_fork
+@pytest.mark.parametrize("fault", ["killed", "short-reply", "interrupt"])
+def test_split_fit_outlives_a_lost_helper(monkeypatch, forks, fault):
+    """A helper SIGKILLed mid-fit, or one that dies after sending its mu
+    rows, leaves this process to fit X whole, to the same model; a
+    KeyboardInterrupt while the helpers fit ends the fit. No helper is left
+    behind."""
+    X = np.random.default_rng(7).normal(size=(20000, 6))
+    on_cpus(monkeypatch, 1)
+    want = model_bytes(train_ref(X, 101))
+    on_cpus(monkeypatch, 2)
+    read = Helper.read
+    if fault == "short-reply":
+        def short(out, a):
+            send(out, a)
+            os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(core, "send", short)
+    else:
+        def reading(self, shape):
+            if fault == "interrupt":
+                raise KeyboardInterrupt
+            os.kill(forks[0], signal.SIGKILL)
+            return read(self, shape)
+        monkeypatch.setattr(Helper, "read", reading)
+    whole = []
+    fit_block = core._fit_block
+    monkeypatch.setattr(core, "_fit_block", lambda Z, *args: whole.append(Z.shape)
+                        or fit_block(Z, *args))
+    if fault == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            train_ref(X, 101)
+    else:
+        assert model_bytes(train_ref(X, 101)) == want
+        assert whole == [X.shape]
+    assert len(forks) == 2
+    assert_no_child()
 
 
 def test_fit_stack_checks_fold_before_any_work():

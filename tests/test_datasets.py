@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_no_child, load_outcome, needs_fork, parse_on_cpus
+from conftest import assert_no_child, load_outcome, needs_fork, on_cpus
 
 from refold import datasets
 from refold.datasets import (
@@ -18,6 +18,7 @@ from refold.datasets import (
     registry,
 )
 from refold.errors import ConfigError, DataFormatError
+from refold.helper import Helper
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -441,11 +442,11 @@ def both_ways(monkeypatch, forks, path, schema=None):
     """The outcome with a forked helper, once it is checked equal to the
     outcome in one process, and that either leaves no child behind."""
     forks.clear()
-    parse_on_cpus(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     helped = load_outcome(path, schema)
     assert forks, "no helper was forked"
     assert_no_child()
-    parse_on_cpus(monkeypatch, 1)
+    on_cpus(monkeypatch, 1)
     assert load_outcome(path, schema) == helped
     assert_no_child()
     return helped
@@ -457,13 +458,13 @@ def test_helper_converts_the_odd_chunks(tmp_path, monkeypatch, forks):
     what this process converts, up to the first chunk that it defers; a
     file of one chunk forks none."""
     received = []
-    matrix = datasets._Helper.matrix
+    read = Helper.read
 
-    def spy(self, n, ncols):
-        received.append(matrix(self, n, ncols))
+    def spy(self, shape):
+        received.append(read(self, shape))
         return received[-1]
 
-    monkeypatch.setattr(datasets._Helper, "matrix", spy)
+    monkeypatch.setattr(Helper, "read", spy)
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
     values = np.random.default_rng(3).standard_normal((38, 3)) * 10.0 ** np.arange(-4, 5, 4)
     text = "".join(",".join("%.17g" % v for v in row) + ",a\n" for row in values.tolist())
@@ -492,8 +493,37 @@ def test_helper_converts_the_odd_chunks(tmp_path, monkeypatch, forks):
     assert [m is None for m in received] == [True] * 4
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 40)
     forks.clear()
-    parse_on_cpus(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     assert load_outcome(p)[1] == values.tobytes() and not forks
+
+
+@needs_fork
+def test_helper_sends_the_scores_of_the_odd_chunks(tmp_path, monkeypatch, forks):
+    """Handed a scoring function, the helper scores the odd chunks it
+    converts and sends n floats for each, in place of its (n, D) matrix;
+    every chunk's scores are those of this process."""
+    received = []
+    read = Helper.read
+
+    def spy(self, shape):
+        received.append((shape, read(self, shape)))
+        return received[-1][1]
+
+    monkeypatch.setattr(Helper, "read", spy)
+    monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
+    values = np.random.default_rng(5).standard_normal((38, 3))
+    p = write(tmp_path, "".join("%.17g,%.17g,%.17g,a\n" % tuple(row) for row in values.tolist()))
+
+    def scores(m):
+        return np.abs(m).sum(axis=1)
+
+    on_cpus(monkeypatch, 2)
+    got = [s for s, _ in datasets.read_chunks(p, apply=scores)]
+    assert len(forks) == 1
+    assert_no_child()
+    assert [(shape, len(s)) for shape, s in received] == [((4,), 4)] * 4 + [((2,), 2)]
+    assert np.concatenate(got).tobytes() == scores(values).tobytes()
+    assert np.concatenate([s for _, s in received]).tobytes() == np.concatenate(got[1::2]).tobytes()
 
 
 # each file spans at least three chunks of 4 lines, and a fault sits in
@@ -569,7 +599,7 @@ def test_no_helper_is_left_behind(tmp_path, monkeypatch, forks):
     """The helper is reaped when the parse ends, fails in a chunk it
     converts, is closed early, or is interrupted from the consumer."""
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
-    parse_on_cpus(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     good, bad = write(tmp_path, rows_text(40)), write(tmp_path, rows_text(40, bad=(6, "6,x,a")),
                                                        "bad.csv")
     assert len(list(datasets.read_chunks(good))) == 10
@@ -597,7 +627,7 @@ def test_parse_outlives_a_killed_helper(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
     values = np.random.default_rng(4).standard_normal((60, 2))
     p = write(tmp_path, "".join("%.17g,%.17g,a\n" % tuple(row) for row in values.tolist()))
-    parse_on_cpus(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     parts = []
     with closing(datasets.read_chunks(p)) as chunks:
         for k, (m, _) in enumerate(chunks):
@@ -610,7 +640,7 @@ def test_parse_outlives_a_killed_helper(tmp_path, monkeypatch, forks):
 
 def test_one_cpu_forks_no_helper(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(datasets, "_CHUNK_LINES", 4)
-    parse_on_cpus(monkeypatch, 1)
+    on_cpus(monkeypatch, 1)
     assert load_dataset(write(tmp_path, rows_text(40))).n_samples == 40
     assert not forks
 

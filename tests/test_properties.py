@@ -41,7 +41,7 @@ from refold.rng import SplitMix64
 from refold.textio import read_lines
 
 import oracle
-from conftest import load_outcome, parse_on_cpus
+from conftest import load_outcome, on_cpus
 
 # derandomized so every run tries the same examples, with no example
 # database to replay from
@@ -295,19 +295,32 @@ def chunked_files(draw):
 def test_chunk_size_does_not_change_the_outcome(case):
     """Chunks of 1, 2 or 3 lines give the bits, labels and class names, or
     the error, that one chunk holding the whole file gives, whether a forked
-    helper converts every other chunk (two CPUs) or not (one)."""
+    helper converts every other chunk (two CPUs) or not (one); and so do the
+    chunks' scores, where the helper scores the chunks it converts."""
     text, schema = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        whole = load_outcome(path, schema)
+        whole = load_outcome(path, schema), scored_outcome(path, schema)
         for chunk_lines in (1, 2, 3):
             for cpus in (2, 1):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(datasets, "_CHUNK_LINES", chunk_lines)
-                    parse_on_cpus(mp, cpus)
-                    assert load_outcome(path, schema) == whole, (chunk_lines, cpus)
+                    on_cpus(mp, cpus)
+                    got = load_outcome(path, schema), scored_outcome(path, schema)
+                    assert got == whole, (chunk_lines, cpus)
+
+
+def scored_outcome(path, schema):
+    """What read_chunks gives with a scoring function: the bits of every
+    row's score and the labels, or the error."""
+    try:
+        # tanh keeps every sum finite, so that no score warns
+        parts = list(datasets.read_chunks(path, schema, lambda m: np.tanh(m).sum(axis=1)))
+    except (DataFormatError, ConfigError) as exc:
+        return type(exc), str(exc)
+    return b"".join(s.tobytes() for s, _ in parts), [lab for _, labels in parts for lab in labels]
 
 
 # a bad byte anywhere in text with multibyte characters and every line end,
